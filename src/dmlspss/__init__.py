@@ -55,6 +55,7 @@ from .simulate import (
 )
 from .support_points import (
     FoldPlan,
+    PolishStats,
     SpConfig,
     SplitResult,
     SpResult,

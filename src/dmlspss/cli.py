@@ -30,7 +30,7 @@ from .data import (
     ColumnSchema,
     Dataset,
     load_csv,
-    standardize,
+    standardize,  # unused here; kept as cli.standardize for bench/tracing.py
     subset_rows,
     write_csv,
 )
@@ -59,6 +59,7 @@ from .simulate import (
 )
 from .support_points import (
     SpConfig,
+    _joint_cloud,
     energy_two_sample,
     random_kfold,
     random_subset,
@@ -103,6 +104,7 @@ class RunConfig:
     k: int = 2
     seed: int = 0
     include_y: bool = True
+    # sp.max_iter / sp.tol are parsed but unused: splits skip the MM solver
     sp_max_iter: int = 100
     sp_tol: float = 1e-7
     learner_m: Optional[object] = None
@@ -376,42 +378,33 @@ def _load_dataset(cfg: RunConfig, input_csv: Optional[str]) -> Dataset:
 def _build_plan(cfg: RunConfig, d: Dataset, seed: int):
     if cfg.split_method == "random":
         return random_kfold(d.n, cfg.k, seed)
-    return spss_kfold(
-        d, cfg.k,
-        SpConfig(seed=seed, max_iter=cfg.sp_max_iter, tol=cfg.sp_tol),
-        include_y=cfg.include_y,
-    )
+    return spss_kfold(d, cfg.k, SpConfig(seed=seed), include_y=cfg.include_y)
 
 
 def cmd_split(cfg: RunConfig, input_csv, out_dir, seed: int) -> int:
     d = _load_dataset(cfg, input_csv)
     result = spss_split(
-        d, cfg.test_fraction,
-        SpConfig(seed=seed, max_iter=cfg.sp_max_iter, tol=cfg.sp_tol),
-        include_y=cfg.include_y,
+        d, cfg.test_fraction, SpConfig(seed=seed), include_y=cfg.include_y
     )
     out = Path(out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "train.csv", subset_rows(d, result.train_idx))
     write_csv(out / "test.csv", subset_rows(d, result.test_idx))
 
-    cols = [d.t[:, None], d.x] + ([d.y[:, None]] if cfg.include_y else [])
-    std_cloud, _ = standardize(np.hstack(cols))
+    cloud = _joint_cloud(d, cfg.include_y)
     n_test = len(result.test_idx)
     baseline = random_subset(d.n, n_test, seed)
+    polish = result.polish
     sidecar = {
         "seed": seed,
         "n_test": n_test,
         "n_train": int(len(result.train_idx)),
-        "iterations": result.sp.iterations,
-        "converged": result.sp.converged,
-        "objective_trace": [float(v) for v in result.sp.objective_trace],
-        "energy_test_vs_full": float(
-            energy_two_sample(std_cloud[result.test_idx], std_cloud)
-        ),
-        "energy_random_vs_full": float(
-            energy_two_sample(std_cloud[baseline], std_cloud)
-        ),
+        "polish_passes": polish.passes,
+        "polish_swaps": polish.swaps,
+        "polish_converged": polish.converged,
+        "energy_init_vs_full": energy_two_sample(cloud[polish.init_idx], cloud),
+        "energy_test_vs_full": energy_two_sample(cloud[result.test_idx], cloud),
+        "energy_random_vs_full": energy_two_sample(cloud[baseline], cloud),
     }
     with open(out / "split.json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
@@ -535,7 +528,7 @@ def main(argv=None) -> int:
         threads = args.threads
         if threads is None:
             env = os.environ.get("DMLSPSS_THREADS")
-            threads = int(env) if env else cfg.threads
+            threads = _parse_num(env, "DMLSPSS_THREADS", int) if env else cfg.threads
         if args.command == "split":
             seed = args.seed if args.seed is not None else cfg.seed
             return cmd_split(cfg, args.input, args.out, seed)

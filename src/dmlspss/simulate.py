@@ -122,7 +122,7 @@ class McConfig:
     algorithm: str = ALG_DML2
     master_seed: int = 0
     alpha: float = 0.05
-    # solver knobs for the SPSS splitter; defaults keep cells desk-scale
+    # MM solver knobs, accepted but unused: the SPSS splitter skips MM
     sp_max_iter: int = 100
     sp_tol: float = 1e-7
     include_y: bool = True
@@ -280,11 +280,7 @@ def _run_one_rep(mc: McConfig, rep: int):
     d, truth = draw_dataset(mc.scenario, data_seed)
 
     if mc.splitter == SPLIT_SPSS:
-        plan = spss_kfold(
-            d, mc.k,
-            SpConfig(seed=split_seed, max_iter=mc.sp_max_iter, tol=mc.sp_tol),
-            include_y=mc.include_y,
-        )
+        plan = spss_kfold(d, mc.k, SpConfig(seed=split_seed), include_y=mc.include_y)
     elif mc.splitter == SPLIT_RANDOM:
         plan = random_kfold(d.n, mc.k, split_seed)
     else:
@@ -316,9 +312,12 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
         try:
             return _run_one_rep(mc, rep)
         except Exception as exc:
-            raise type(exc)(
-                f"replication {rep} (seed {mix_seed(mc.master_seed, rep)}): {exc}"
-            ) from exc
+            # tag in place: keeps the type (the CLI exit code) and attributes,
+            # and calls no constructor of unknown signature
+            exc.args = (
+                f"replication {rep} (seed {mix_seed(mc.master_seed, rep)}): {exc}",
+            )
+            raise
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,12 +1,18 @@
 """Energy distance, support-points optimization, and sample splitting.
 
 Support points are the point set minimizing the empirical energy distance
-to a data cloud.  They are found here by majorization-minimization (MM):
-each sweep replaces every point with the minimizer of a separable convex
-surrogate (quadratic majorant for the attraction term, tangent plane for
-the concave repulsion term), which guarantees a non-increasing objective.
-Snapping the converged points to their nearest data rows produces a
-representative subsample used as the test set or as cross-fitting folds.
+to a data cloud.  :func:`compute_support_points` finds them by
+majorization-minimization (MM): each sweep replaces every point with the
+minimizer of a separable convex surrogate (quadratic majorant for the
+attraction term, tangent plane for the concave repulsion term), which
+guarantees a non-increasing objective.  :func:`snap_to_rows` projects
+points onto distinct data rows.
+
+The splitting operations (:func:`spss_split`, :func:`spss_kfold`) select
+rows directly: a seeded random row subset is refined by a greedy exchange
+polish that strictly lowers its energy distance to the cloud.  They skip
+the MM solver because, at p=20, snapping its points returns the seeded
+rows, so only the polish changes the subset.
 
 All randomness is confined to seeds in :class:`SpConfig`; every operation
 is a pure, deterministic function of its inputs.
@@ -14,7 +20,7 @@ is a pure, deterministic function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,12 +35,13 @@ INIT_KMEANSPP_ROWS = "kmeanspp_rows"
 
 @dataclass(frozen=True)
 class SpConfig:
-    """Solver configuration for support-points computation.
+    """Configuration for support-points computation and splitting.
 
-    ``n_points=0`` means "derived by the caller" (the splitting helpers
-    fill it in from the requested test size or fold size).
-    ``polish_passes`` bounds the greedy row-exchange refinement applied
-    after snapping inside the splitting operations; 0 disables it.
+    The splitting operations read only ``seed`` (the random row subset
+    the polish starts from) and ``polish_passes`` (the bound on greedy
+    row-exchange passes; 0 keeps the seeded rows).  ``n_points``,
+    ``max_iter``, ``tol``, ``init`` and ``zero_dist_eps`` configure
+    :func:`compute_support_points`.
     """
 
     n_points: int = 0
@@ -57,12 +64,22 @@ class SpResult:
 
 
 @dataclass(frozen=True)
+class PolishStats:
+    """What the exchange polish did to a seeded row subset."""
+
+    init_idx: np.ndarray  # the seeded rows it started from, sorted
+    passes: int  # passes run, the last one included
+    swaps: int  # accepted row exchanges
+    converged: bool  # a pass made no swap: no single exchange helps
+
+
+@dataclass(frozen=True)
 class SplitResult:
     """Disjoint test/train row indices covering the whole sample."""
 
     test_idx: np.ndarray
     train_idx: np.ndarray
-    sp: Optional[SpResult] = field(default=None, compare=False)
+    polish: Optional[PolishStats] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -266,22 +283,20 @@ def snap_to_rows(points: np.ndarray, full: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exchange_polish(full: np.ndarray, idx: np.ndarray, max_passes: int) -> np.ndarray:
+def _exchange_polish(
+    full: np.ndarray, idx: np.ndarray, max_passes: int
+) -> tuple[np.ndarray, PolishStats]:
     """Greedy row swaps that strictly lower the subset's energy distance.
 
-    The free support points lose much of their advantage in the
-    nearest-row projection when the dimension is not small, so the
-    snapped set is refined directly: each pass offers every selected row
-    its best replacement and accepts strict improvements.  Deterministic
-    (ascending row order, lowest-index ties) and monotone in the subset
-    energy; costs one N x N distance matrix.
+    Each pass offers every selected row its best replacement and accepts
+    strict improvements.  Deterministic (ascending row order,
+    lowest-index ties) and monotone in the subset energy; costs one
+    N x N distance matrix.
     """
-    if max_passes < 1:
-        return idx
     big_n = full.shape[0]
     m = len(idx)
-    if m >= big_n:
-        return idx
+    if max_passes < 1 or m >= big_n:
+        return idx, PolishStats(init_idx=idx, passes=0, swaps=0, converged=False)
     dists = cdist(full, full)
     a = dists.sum(axis=1)
     selected = np.zeros(big_n, dtype=bool)
@@ -289,8 +304,9 @@ def _exchange_polish(full: np.ndarray, idx: np.ndarray, max_passes: int) -> np.n
     b = dists[:, selected].sum(axis=1)
     attract_w = 2.0 / (m * big_n)
     within_w = 2.0 / (m * m)
-    for _ in range(max_passes):
-        improved = False
+    swaps = 0
+    for passes in range(1, max_passes + 1):
+        before = swaps
         for u in np.sort(np.flatnonzero(selected)):
             delta = attract_w * (a - a[u]) - within_w * (b - dists[u] - b[u])
             delta[selected] = np.inf
@@ -299,10 +315,18 @@ def _exchange_polish(full: np.ndarray, idx: np.ndarray, max_passes: int) -> np.n
                 selected[u] = False
                 selected[v] = True
                 b += dists[v] - dists[u]
-                improved = True
-        if not improved:
+                swaps += 1
+        if swaps == before:
             break
-    return np.flatnonzero(selected)
+    return np.flatnonzero(selected), PolishStats(idx, passes, swaps, swaps == before)
+
+
+def _representative_rows(
+    cloud: np.ndarray, m: int, seed: int, passes: int
+) -> tuple[np.ndarray, PolishStats]:
+    """The seeded random m-row subset of ``cloud`` (the MM solver's
+    ``random_rows`` draw), polished by row exchange."""
+    return _exchange_polish(cloud, random_subset(cloud.shape[0], m, seed), passes)
 
 
 def _joint_cloud(d: Dataset, include_y: bool) -> np.ndarray:
@@ -318,9 +342,10 @@ def spss_split(
 ) -> SplitResult:
     """Split a dataset into train/test via support points.
 
-    The joint (treatment, covariates, outcome) cloud is standardized,
-    support points of the requested test size are computed and snapped to
-    rows; those rows form the test set, the rest the training set.
+    The joint (treatment, covariates, outcome) cloud is standardized; a
+    random row subset of the requested test size, drawn from
+    ``cfg.seed``, is polished by row exchange and becomes the test set,
+    the rest the training set.  ``result.polish`` reports the polish.
     """
     n = d.n
     n_test = int(np.floor(test_fraction * n + 0.5))
@@ -330,19 +355,18 @@ def spss_split(
             f"outside [1, {n - 1}]"
         )
     cloud = _joint_cloud(d, include_y)
-    sp = compute_support_points(cloud, replace(cfg, n_points=n_test))
-    test_idx = np.sort(snap_to_rows(sp.points, cloud))
-    test_idx = _exchange_polish(cloud, test_idx, cfg.polish_passes)
+    test_idx, polish = _representative_rows(cloud, n_test, cfg.seed, cfg.polish_passes)
     train_idx = np.setdiff1d(np.arange(n), test_idx)
-    return SplitResult(test_idx=test_idx, train_idx=train_idx, sp=sp)
+    return SplitResult(test_idx=test_idx, train_idx=train_idx, polish=polish)
 
 
 def spss_kfold_cloud(cloud: np.ndarray, k: int, cfg: SpConfig) -> FoldPlan:
     """K folds peeled from an already-standardized point cloud.
 
-    Each fold is the polished support-point subset of the rows not yet
-    assigned; the last fold takes the remainder.  Fold k uses seed
-    ``cfg.seed + k`` so the whole plan is deterministic.
+    Each fold is the polished seeded row subset (as in
+    :func:`spss_split`) of the rows not yet assigned; the last fold takes
+    the remainder.  Fold k uses seed ``cfg.seed + k`` so the whole plan
+    is deterministic.
     """
     n = cloud.shape[0]
     if k < 2 or k > n // 2:
@@ -354,11 +378,9 @@ def spss_kfold_cloud(cloud: np.ndarray, k: int, cfg: SpConfig) -> FoldPlan:
     folds = []
     for fold_id in range(k - 1):
         pool = cloud[remaining]
-        sp = compute_support_points(
-            pool, replace(cfg, n_points=sizes[fold_id], seed=cfg.seed + fold_id)
+        local, _ = _representative_rows(
+            pool, sizes[fold_id], cfg.seed + fold_id, cfg.polish_passes
         )
-        local = np.sort(snap_to_rows(sp.points, pool))
-        local = _exchange_polish(pool, local, cfg.polish_passes)
         fold = np.sort(remaining[local])
         folds.append(fold)
         remaining = np.setdiff1d(remaining, fold)
@@ -369,8 +391,9 @@ def spss_kfold_cloud(cloud: np.ndarray, k: int, cfg: SpConfig) -> FoldPlan:
 def spss_kfold(
     d: Dataset, k: int, cfg: SpConfig, include_y: bool = True
 ) -> FoldPlan:
-    """Build K cross-fitting folds by sequentially peeling support points
-    from the standardized joint (treatment, covariates, outcome) cloud."""
+    """Build K cross-fitting folds by sequentially peeling polished row
+    subsets from the standardized joint (treatment, covariates, outcome)
+    cloud; see :func:`spss_kfold_cloud`."""
     return spss_kfold_cloud(_joint_cloud(d, include_y), k, cfg)
 
 

@@ -79,8 +79,7 @@ def test_split_writes_expected_sizes(tmp_path):
     sidecar = json.loads((out / "split.json").read_text())
     assert sidecar["seed"] == 3
     assert sidecar["n_test"] == 3
-    trace = sidecar["objective_trace"]
-    assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+    assert sidecar["energy_test_vs_full"] <= sidecar["energy_init_vs_full"]
     assert sidecar["energy_test_vs_full"] <= sidecar["energy_random_vs_full"]
 
 
@@ -255,6 +254,14 @@ def test_config_error_exit_code(tmp_path, capsys):
 def test_missing_config_file_exit_code(tmp_path, capsys):
     rc = main(["--config", str(tmp_path / "nope.ini"), "estimate"])
     assert rc == EXIT_CONFIG
+
+
+def test_bad_threads_env_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DMLSPSS_THREADS", "abc")
+    cfg = _base_config(tmp_path, tmp_path / "unused.csv", SIM_EXTRA)
+    rc = main(["--config", str(cfg), "simulate"])
+    assert rc == EXIT_CONFIG
+    assert "DMLSPSS_THREADS" in capsys.readouterr().err
 
 
 def test_superlearner_config_parsing(tmp_path):

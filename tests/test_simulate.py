@@ -215,6 +215,27 @@ def test_run_monte_carlo_reports_failing_rep():
         run_monte_carlo(mc)
 
 
+class _TwoArgError(RuntimeError):
+    def __init__(self, code, detail):
+        super().__init__(f"code {code}: {detail}")
+        self.code = code
+
+
+def test_run_monte_carlo_failing_rep_keeps_exception_type():
+    def boom(x):
+        raise _TwoArgError(7, "boom")
+
+    cfg = ScenarioConfig(scenario="s1", p=4, n=50)
+    mc = McConfig(scenario=cfg, learner_m=Oracle(fn=boom),
+                  learner_ell=Oracle(fn=boom), reps=3, splitter="random",
+                  master_seed=1)
+    seed = mix_seed(1, 0)
+    with pytest.raises(_TwoArgError) as info:
+        run_monte_carlo(mc)
+    assert str(info.value) == f"replication 0 (seed {seed}): code 7: boom"
+    assert info.value.code == 7
+
+
 def test_spec_label_composition():
     from dmlspss.learners import Lasso, Mlp, SuperLearner
     label = spec_label(SuperLearner(candidates=(Ridge(), Lasso(), Mlp())))

@@ -1,14 +1,17 @@
 """Tests for energy distance, the support-points solver, and splitting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dmlspss.data import Dataset, standardize
 from dmlspss.errors import DimensionMismatch, InvalidConfig, InvalidFraction
-from dmlspss.simulate import ScenarioConfig, draw_dataset
+from dmlspss.simulate import ScenarioConfig, draw_dataset, mix_seed
 from dmlspss.support_points import (
     FoldPlan,
     SpConfig,
+    _exchange_polish,
     compute_support_points,
     energy_two_sample,
     random_kfold,
@@ -258,6 +261,57 @@ def test_spss_split_more_representative_than_random_median():
         for s in range(50)
     ]
     assert e_sp < np.median(e_rand)
+
+
+def test_spss_split_polish_stats():
+    d = _small_dataset(seed=3, n=40)
+    cloud, _ = standardize(np.hstack([d.t[:, None], d.x, d.y[:, None]]))
+    res = spss_split(d, 0.25, SpConfig(seed=4))
+    stats = res.polish
+    assert np.array_equal(stats.init_idx, random_subset(d.n, 10, 4))
+    assert stats.swaps >= 1 and stats.converged
+    assert 2 <= stats.passes <= SpConfig().polish_passes
+    assert energy_two_sample(cloud[res.test_idx], cloud) < energy_two_sample(
+        cloud[stats.init_idx], cloud
+    )
+    # one pass that swaps has not shown that no swap helps
+    one = spss_split(d, 0.25, SpConfig(seed=4, polish_passes=1)).polish
+    assert (one.passes, one.converged) == (1, False)
+    none = spss_split(d, 0.25, SpConfig(seed=4, polish_passes=0))
+    assert np.array_equal(none.test_idx, stats.init_idx)
+    assert (none.polish.swaps, none.polish.converged) == (0, False)
+
+
+def _mm_snap_polish_rows(cloud, m, cfg):
+    """Rows the split path chose while it ran the MM solver: support
+    points, sequential nearest-row snapping, then the exchange polish."""
+    sp = compute_support_points(cloud, replace(cfg, n_points=m))
+    snapped = np.sort(snap_to_rows(sp.points, cloud))
+    rows, _ = _exchange_polish(cloud, snapped, cfg.polish_passes)
+    return rows
+
+
+def test_polish_only_split_matches_mm_pipeline_at_p20():
+    # criterion-3 cell (K=2 folds) and criterion-4 trials (test sets):
+    # at p=20 the MM points snap back to the seeded rows, so dropping the
+    # MM step must leave the selected rows bitwise unchanged
+    scenario = ScenarioConfig(scenario="s1", p=20, n=1000)
+    for rep in range(3):
+        rep_seed = mix_seed(0, rep)
+        d, _ = draw_dataset(scenario, mix_seed(rep_seed, 1))
+        cloud, _ = standardize(np.hstack([d.t[:, None], d.x, d.y[:, None]]))
+        cfg = SpConfig(seed=mix_seed(rep_seed, 2), max_iter=60, tol=1e-7)
+        plan = spss_kfold(d, 2, cfg)
+        old_fold = _mm_snap_polish_rows(cloud, 500, cfg)
+        assert np.array_equal(plan.folds[0], old_fold)
+        assert np.array_equal(plan.folds[1], np.setdiff1d(np.arange(d.n), old_fold))
+
+    d, _ = draw_dataset(scenario, seed=100)
+    cloud, _ = standardize(np.hstack([d.t[:, None], d.x, d.y[:, None]]))
+    for trial in range(3):
+        cfg = SpConfig(seed=trial, max_iter=40, tol=1e-6)
+        result = spss_split(d, 0.2, cfg)
+        assert np.array_equal(result.test_idx, _mm_snap_polish_rows(cloud, 200, cfg))
 
 
 def test_spss_kfold_matches_split_at_k2():
