@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import os
 import sys
@@ -30,6 +29,7 @@ from .data import (
     ColumnSchema,
     Dataset,
     load_csv,
+    read_csv_matrix,
     standardize,  # unused here; kept as cli.standardize for bench/tracing.py
     subset_rows,
     write_csv,
@@ -38,8 +38,8 @@ from .errors import (
     ConfigError,
     DataError,
     DmlSpssError,
+    InvalidAlpha,
     NumericError,
-    ParseError,
 )
 from .learners import (
     EpsilonInsensitiveLoss,
@@ -74,10 +74,7 @@ EXIT_NUMERIC = 4
 
 _SECTIONS = {
     "data": {"path", "outcome", "treatment", "covariates"},
-    "split": {
-        "method", "test_fraction", "k", "seed", "include_y",
-        "sp.max_iter", "sp.tol",
-    },
+    "split": {"method", "test_fraction", "k", "seed", "include_y"},
     "dml": {"algorithm", "score", "alpha"},
     "simulate": {"scenario", "p_list", "n_list", "reps", "master_seed"},
     "runtime": {"threads"},
@@ -104,9 +101,6 @@ class RunConfig:
     k: int = 2
     seed: int = 0
     include_y: bool = True
-    # sp.max_iter / sp.tol are parsed but unused: splits skip the MM solver
-    sp_max_iter: int = 100
-    sp_tol: float = 1e-7
     learner_m: Optional[object] = None
     learner_ell: Optional[object] = None
     algorithm: str = dml_mod.ALG_DML2
@@ -303,10 +297,6 @@ def _apply_key(cfg: RunConfig, section: str, key: str, value: str):
             cfg.seed = _parse_num(value, where, int)
         elif key == "include_y":
             cfg.include_y = _parse_bool(value, where)
-        elif key == "sp.max_iter":
-            cfg.sp_max_iter = _parse_num(value, where, int)
-        elif key == "sp.tol":
-            cfg.sp_tol = _parse_num(value, where, float)
     elif section == "dml":
         if key == "algorithm":
             cfg.algorithm = _parse_enum(
@@ -319,6 +309,8 @@ def _apply_key(cfg: RunConfig, section: str, key: str, value: str):
             )
         elif key == "alpha":
             cfg.alpha = _parse_num(value, where, float)
+            if not 0.0 < cfg.alpha < 1.0:
+                raise InvalidAlpha(f"{where}: must be in (0, 1), got {value!r}")
     elif section == "simulate":
         if key == "scenario":
             names = [s.strip().lower() for s in value.split(",") if s.strip()]
@@ -340,29 +332,6 @@ def _apply_key(cfg: RunConfig, section: str, key: str, value: str):
             cfg.master_seed = _parse_num(value, where, int)
     elif section == "runtime":
         cfg.threads = _parse_num(value, where, int)
-
-
-def _read_matrix(path) -> np.ndarray:
-    """Read an all-numeric CSV (header row required) as a float matrix."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file")
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise ParseError(f"{path}: line {lineno}: ragged row")
-            try:
-                rows.append([float(c) for c in record])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-numeric cell")
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
 
 
 def _load_dataset(cfg: RunConfig, input_csv: Optional[str]) -> Dataset:
@@ -472,8 +441,6 @@ def cmd_simulate(cfg: RunConfig, out_path, fmt: str, seed: int,
                         algorithm=cfg.algorithm,
                         master_seed=seed,
                         alpha=cfg.alpha,
-                        sp_max_iter=cfg.sp_max_iter,
-                        sp_tol=cfg.sp_tol,
                         include_y=cfg.include_y,
                     )
                     rows.append(run_monte_carlo(mc, threads=threads))
@@ -486,8 +453,8 @@ def cmd_simulate(cfg: RunConfig, out_path, fmt: str, seed: int,
 
 
 def cmd_energy(a_csv, b_csv) -> int:
-    a = _read_matrix(a_csv)
-    b = _read_matrix(b_csv)
+    a = read_csv_matrix(a_csv)
+    b = read_csv_matrix(b_csv)
     print(repr(energy_two_sample(a, b)))
     return EXIT_OK
 

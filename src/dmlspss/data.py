@@ -9,6 +9,7 @@ are immutable after construction.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -135,27 +136,31 @@ def standardize(m: np.ndarray) -> tuple[np.ndarray, StandardizationReport]:
     )
 
 
-def load_csv(path, schema: ColumnSchema) -> Dataset:
-    """Read a CSV file with a header row into a Dataset.
+def read_csv_matrix(path, columns=None, min_rows: int = 1) -> np.ndarray:
+    """Read the named columns of a headed numeric CSV as a float matrix.
 
-    Column order in the result follows the schema, not the file.  Raises
-    SchemaError for missing columns, ParseError for non-numeric cells or
-    ragged rows (identifying the offending row and column), and NonFinite
-    for nan/inf literals.
+    ``columns`` gives the header names to read, in result order; None
+    reads every column in file order.  Blank lines are skipped.  Raises
+    SchemaError for a missing column, ParseError for ragged rows,
+    non-numeric cells or fewer than ``min_rows`` data rows, and NonFinite
+    for nan/inf literals; each names the file line and column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ParseError(f"{path}: empty file, expected a header row")
-        header = [h.strip() for h in header]
-
-        positions = {}
-        for name in schema.all_names:
-            if name not in header:
-                raise SchemaError(f"{path}: column {name!r} not in header {header}")
-            positions[name] = header.index(name)
+        if columns is None:
+            names, positions = header, list(range(len(header)))
+        else:
+            names = tuple(columns)
+            for name in names:
+                if name not in header:
+                    raise SchemaError(
+                        f"{path}: column {name!r} not in header {header}"
+                    )
+            positions = [header.index(name) for name in names]
 
         rows = []
         for lineno, record in enumerate(reader, start=2):
@@ -166,27 +171,46 @@ def load_csv(path, schema: ColumnSchema) -> Dataset:
                     f"{path}: line {lineno} has {len(record)} cells, "
                     f"header has {len(header)}"
                 )
-            parsed = []
-            for name in schema.all_names:
-                cell = record[positions[name]].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: line {lineno}, column {name!r}: "
-                        f"non-numeric cell {cell!r}"
-                    )
-                if not np.isfinite(value):
-                    raise NonFinite(
-                        f"{path}: line {lineno}, column {name!r}: "
-                        f"non-finite value {cell!r}"
-                    )
-                parsed.append(value)
+            try:
+                parsed = [float(record[j]) for j in positions]
+            except ValueError:
+                parsed = None
+            if parsed is None or not all(map(math.isfinite, parsed)):
+                _raise_bad_cell(path, lineno, [record[j] for j in positions], names)
             rows.append(parsed)
 
-    if len(rows) < 2:
-        raise ParseError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    table = np.array(rows, dtype=float)
+    if len(rows) < min_rows:
+        raise ParseError(
+            f"{path}: need at least {min_rows} data rows, got {len(rows)}"
+        )
+    return np.array(rows, dtype=float)
+
+
+def _raise_bad_cell(path, lineno: int, cells, names) -> None:
+    """Raise for the first cell of a row that is non-numeric or non-finite."""
+    for name, raw in zip(names, cells):
+        cell = raw.strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(
+                f"{path}: line {lineno}, column {name!r}: non-numeric cell {cell!r}"
+            )
+        if not math.isfinite(value):
+            raise NonFinite(
+                f"{path}: line {lineno}, column {name!r}: non-finite value {cell!r}"
+            )
+
+
+def load_csv(path, schema: ColumnSchema) -> Dataset:
+    """Read a CSV file with a header row into a Dataset.
+
+    Column order in the result follows the schema, not the file.  Raises
+    SchemaError for missing columns, ParseError for non-numeric cells or
+    ragged rows (identifying the offending row and column), and NonFinite
+    for nan/inf literals.
+    """
+    table = read_csv_matrix(path, schema.all_names, min_rows=2)
     return Dataset(
         y=table[:, 0],
         t=table[:, 1],

@@ -2,17 +2,20 @@
 
 The partially linear model Y = T*beta + g(X) + U, T = m(X) + V is
 estimated by cross-fitting: nuisance regressions are trained on each
-fold's complement, scores are evaluated on the fold, and the estimating
-equation mean(psi) = 0 is solved either per fold and averaged (DML1) or
-pooled (DML2).  Scores are linear in beta, psi = psi_a*beta + psi_b, so
-every solve is a ratio of means.  The variance estimator is the
-sandwich mean(psi^2) / j_hat^2 with j_hat the pooled mean of psi_a.
+fold's complement and predict the fold's rows, so a :class:`NuisanceFit`
+holds full-length out-of-fold vectors (row i is predicted by the model
+trained without row i's fold).  The estimating equation mean(psi) = 0 is
+solved either per fold and averaged (DML1) or pooled (DML2), where the
+pooled mean is the equal-weight mean of the fold means.  Scores are
+linear in beta, psi = psi_a*beta + psi_b, so every solve is a ratio of
+means.  The variance estimator is the sandwich mean(psi^2) / j_hat^2
+with j_hat the pooled mean of psi_a.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 from scipy.stats import norm
@@ -40,14 +43,13 @@ DEGENERACY_EPS = 1e-12
 
 @dataclass(frozen=True)
 class NuisanceFit:
-    """Out-of-fold nuisance predictions for one evaluation fold.
+    """Out-of-fold nuisance predictions, one entry per row of the sample.
 
     ``ell_hat`` holds E[Y|X] predictions for the partialling-out score;
     ``g_hat`` holds g(X) predictions for the IV-type score.
     """
 
     m_hat: np.ndarray
-    fold_id: int
     ell_hat: Optional[np.ndarray] = None
     g_hat: Optional[np.ndarray] = None
 
@@ -99,79 +101,60 @@ def score_components(y, t, nuis: NuisanceFit, kind: str, beta: float):
     return psi_a, psi_b, psi
 
 
+def _fold_means(plan: FoldPlan, v: np.ndarray) -> np.ndarray:
+    """Per-fold means of a full-length vector, in fold order."""
+    if len(v) != plan.n_total:
+        raise DimensionMismatch(f"plan covers {plan.n_total} rows, got {len(v)}")
+    return np.array([v[f].mean() for f in plan.folds])
+
+
+def _fold_score_means(d: Dataset, plan: FoldPlan, nuis: NuisanceFit, kind: str):
+    """Fold means of psi_a and psi_b (psi at beta=0 gives psi_b)."""
+    psi_a, psi_b, _ = score_components(d.y, d.t, nuis, kind, beta=0.0)
+    return _fold_means(plan, psi_a), _fold_means(plan, psi_b)
+
+
 def fit_nuisances_crossfit(
     d: Dataset, plan: FoldPlan, spec_m, spec_ell, kind: str
-) -> List[NuisanceFit]:
+) -> NuisanceFit:
     """Train nuisance learners on each fold's complement, predict the fold.
 
     The IV-type score needs g(X) = E[Y - T*beta | X], which itself
     involves beta, so it is built in two passes: partialling-out
     nuisances first, a preliminary pooled beta from them, then
-    g_hat = ell_hat - beta_prelim * m_hat on every fold.
+    g_hat = ell_hat - beta_prelim * m_hat.
     """
     if kind not in (SCORE_PARTIALLING_OUT, SCORE_IV_TYPE):
         raise InvalidConfig(f"unknown score kind {kind!r}")
-    fits = []
+    if plan.n_total != d.n:
+        raise DimensionMismatch(f"plan covers {plan.n_total} rows, data has {d.n}")
+    m_hat = np.empty(d.n)
+    ell_hat = np.empty(d.n)
     for k, fold in enumerate(plan.folds):
         comp = plan.complement(k)
         if len(comp) < 2:
             raise FoldTooSmall(
                 f"fold {k}: complement has {len(comp)} rows, need at least 2"
             )
-        m_model = fit(spec_m, d.x[comp], d.t[comp])
-        ell_model = fit(spec_ell, d.x[comp], d.y[comp])
-        m_hat = m_model.predict(d.x[fold])
-        ell_hat = ell_model.predict(d.x[fold])
-        fits.append(NuisanceFit(m_hat=m_hat, ell_hat=ell_hat, fold_id=k))
+        m_hat[fold] = fit(spec_m, d.x[comp], d.t[comp]).predict(d.x[fold])
+        ell_hat[fold] = fit(spec_ell, d.x[comp], d.y[comp]).predict(d.x[fold])
+    po = NuisanceFit(m_hat=m_hat, ell_hat=ell_hat)
     if kind == SCORE_PARTIALLING_OUT:
-        return fits
-    means_a, means_b = _per_fold_means(d, plan, fits, SCORE_PARTIALLING_OUT)
+        return po
+    means_a, means_b = _fold_score_means(d, plan, po, SCORE_PARTIALLING_OUT)
     pooled_a = means_a.mean()
     if abs(pooled_a) <= DEGENERACY_EPS:
         raise DegenerateAggregate("no treatment variation after residualization")
     beta_prelim = -means_b.mean() / pooled_a
-    return [
-        NuisanceFit(
-            m_hat=f.m_hat,
-            g_hat=f.ell_hat - beta_prelim * f.m_hat,
-            fold_id=f.fold_id,
-        )
-        for f in fits
-    ]
-
-
-def _check_plan_nuisances(d: Dataset, plan: FoldPlan, nuis: List[NuisanceFit]):
-    if len(nuis) != plan.k:
-        raise DimensionMismatch(
-            f"plan has {plan.k} folds but {len(nuis)} nuisance fits"
-        )
-    for k, (fold, f) in enumerate(zip(plan.folds, nuis)):
-        if f.fold_id != k:
-            raise DimensionMismatch(f"nuisance fit {k} has fold_id {f.fold_id}")
-        if len(f.m_hat) != len(fold):
-            raise DimensionMismatch(f"fold {k}: prediction length mismatch")
-
-
-def _per_fold_means(d, plan, nuis, kind):
-    """Fold means of psi_a and psi_b (psi at beta=0 gives psi_b)."""
-    _check_plan_nuisances(d, plan, nuis)
-    means_a = np.empty(plan.k)
-    means_b = np.empty(plan.k)
-    for k, fold in enumerate(plan.folds):
-        psi_a, psi_b, _ = score_components(
-            d.y[fold], d.t[fold], nuis[k], kind, beta=0.0
-        )
-        means_a[k] = psi_a.mean()
-        means_b[k] = psi_b.mean()
-    return means_a, means_b
+    return NuisanceFit(m_hat=m_hat, g_hat=ell_hat - beta_prelim * m_hat)
 
 
 def dml1_estimate(
-    d: Dataset, plan: FoldPlan, nuis: List[NuisanceFit], kind: str,
+    d: Dataset, plan: FoldPlan, nuis: NuisanceFit, kind: str,
     alpha: float = 0.05,
 ) -> DmlEstimate:
     """Solve the estimating equation per fold and average the solutions."""
-    means_a, means_b = _per_fold_means(d, plan, nuis, kind)
+    means_a, means_b = _fold_score_means(d, plan, nuis, kind)
     if np.any(np.abs(means_a) <= DEGENERACY_EPS):
         bad = int(np.argmin(np.abs(means_a)))
         raise DegenerateFold(
@@ -186,11 +169,11 @@ def dml1_estimate(
 
 
 def dml2_estimate(
-    d: Dataset, plan: FoldPlan, nuis: List[NuisanceFit], kind: str,
+    d: Dataset, plan: FoldPlan, nuis: NuisanceFit, kind: str,
     alpha: float = 0.05,
 ) -> DmlEstimate:
     """Solve the pooled estimating equation across folds."""
-    means_a, means_b = _per_fold_means(d, plan, nuis, kind)
+    means_a, means_b = _fold_score_means(d, plan, nuis, kind)
     pooled_a = means_a.mean()
     if abs(pooled_a) <= DEGENERACY_EPS:
         raise DegenerateAggregate(
@@ -218,7 +201,7 @@ def _attach_inference(beta, d, plan, nuis, kind, algorithm, alpha,
 
 
 def variance_estimate(
-    est_beta: float, d: Dataset, plan: FoldPlan, nuis: List[NuisanceFit],
+    est_beta: float, d: Dataset, plan: FoldPlan, nuis: NuisanceFit,
     kind: str,
 ) -> tuple[float, float]:
     """Sandwich variance at the reported beta.
@@ -226,19 +209,11 @@ def variance_estimate(
     sigma2_hat = (1/K) sum_k mean_k(psi^2) / j_hat^2 with
     j_hat = (1/K) sum_k mean_k(psi_a); scalar-parameter case.
     """
-    _check_plan_nuisances(d, plan, nuis)
-    mean_sq = np.empty(plan.k)
-    mean_a = np.empty(plan.k)
-    for k, fold in enumerate(plan.folds):
-        psi_a, _, psi = score_components(
-            d.y[fold], d.t[fold], nuis[k], kind, beta=est_beta
-        )
-        mean_sq[k] = (psi ** 2).mean()
-        mean_a[k] = psi_a.mean()
-    j_hat = mean_a.mean()
+    psi_a, _, psi = score_components(d.y, d.t, nuis, kind, beta=est_beta)
+    j_hat = _fold_means(plan, psi_a).mean()
     if abs(j_hat) <= DEGENERACY_EPS:
         raise DegenerateJacobian("pooled mean psi_a ~ 0")
-    sigma2_hat = float(mean_sq.mean() / j_hat ** 2)
+    sigma2_hat = float(_fold_means(plan, psi ** 2).mean() / j_hat ** 2)
     return sigma2_hat, float(j_hat)
 
 
@@ -258,20 +233,19 @@ def confidence_interval(
 
 
 def orthogonality_diagnostic(
-    d: Dataset, plan: FoldPlan, nuis: List[NuisanceFit], kind: str,
+    d: Dataset, plan: FoldPlan, nuis: NuisanceFit, kind: str,
     eps: float, beta: Optional[float] = None,
     direction: Optional[np.ndarray] = None,
 ) -> float:
     """Numerical check of first-order insensitivity to the treatment model.
 
     Central-difference derivative of the pooled mean score at the fitted
-    beta when every fold's m_hat is shifted by r * direction; near zero
-    for orthogonal scores with good nuisances, bounded away from zero for
-    a naive unresidualized score on confounded data.
+    beta when m_hat is shifted by r * direction; near zero for orthogonal
+    scores with good nuisances, bounded away from zero for a naive
+    unresidualized score on confounded data.
     """
     if not 0.0 < eps <= 0.1:
         raise InvalidConfig(f"eps must be in (0, 0.1], got {eps}")
-    _check_plan_nuisances(d, plan, nuis)
     if beta is None:
         beta = dml2_estimate(d, plan, nuis, kind).beta
     if direction is None:
@@ -281,19 +255,8 @@ def orthogonality_diagnostic(
         raise DimensionMismatch("direction must have one entry per row")
 
     def mean_score(r: float) -> float:
-        total = 0.0
-        for k, fold in enumerate(plan.folds):
-            f = nuis[k]
-            shifted = NuisanceFit(
-                m_hat=f.m_hat + r * direction[fold],
-                ell_hat=f.ell_hat,
-                g_hat=f.g_hat,
-                fold_id=f.fold_id,
-            )
-            _, _, psi = score_components(
-                d.y[fold], d.t[fold], shifted, kind, beta=beta
-            )
-            total += psi.mean()
-        return total / plan.k
+        shifted = replace(nuis, m_hat=nuis.m_hat + r * direction)
+        _, _, psi = score_components(d.y, d.t, shifted, kind, beta=beta)
+        return _fold_means(plan, psi).mean()
 
     return abs((mean_score(eps) - mean_score(-eps)) / (2.0 * eps))

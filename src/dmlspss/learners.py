@@ -4,7 +4,9 @@ Four base learners (ridge, lasso, RBF kernel machine, multilayer
 perceptron) plus a cross-validated super learner that either selects the
 minimum-risk candidate or blends candidates with simplex-constrained
 weights.  Every fit is deterministic given the spec (including its seed)
-and the data; randomness never leaks from the OS or the clock.
+and the data; randomness never leaks from the OS or the clock.  Specs
+check their hyperparameters when built and raise ``InvalidSpec``, so a
+bad spec fails before any data is read.
 
 ``fit`` dispatches on the spec type via ``functools.singledispatch``, so
 test code can register additional learner kinds without touching this
@@ -44,12 +46,20 @@ MODE_CONVEX_WEIGHTS = "convex_weights"
 class Ridge:
     lam: float = 1.0
 
+    def __post_init__(self):
+        if self.lam < 0:
+            raise InvalidSpec(f"ridge lambda must be >= 0, got {self.lam}")
+
 
 @dataclass(frozen=True)
 class Lasso:
     lam: float = 0.1
     max_iter: int = 1000
     tol: float = 1e-7
+
+    def __post_init__(self):
+        if self.lam < 0 or self.max_iter < 1 or self.tol <= 0:
+            raise InvalidSpec(f"bad lasso spec {self}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,10 @@ class EpsilonInsensitiveLoss:
     c: float = 1.0
     max_iter: int = 500
 
+    def __post_init__(self):
+        if self.epsilon < 0 or self.c <= 0 or self.max_iter < 1:
+            raise InvalidSpec(f"bad epsilon-insensitive loss {self}")
+
 
 @dataclass(frozen=True)
 class KernelMachine:
@@ -71,6 +85,12 @@ class KernelMachine:
     bandwidth: float = 1.0
     lam: float = 1.0
     loss: Union[SquaredLoss, EpsilonInsensitiveLoss] = SquaredLoss()
+
+    def __post_init__(self):
+        if self.bandwidth <= 0 or self.lam <= 0:
+            raise InvalidSpec(f"kernel bandwidth and lambda must be > 0, got {self}")
+        if not isinstance(self.loss, (SquaredLoss, EpsilonInsensitiveLoss)):
+            raise InvalidSpec(f"unknown kernel loss {self.loss!r}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +105,12 @@ class Mlp:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(self.hidden))
+        if any(h < 1 for h in self.hidden):
+            raise InvalidSpec(f"hidden sizes must be positive, got {self.hidden}")
+        if self.activation not in (ACT_RELU, ACT_TANH):
+            raise InvalidSpec(f"unknown activation {self.activation!r}")
+        if self.step_size <= 0 or self.epochs < 1 or self.batch < 1 or self.l2 < 0:
+            raise InvalidSpec(f"bad mlp spec {self}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +123,16 @@ class SuperLearner:
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(self.candidates))
+        if not self.candidates:
+            raise InvalidSpec("super learner needs at least one candidate")
+        if any(isinstance(c, SuperLearner) for c in self.candidates):
+            raise InvalidSpec("super learner candidates may not be nested")
+        if self.v_blocks < 2:
+            raise InvalidSpec(f"v_blocks must be >= 2, got {self.v_blocks}")
+        if self.mode not in (MODE_SELECTOR, MODE_CONVEX_WEIGHTS):
+            raise InvalidSpec(f"unknown super learner mode {self.mode!r}")
+        if self.cv_splitter not in ("random", "spss"):
+            raise InvalidSpec(f"unknown cv splitter {self.cv_splitter!r}")
 
 
 @dataclass(frozen=True)
@@ -108,46 +144,12 @@ class Oracle:
 
     fn: Callable[[np.ndarray], np.ndarray] = None
 
+    def __post_init__(self):
+        if not callable(self.fn):
+            raise InvalidSpec("oracle spec needs a callable")
+
 
 LearnerSpec = Union[Ridge, Lasso, KernelMachine, Mlp, SuperLearner, Oracle]
-
-
-def _validate_spec(spec) -> None:
-    if isinstance(spec, Ridge):
-        if spec.lam < 0:
-            raise InvalidSpec(f"ridge lambda must be >= 0, got {spec.lam}")
-    elif isinstance(spec, Lasso):
-        if spec.lam < 0 or spec.max_iter < 1 or spec.tol <= 0:
-            raise InvalidSpec(f"bad lasso spec {spec}")
-    elif isinstance(spec, KernelMachine):
-        if spec.bandwidth <= 0 or spec.lam <= 0:
-            raise InvalidSpec(f"kernel bandwidth and lambda must be > 0, got {spec}")
-        if isinstance(spec.loss, EpsilonInsensitiveLoss):
-            if spec.loss.epsilon < 0 or spec.loss.c <= 0 or spec.loss.max_iter < 1:
-                raise InvalidSpec(f"bad epsilon-insensitive loss {spec.loss}")
-        elif not isinstance(spec.loss, SquaredLoss):
-            raise InvalidSpec(f"unknown kernel loss {spec.loss!r}")
-    elif isinstance(spec, Mlp):
-        if any(h < 1 for h in spec.hidden):
-            raise InvalidSpec(f"hidden sizes must be positive, got {spec.hidden}")
-        if spec.activation not in (ACT_RELU, ACT_TANH):
-            raise InvalidSpec(f"unknown activation {spec.activation!r}")
-        if spec.step_size <= 0 or spec.epochs < 1 or spec.batch < 1 or spec.l2 < 0:
-            raise InvalidSpec(f"bad mlp spec {spec}")
-    elif isinstance(spec, SuperLearner):
-        if not spec.candidates:
-            raise InvalidSpec("super learner needs at least one candidate")
-        if any(isinstance(c, SuperLearner) for c in spec.candidates):
-            raise InvalidSpec("super learner candidates may not be nested")
-        if spec.v_blocks < 2:
-            raise InvalidSpec(f"v_blocks must be >= 2, got {spec.v_blocks}")
-        if spec.mode not in (MODE_SELECTOR, MODE_CONVEX_WEIGHTS):
-            raise InvalidSpec(f"unknown super learner mode {spec.mode!r}")
-        if spec.cv_splitter not in ("random", "spss"):
-            raise InvalidSpec(f"unknown cv splitter {spec.cv_splitter!r}")
-    elif isinstance(spec, Oracle):
-        if not callable(spec.fn):
-            raise InvalidSpec("oracle spec needs a callable")
 
 
 def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +278,6 @@ def fit(spec, x, y) -> FittedModel:
 
 @fit.register
 def _fit_ridge(spec: Ridge, x, y) -> LinearModel:
-    _validate_spec(spec)
     x, y = _check_xy(x, y)
     n, p = x.shape
     x_mean = x.mean(axis=0)
@@ -303,7 +304,6 @@ def _fit_lasso(spec: Lasso, x, y) -> LinearModel:
     NonConvergence, carrying the partial model, if the sweep-to-sweep
     coefficient change has not dropped below tol within max_iter sweeps.
     """
-    _validate_spec(spec)
     x, y = _check_xy(x, y)
     n, p = x.shape
     x_mean = x.mean(axis=0)
@@ -345,7 +345,6 @@ def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
 
 @fit.register
 def _fit_kernel(spec: KernelMachine, x, y) -> KernelModel:
-    _validate_spec(spec)
     x, y = _check_xy(x, y)
     n, p = x.shape
     gram = _rbf_kernel(x, x, spec.bandwidth)
@@ -440,7 +439,6 @@ def mlp_loss_and_grad(weights: list, x: np.ndarray, y: np.ndarray,
 @fit.register
 def _fit_mlp(spec: Mlp, x, y) -> MlpModel:
     """Mini-batch SGD on the squared loss; fully determined by spec.seed."""
-    _validate_spec(spec)
     x, y = _check_xy(x, y)
     n, p = x.shape
     rng = np.random.default_rng(spec.seed)
@@ -470,7 +468,6 @@ def _fit_mlp(spec: Mlp, x, y) -> MlpModel:
 
 @fit.register
 def _fit_oracle(spec: Oracle, x, y) -> OracleModel:
-    _validate_spec(spec)
     x, y = _check_xy(x, y)
     return OracleModel(spec, x.shape)
 
@@ -545,7 +542,6 @@ def _fit_super_learner(spec: SuperLearner, x, y) -> SuperLearnerModel:
     and blends full-data refits.  A candidate whose fit raises is assigned
     infinite risk instead of aborting the ensemble.
     """
-    _validate_spec(spec)
     x, y = _check_xy(x, y)
     n = x.shape[0]
     if n < spec.v_blocks:

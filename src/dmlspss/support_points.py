@@ -29,9 +29,6 @@ from scipy.spatial.distance import cdist
 from .data import Dataset, standardize
 from .errors import DimensionMismatch, InvalidConfig, InvalidFraction
 
-INIT_RANDOM_ROWS = "random_rows"
-INIT_KMEANSPP_ROWS = "kmeanspp_rows"
-
 
 @dataclass(frozen=True)
 class SpConfig:
@@ -40,15 +37,15 @@ class SpConfig:
     The splitting operations read only ``seed`` (the random row subset
     the polish starts from) and ``polish_passes`` (the bound on greedy
     row-exchange passes; 0 keeps the seeded rows).  ``n_points``,
-    ``max_iter``, ``tol``, ``init`` and ``zero_dist_eps`` configure
-    :func:`compute_support_points`.
+    ``max_iter``, ``tol`` and ``zero_dist_eps`` configure
+    :func:`compute_support_points`, which starts from ``n_points``
+    seeded random rows.
     """
 
     n_points: int = 0
     max_iter: int = 200
     tol: float = 1e-8  # relative objective change
     seed: int = 0
-    init: str = INIT_RANDOM_ROWS
     zero_dist_eps: float = 1e-10
     polish_passes: int = 30
 
@@ -157,29 +154,6 @@ def _objective_from_dists(d_xf: np.ndarray, d_pp: np.ndarray) -> float:
     return d_xf.sum() * 2.0 / (n * big_n) - d_pp.sum() / (n * n)
 
 
-def _init_points(full: np.ndarray, cfg: SpConfig) -> np.ndarray:
-    rng = np.random.default_rng(cfg.seed)
-    big_n = full.shape[0]
-    if cfg.init == INIT_RANDOM_ROWS:
-        idx = rng.choice(big_n, size=cfg.n_points, replace=False)
-        return full[idx].copy()
-    if cfg.init == INIT_KMEANSPP_ROWS:
-        chosen = [int(rng.integers(big_n))]
-        d2 = ((full - full[chosen[0]]) ** 2).sum(axis=1)
-        for _ in range(1, cfg.n_points):
-            d2[chosen] = 0.0
-            total = d2.sum()
-            if total <= 0.0:
-                pool = np.setdiff1d(np.arange(big_n), chosen)
-                nxt = int(pool[rng.integers(len(pool))])
-            else:
-                nxt = int(rng.choice(big_n, p=d2 / total))
-            chosen.append(nxt)
-            d2 = np.minimum(d2, ((full - full[nxt]) ** 2).sum(axis=1))
-        return full[np.array(chosen)].copy()
-    raise InvalidConfig(f"unknown init {cfg.init!r}")
-
-
 def compute_support_points(full: np.ndarray, cfg: SpConfig) -> SpResult:
     """Minimize the support-points criterion over point sets of fixed size.
 
@@ -205,7 +179,8 @@ def compute_support_points(full: np.ndarray, cfg: SpConfig) -> SpResult:
     n = cfg.n_points
     ratio = big_n / n
 
-    pts = _init_points(full, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    pts = full[rng.choice(big_n, size=n, replace=False)].copy()
     d_xf = cdist(pts, full)
     d_pp = cdist(pts, pts)
     obj = _objective_from_dists(d_xf, d_pp)
@@ -325,7 +300,7 @@ def _representative_rows(
     cloud: np.ndarray, m: int, seed: int, passes: int
 ) -> tuple[np.ndarray, PolishStats]:
     """The seeded random m-row subset of ``cloud`` (the MM solver's
-    ``random_rows`` draw), polished by row exchange."""
+    starting rows), polished by row exchange."""
     return _exchange_polish(cloud, random_subset(cloud.shape[0], m, seed), passes)
 
 

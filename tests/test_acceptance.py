@@ -49,6 +49,16 @@ from dmlspss.support_points import (
 THREADS = 2  # worker threads for the Monte Carlo criteria
 
 
+def _random_nuis(plan, rng):
+    """Random out-of-fold nuisances, drawn fold by fold (m_hat, then
+    ell_hat) and scattered into full-length vectors."""
+    m_hat, ell_hat = np.empty(plan.n_total), np.empty(plan.n_total)
+    for f in plan.folds:
+        m_hat[f] = rng.normal(size=len(f))
+        ell_hat[f] = rng.normal(size=len(f))
+    return NuisanceFit(m_hat=m_hat, ell_hat=ell_hat)
+
+
 def _verdict(criterion: int, ok: bool, detail: str):
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {criterion:2d}] {status}  {detail}")
@@ -251,30 +261,24 @@ def test_criterion_07_dml_algebra():
     d = Dataset(y=rng.normal(size=n), t=rng.normal(size=n),
                 x=rng.normal(size=(n, 2)))
     plan1 = FoldPlan(folds=(np.arange(n),))
-    nuis1 = [NuisanceFit(m_hat=rng.normal(size=n), ell_hat=rng.normal(size=n),
-                         fold_id=0)]
+    nuis1 = NuisanceFit(m_hat=rng.normal(size=n), ell_hat=rng.normal(size=n))
     e1 = dml1_estimate(d, plan1, nuis1, SCORE_PARTIALLING_OUT)
     e2 = dml2_estimate(d, plan1, nuis1, SCORE_PARTIALLING_OUT)
     k1_ok = abs(e1.beta - e2.beta) < 1e-12
 
     # moment conditions at the returned solutions
     plan = random_kfold(n, 3, seed=3)
-    nuis = [NuisanceFit(m_hat=rng.normal(size=len(f)),
-                        ell_hat=rng.normal(size=len(f)), fold_id=k)
-            for k, f in enumerate(plan.folds)]
+    nuis = _random_nuis(plan, rng)
     est1 = dml1_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
     est2 = dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
     from dmlspss.dml import score_components
     fold_resid = max(
-        abs(score_components(d.y[f], d.t[f], nuis[k], SCORE_PARTIALLING_OUT,
-                             est1.per_fold_beta[k])[2].mean())
+        abs(score_components(d.y, d.t, nuis, SCORE_PARTIALLING_OUT,
+                             est1.per_fold_beta[k])[2][f].mean())
         for k, f in enumerate(plan.folds)
     )
-    pooled_resid = abs(np.mean([
-        score_components(d.y[f], d.t[f], nuis[k], SCORE_PARTIALLING_OUT,
-                         est2.beta)[2].mean()
-        for k, f in enumerate(plan.folds)
-    ]))
+    psi2 = score_components(d.y, d.t, nuis, SCORE_PARTIALLING_OUT, est2.beta)[2]
+    pooled_resid = abs(np.mean([psi2[f].mean() for f in plan.folds]))
     moments_ok = fold_resid < 1e-10 and pooled_resid < 1e-10
 
     # engineered two-fold instance with fold means (-1, 2) and (-3, 2)
@@ -282,10 +286,7 @@ def test_criterion_07_dml_algebra():
     y = np.array([2.0, 2.0, 2.0, 2.0, 8.0, 0.0, 0.0, 0.0])
     hd = Dataset(y=y, t=t, x=np.zeros((8, 1)))
     hplan = FoldPlan(folds=(np.arange(0, 4), np.arange(4, 8)))
-    hnuis = [
-        NuisanceFit(m_hat=np.zeros(4), ell_hat=np.zeros(4), fold_id=0),
-        NuisanceFit(m_hat=np.zeros(4), ell_hat=np.zeros(4), fold_id=1),
-    ]
+    hnuis = NuisanceFit(m_hat=np.zeros(8), ell_hat=np.zeros(8))
     h1 = dml1_estimate(hd, hplan, hnuis, SCORE_PARTIALLING_OUT)
     h2 = dml2_estimate(hd, hplan, hnuis, SCORE_PARTIALLING_OUT)
     hand_ok = h1.beta == 4.0 / 3.0 and h2.beta == 1.0
@@ -310,23 +311,18 @@ def test_criterion_08_variance_and_ci():
         d = Dataset(y=rng.normal(size=n), t=rng.normal(size=n),
                     x=rng.normal(size=(n, 2)))
         plan = random_kfold(n, int(rng.integers(2, 5)), seed=int(rng.integers(100)))
-        nuis = [NuisanceFit(m_hat=rng.normal(size=len(f)),
-                            ell_hat=rng.normal(size=len(f)), fold_id=k)
-                for k, f in enumerate(plan.folds)]
+        nuis = _random_nuis(plan, rng)
         est = dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
         sigma2, j_hat = variance_estimate(est.beta, d, plan, nuis,
                                           SCORE_PARTIALLING_OUT)
         from dmlspss.dml import score_components
-        mean_sq = np.mean([
-            (score_components(d.y[f], d.t[f], nuis[k], SCORE_PARTIALLING_OUT,
-                              est.beta)[2] ** 2).mean()
-            for k, f in enumerate(plan.folds)
-        ])
+        psi = score_components(d.y, d.t, nuis, SCORE_PARTIALLING_OUT, est.beta)[2]
+        mean_sq = np.mean([(psi[f] ** 2).mean() for f in plan.folds])
         sandwich_ok &= abs(sigma2 * j_hat ** 2 - mean_sq) < 1e-12
 
     d = Dataset(y=[2.0, 5.0], t=[1.0, 2.0], x=[[0.0], [0.0]])
     plan = FoldPlan(folds=(np.arange(2),))
-    nuis = [NuisanceFit(m_hat=np.zeros(2), ell_hat=np.zeros(2), fold_id=0)]
+    nuis = NuisanceFit(m_hat=np.zeros(2), ell_hat=np.zeros(2))
     est = dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
     sigma2, _ = variance_estimate(est.beta, d, plan, nuis,
                                   SCORE_PARTIALLING_OUT)

@@ -43,8 +43,6 @@ method = random
 test_fraction = 0.3
 k = 2
 seed = 3
-sp.max_iter = 40
-sp.tol = 1e-6
 
 [learner_m]
 kind = zero
@@ -220,6 +218,16 @@ def test_energy_command_matches_library(tmp_path, capsys):
     assert printed == pytest.approx(energy_two_sample(a, b), rel=1e-12)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_energy_non_finite_cell_exits_3(tmp_path, capsys, cell):
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    _write_csv(a_path, ["c1", "c2"], [[0.0, 1.0], [cell, 2.0]])
+    _write_csv(b_path, ["c1", "c2"], [[0.5, 1.5], [1.0, 0.0]])
+    rc = main(["energy", str(a_path), str(b_path)])
+    assert rc == EXIT_DATA
+    assert "line 3, column 'c1': non-finite value" in capsys.readouterr().err
+
+
 # --- config parsing ----------------------------------------------------------------
 
 def test_unknown_key_rejected(tmp_path):
@@ -240,6 +248,30 @@ def test_bad_enum_rejected_at_parse_time(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[dml]\nalgorithm = dml9\n")
     with pytest.raises(ConfigError, match="dml9"):
+        parse_config(cfg)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("[learner_m]\nkind = ridge\nlambda = -1\n", "lambda"),
+    ("[learner_m]\nkind = lasso\ntol = 0\n", "lasso"),
+    ("[learner_m]\nkind = kernel\nbandwidth = 0\n", "bandwidth"),
+    ("[learner_m]\nkind = kernel\nloss = epsilon_insensitive\nc = -1\n",
+     "epsilon-insensitive"),
+    ("[learner_m]\nkind = mlp\nhidden = 0\n", "hidden"),
+    ("[learner_m]\nkind = superlearner\nv_blocks = 1\n"
+     "candidate.1.kind = ridge\n", "v_blocks"),
+    ("[learner_m]\nkind = superlearner\ncandidate.1.kind = ridge\n"
+     "candidate.1.lambda = -2\n", "lambda"),
+    ("[dml]\nalpha = 1.5\n", "alpha"),
+    ("[dml]\nalpha = 0\n", "alpha"),
+    ("[dml]\nalpha = nan\n", "alpha"),
+    ("[split]\nsp.max_iter = 40\n", "sp.max_iter"),
+], ids=["ridge", "lasso", "kernel", "svr-loss", "mlp", "sl", "sl-candidate",
+        "alpha-above", "alpha-zero", "alpha-nan", "dropped-sp-key"])
+def test_bad_values_rejected_at_parse_time(tmp_path, text, match):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=match):
         parse_config(cfg)
 
 

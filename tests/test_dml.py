@@ -20,10 +20,11 @@ from dmlspss.dml import (
 )
 from dmlspss.errors import (
     DegenerateFold,
+    DimensionMismatch,
     FoldTooSmall,
     InvalidAlpha,
 )
-from dmlspss.learners import FittedModel, Oracle, fit
+from dmlspss.learners import FittedModel, Oracle, Ridge, fit
 from dmlspss.simulate import (
     ScenarioConfig,
     draw_dataset,
@@ -34,11 +35,21 @@ from dmlspss.support_points import FoldPlan, random_kfold
 ZERO = Oracle(fn=lambda x: np.zeros(len(x)))
 
 
-def _zero_nuis(n, kind=SCORE_PARTIALLING_OUT, fold_id=0):
+def _zero_nuis(n, kind=SCORE_PARTIALLING_OUT):
     zeros = np.zeros(n)
     if kind == SCORE_PARTIALLING_OUT:
-        return NuisanceFit(m_hat=zeros, ell_hat=zeros, fold_id=fold_id)
-    return NuisanceFit(m_hat=zeros, g_hat=zeros, fold_id=fold_id)
+        return NuisanceFit(m_hat=zeros, ell_hat=zeros)
+    return NuisanceFit(m_hat=zeros, g_hat=zeros)
+
+
+def _random_nuis(plan, rng):
+    """Random out-of-fold nuisances, drawn fold by fold (m_hat, then
+    ell_hat) and scattered into full-length vectors."""
+    m_hat, ell_hat = np.empty(plan.n_total), np.empty(plan.n_total)
+    for f in plan.folds:
+        m_hat[f] = rng.normal(size=len(f))
+        ell_hat[f] = rng.normal(size=len(f))
+    return NuisanceFit(m_hat=m_hat, ell_hat=ell_hat)
 
 
 def _single_fold_plan(n):
@@ -56,7 +67,7 @@ def test_score_zero_at_truth():
 
 def test_score_degenerate_treatment_residual():
     t = np.array([1.0, 1.0])
-    nuis = NuisanceFit(m_hat=t.copy(), ell_hat=np.zeros(2), fold_id=0)
+    nuis = NuisanceFit(m_hat=t.copy(), ell_hat=np.zeros(2))
     psi_a, psi_b, _ = score_components(
         np.array([3.0, 4.0]), t, nuis, SCORE_PARTIALLING_OUT, 1.0
     )
@@ -73,8 +84,7 @@ def test_score_elementwise_values():
 def test_score_affine_in_beta():
     rng = np.random.default_rng(0)
     y, t = rng.normal(size=8), rng.normal(size=8)
-    nuis = NuisanceFit(m_hat=rng.normal(size=8), ell_hat=rng.normal(size=8),
-                       fold_id=0)
+    nuis = NuisanceFit(m_hat=rng.normal(size=8), ell_hat=rng.normal(size=8))
     beta = 1.7
     psi_a, _, psi = score_components(y, t, nuis, SCORE_PARTIALLING_OUT, beta)
     _, _, psi0 = score_components(y, t, nuis, SCORE_PARTIALLING_OUT, 0.0)
@@ -85,7 +95,7 @@ def test_iv_type_score_formulas():
     rng = np.random.default_rng(1)
     y, t = rng.normal(size=6), rng.normal(size=6)
     m_hat, g_hat = rng.normal(size=6), rng.normal(size=6)
-    nuis = NuisanceFit(m_hat=m_hat, g_hat=g_hat, fold_id=0)
+    nuis = NuisanceFit(m_hat=m_hat, g_hat=g_hat)
     psi_a, psi_b, _ = score_components(y, t, nuis, SCORE_IV_TYPE, 0.3)
     assert np.allclose(psi_a, -t * (t - m_hat))
     assert np.allclose(psi_b, (y - g_hat) * (t - m_hat))
@@ -103,9 +113,9 @@ def test_crossfit_constant_zero_learners():
     d = _dataset()
     plan = random_kfold(d.n, 2, seed=1)
     nuis = fit_nuisances_crossfit(d, plan, ZERO, ZERO, SCORE_PARTIALLING_OUT)
-    for f in nuis:
-        assert np.all(f.m_hat == 0.0)
-        assert np.all(f.ell_hat == 0.0)
+    assert nuis.m_hat.shape == nuis.ell_hat.shape == (d.n,)
+    assert np.all(nuis.m_hat == 0.0)
+    assert np.all(nuis.ell_hat == 0.0)
 
 
 @dataclass(frozen=True)
@@ -139,6 +149,19 @@ def test_crossfit_trains_only_on_complements():
         assert np.array_equal(seen, expected)
 
 
+def test_crossfit_row_predicted_by_model_without_its_fold():
+    d = _dataset(seed=23, n=31)
+    plan = random_kfold(d.n, 3, seed=24)
+    spec = Ridge(lam=0.5)
+    nuis = fit_nuisances_crossfit(d, plan, spec, spec, SCORE_PARTIALLING_OUT)
+    for k, fold in enumerate(plan.folds):
+        comp = plan.complement(k)
+        m_k = fit(spec, d.x[comp], d.t[comp]).predict(d.x[fold])
+        ell_k = fit(spec, d.x[comp], d.y[comp]).predict(d.x[fold])
+        assert np.array_equal(nuis.m_hat[fold], m_k)
+        assert np.array_equal(nuis.ell_hat[fold], ell_k)
+
+
 def test_crossfit_oracle_nuisances_center_residuals():
     cfg = ScenarioConfig(scenario="s1", p=5, n=800)
     d, _ = draw_dataset(cfg, seed=21)
@@ -146,9 +169,7 @@ def test_crossfit_oracle_nuisances_center_residuals():
     plan = random_kfold(d.n, 2, seed=22)
     nuis = fit_nuisances_crossfit(d, plan, spec_m, spec_ell,
                                   SCORE_PARTIALLING_OUT)
-    resid = np.concatenate([
-        d.t[f] - nuis[k].m_hat for k, f in enumerate(plan.folds)
-    ])
+    resid = d.t - nuis.m_hat
     mc_se = resid.std(ddof=1) / np.sqrt(len(resid))
     assert abs(resid.mean()) < 3 * mc_se
 
@@ -170,8 +191,7 @@ def test_crossfit_iv_type_two_pass_identity():
                                 SCORE_PARTIALLING_OUT)
     beta_prelim = dml2_estimate(d, plan, po, SCORE_PARTIALLING_OUT).beta
     iv = fit_nuisances_crossfit(d, plan, const_m, const_ell, SCORE_IV_TYPE)
-    for f_po, f_iv in zip(po, iv):
-        assert np.allclose(f_iv.g_hat, f_po.ell_hat - beta_prelim * f_po.m_hat)
+    assert np.allclose(iv.g_hat, po.ell_hat - beta_prelim * po.m_hat)
 
 
 # --- estimators ----------------------------------------------------------------
@@ -179,7 +199,7 @@ def test_crossfit_iv_type_two_pass_identity():
 def test_single_fold_estimate_solves_moment():
     d = Dataset(y=[2.0, 4.0], t=[1.0, 2.0], x=[[0.0], [0.0]])
     plan = _single_fold_plan(2)
-    nuis = [_zero_nuis(2)]
+    nuis = _zero_nuis(2)
     est = dml1_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
     assert est.beta == pytest.approx(2.0, abs=1e-12)  # (1*2+2*4)/(1+4)
 
@@ -188,8 +208,7 @@ def test_dml1_equals_dml2_single_fold():
     d = _dataset(seed=6, n=20)
     plan = _single_fold_plan(20)
     rng = np.random.default_rng(7)
-    nuis = [NuisanceFit(m_hat=rng.normal(size=20), ell_hat=rng.normal(size=20),
-                        fold_id=0)]
+    nuis = NuisanceFit(m_hat=rng.normal(size=20), ell_hat=rng.normal(size=20))
     a = dml1_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
     b = dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
     assert abs(a.beta - b.beta) < 1e-12
@@ -202,8 +221,7 @@ def _hand_instance():
     y = np.array([2.0, 2.0, 2.0, 2.0, 8.0, 0.0, 0.0, 0.0])
     d = Dataset(y=y, t=t, x=np.zeros((8, 1)))
     plan = FoldPlan(folds=(np.arange(0, 4), np.arange(4, 8)))
-    nuis = [_zero_nuis(4, fold_id=0), _zero_nuis(4, fold_id=1)]
-    return d, plan, nuis
+    return d, plan, _zero_nuis(8)
 
 
 def test_hand_instance_dml1_vs_dml2():
@@ -220,7 +238,7 @@ def test_identical_fold_means_make_estimators_agree():
     y = np.array([0.5, -0.5, 0.5, -0.5])
     d = Dataset(y=y, t=t, x=np.zeros((4, 1)))
     plan = FoldPlan(folds=(np.array([0, 1]), np.array([2, 3])))
-    nuis = [_zero_nuis(2, fold_id=0), _zero_nuis(2, fold_id=1)]
+    nuis = _zero_nuis(4)
     a = dml1_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
     b = dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
     assert a.beta == pytest.approx(b.beta, abs=1e-15)
@@ -229,32 +247,23 @@ def test_identical_fold_means_make_estimators_agree():
 def test_moment_conditions_hold_at_returned_beta():
     d = _dataset(seed=8, n=36)
     plan = random_kfold(d.n, 3, seed=9)
-    rng = np.random.default_rng(10)
-    nuis = [
-        NuisanceFit(m_hat=rng.normal(size=len(f)),
-                    ell_hat=rng.normal(size=len(f)), fold_id=k)
-        for k, f in enumerate(plan.folds)
-    ]
+    nuis = _random_nuis(plan, np.random.default_rng(10))
     est1 = dml1_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
     for k, fold in enumerate(plan.folds):
         _, _, psi = score_components(
-            d.y[fold], d.t[fold], nuis[k], SCORE_PARTIALLING_OUT,
-            est1.per_fold_beta[k],
+            d.y, d.t, nuis, SCORE_PARTIALLING_OUT, est1.per_fold_beta[k],
         )
-        assert abs(psi.mean()) < 1e-10
+        assert abs(psi[fold].mean()) < 1e-10
     est2 = dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
-    pooled = np.mean([
-        score_components(d.y[f], d.t[f], nuis[k], SCORE_PARTIALLING_OUT,
-                         est2.beta)[2].mean()
-        for k, f in enumerate(plan.folds)
-    ])
+    _, _, psi = score_components(d.y, d.t, nuis, SCORE_PARTIALLING_OUT, est2.beta)
+    pooled = np.mean([psi[f].mean() for f in plan.folds])
     assert abs(pooled) < 1e-10
 
 
 def test_degenerate_fold_raises():
     d = Dataset(y=[1.0, 2.0], t=[3.0, 3.0], x=[[0.0], [0.0]])
     plan = _single_fold_plan(2)
-    nuis = [NuisanceFit(m_hat=d.t.copy(), ell_hat=np.zeros(2), fold_id=0)]
+    nuis = NuisanceFit(m_hat=d.t.copy(), ell_hat=np.zeros(2))
     with pytest.raises(DegenerateFold):
         dml1_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
 
@@ -276,7 +285,7 @@ def test_noiseless_dgp_with_oracle_nuisances_recovers_truth():
 def test_variance_worked_example():
     d = Dataset(y=[2.0, 5.0], t=[1.0, 2.0], x=[[0.0], [0.0]])
     plan = _single_fold_plan(2)
-    nuis = [_zero_nuis(2)]
+    nuis = _zero_nuis(2)
     est = dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
     assert est.beta == pytest.approx(2.4, abs=1e-12)
     sigma2, j_hat = variance_estimate(est.beta, d, plan, nuis,
@@ -293,7 +302,7 @@ def test_variance_zero_when_score_vanishes():
     y = 0.5 * t
     d = Dataset(y=y, t=t, x=np.zeros((4, 1)))
     plan = _single_fold_plan(4)
-    nuis = [_zero_nuis(4)]
+    nuis = _zero_nuis(4)
     sigma2, _ = variance_estimate(0.5, d, plan, nuis, SCORE_PARTIALLING_OUT)
     assert sigma2 == pytest.approx(0.0, abs=1e-30)
 
@@ -301,12 +310,7 @@ def test_variance_zero_when_score_vanishes():
 def test_variance_matches_independent_reimplementation():
     d = _dataset(seed=13, n=30)
     plan = random_kfold(d.n, 3, seed=14)
-    rng = np.random.default_rng(15)
-    nuis = [
-        NuisanceFit(m_hat=rng.normal(size=len(f)),
-                    ell_hat=rng.normal(size=len(f)), fold_id=k)
-        for k, f in enumerate(plan.folds)
-    ]
+    nuis = _random_nuis(plan, np.random.default_rng(15))
     beta = dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT).beta
     sigma2, j_hat = variance_estimate(beta, d, plan, nuis,
                                       SCORE_PARTIALLING_OUT)
@@ -314,8 +318,8 @@ def test_variance_matches_independent_reimplementation():
     # direct restatement of the sandwich formula, scalar case
     mean_sq_terms, mean_a_terms = [], []
     for k, fold in enumerate(plan.folds):
-        t_res = d.t[fold] - nuis[k].m_hat
-        y_res = d.y[fold] - nuis[k].ell_hat
+        t_res = d.t[fold] - nuis.m_hat[fold]
+        y_res = d.y[fold] - nuis.ell_hat[fold]
         psi = (y_res - beta * t_res) * t_res
         mean_sq_terms.append(np.mean(psi ** 2))
         mean_a_terms.append(np.mean(-t_res ** 2))
@@ -379,14 +383,62 @@ def test_naive_unresidualized_score_is_not_orthogonal():
     d = Dataset(y=y, t=t, x=x)
     plan = random_kfold(n, 2, seed=21)
     # m_hat frozen at zero: the score never residualizes the treatment
-    naive = [
-        NuisanceFit(
-            m_hat=np.zeros(len(f)),
-            ell_hat=x[f, 0],  # decent outcome model, no treatment model
-            fold_id=k,
-        )
-        for k, f in enumerate(plan.folds)
-    ]
+    naive = NuisanceFit(
+        m_hat=np.zeros(n),
+        ell_hat=x[:, 0],  # decent outcome model, no treatment model
+    )
     deriv = orthogonality_diagnostic(d, plan, naive, SCORE_PARTIALLING_OUT,
                                      eps=1e-3)
     assert deriv > 0.2
+
+
+# --- representation ------------------------------------------------------------------
+
+def test_plan_must_cover_the_data():
+    d = _dataset(seed=22, n=10)
+    short = random_kfold(8, 2, seed=1)
+    with pytest.raises(DimensionMismatch):
+        fit_nuisances_crossfit(d, short, ZERO, ZERO, SCORE_PARTIALLING_OUT)
+    with pytest.raises(DimensionMismatch):
+        dml2_estimate(d, short, _zero_nuis(10), SCORE_PARTIALLING_OUT)
+
+
+# Exact outputs of s2, p=3, n=100 (seed 31), random K=3 folds (seed 32),
+# ridge lambda=0.1 for both nuisances: (beta, se, ci_lo, ci_hi) and the
+# per-fold betas.  n % K != 0, so the equal-weight mean of fold means
+# differs from the pooled row mean and is pinned here too.
+GOLDEN = {
+    ("dml1", SCORE_PARTIALLING_OUT): (
+        ("0x1.c1da848070d6bp-1", "0x1.b5e7a2bc61982p-4",
+         "0x1.5691a1ab97ac2p-1", "0x1.1691b3aaa500ap+0"),
+        ("0x1.0b25e9f0add75p+0", "0x1.9c27f57e47f26p-1", "0x1.931bc421aee30p-1"),
+    ),
+    ("dml2", SCORE_PARTIALLING_OUT): (
+        ("0x1.c80cdfbf7d485p-1", "0x1.b307798ad812ep-4",
+         "0x1.5d7858149f2c6p-1", "0x1.1950b3b52db22p+0"),
+        (),
+    ),
+    ("dml1", SCORE_IV_TYPE): (
+        ("0x1.aad96ff6c5845p-1", "0x1.f99cea35e4578p-4",
+         "0x1.2ef9f9d675db0p-1", "0x1.135c730b8a96dp+0"),
+        ("0x1.09ae4d5f1af36p+0", "0x1.4fceedae8009bp-1", "0x1.9d60c7779a9c8p-1"),
+    ),
+    ("dml2", SCORE_IV_TYPE): (
+        ("0x1.c80cdfbf7d483p-1", "0x1.e851b43c88503p-4",
+         "0x1.506a0f2edf7bbp-1", "0x1.1fd7d8280d8a6p+0"),
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm, kind", sorted(GOLDEN))
+def test_estimates_are_bitwise_pinned(algorithm, kind):
+    d, _ = draw_dataset(ScenarioConfig(scenario="s2", p=3, n=100), seed=31)
+    plan = random_kfold(d.n, 3, seed=32)
+    nuis = fit_nuisances_crossfit(d, plan, Ridge(lam=0.1), Ridge(lam=0.1), kind)
+    estimate = dml1_estimate if algorithm == "dml1" else dml2_estimate
+    est = estimate(d, plan, nuis, kind)
+    got = tuple(float(v).hex() for v in (est.beta, est.se, *est.ci[:2]))
+    per_fold = () if est.per_fold_beta is None else est.per_fold_beta
+    assert got == GOLDEN[algorithm, kind][0]
+    assert tuple(float(v).hex() for v in per_fold) == GOLDEN[algorithm, kind][1]

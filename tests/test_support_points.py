@@ -148,16 +148,6 @@ def test_scale_equivariance():
     assert np.max(np.abs(scaled.points - 3.0 * base.points)) < 3.0 * 1e-6
 
 
-def test_kmeanspp_init_runs():
-    rng = np.random.default_rng(13)
-    full = rng.normal(size=(25, 2))
-    res = compute_support_points(
-        full, SpConfig(n_points=4, seed=5, init="kmeanspp_rows")
-    )
-    assert res.points.shape == (4, 2)
-    assert np.all(np.diff(res.objective_trace) <= 1e-12)
-
-
 def test_solver_config_validation():
     full = np.zeros((4, 1))
     with pytest.raises(InvalidConfig):
