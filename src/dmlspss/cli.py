@@ -1,10 +1,11 @@
 """Command-line entry point: split, estimate, simulate, energy.
 
-Configuration is a sectioned key=value file (INI syntax) with sections
-``data``, ``split``, ``learner_m``, ``learner_ell``, ``dml``,
-``simulate``, and ``runtime``.  Unknown sections or keys are rejected at
-parse time, and all randomness flows from seeds in the config (or the
---seed override); nothing depends on the clock or OS entropy.
+Configuration is an INI file parsed straight into a frozen RunConfig,
+which checks every setting when built.  The run settings come from the
+key table ``_RUN_KEYS``; a ``[learner_m]``/``[learner_ell]`` section's
+keys are the fields of the chosen spec class (``lambda`` for ``lam``),
+parsed like their defaults.  Unknown sections or keys are errors.  All
+randomness flows from seeds in the config (or the --seed override).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.  Diagnostics go to stderr, results to stdout or --out.
@@ -18,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -39,6 +40,9 @@ from .errors import (
     DataError,
     DmlSpssError,
     InvalidAlpha,
+    InvalidConfig,
+    InvalidFraction,
+    InvalidSpec,
     NumericError,
 )
 from .learners import (
@@ -52,6 +56,10 @@ from .learners import (
     SuperLearner,
 )
 from .simulate import (
+    SCENARIO_1,
+    SCENARIO_2,
+    SPLIT_RANDOM,
+    SPLIT_SPSS,
     McConfig,
     ScenarioConfig,
     emit_report,
@@ -72,31 +80,48 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_SECTIONS = {
-    "data": {"path", "outcome", "treatment", "covariates"},
-    "split": {"method", "test_fraction", "k", "seed", "include_y"},
-    "dml": {"algorithm", "score", "alpha"},
-    "simulate": {"scenario", "p_list", "n_list", "reps", "master_seed"},
-    "runtime": {"threads"},
+_CHOICES = {  # RunConfig field -> its allowed values
+    "split_method": [SPLIT_SPSS, SPLIT_RANDOM, "both"],
+    "algorithm": [dml_mod.ALG_DML1, dml_mod.ALG_DML2],
+    "score": [dml_mod.SCORE_PARTIALLING_OUT, dml_mod.SCORE_IV_TYPE],
 }
 
-_LEARNER_KEYS = {
-    "ridge": {"lambda"},
-    "lasso": {"lambda", "max_iter", "tol"},
-    "kernel": {"bandwidth", "lambda", "loss", "epsilon", "c", "max_iter"},
-    "mlp": {"hidden", "activation", "step_size", "epochs", "batch", "seed", "l2"},
-    "superlearner": {"v_blocks", "mode", "seed", "cv_splitter"},
-    "zero": set(),
+# (section, key) -> (RunConfig field, value kind); see _parse for the kinds.
+# The [learner_m] and [learner_ell] sections are built by _learner instead.
+_RUN_KEYS = {
+    ("data", "path"): ("data_path", str),
+    ("data", "outcome"): ("outcome", str),
+    ("data", "treatment"): ("treatment", str),
+    ("data", "covariates"): ("covariates", (str,)),
+    ("split", "method"): ("split_method", str.lower),
+    ("split", "test_fraction"): ("test_fraction", float),
+    ("split", "k"): ("k", int),
+    ("split", "seed"): ("seed", int),
+    ("split", "include_y"): ("include_y", bool),
+    ("dml", "algorithm"): ("algorithm", str.lower),
+    ("dml", "score"): ("score", str.lower),
+    ("dml", "alpha"): ("alpha", float),
+    ("simulate", "scenario"): ("sim_scenarios", (str.lower,)),
+    ("simulate", "p_list"): ("p_list", (int,)),
+    ("simulate", "n_list"): ("n_list", (int,)),
+    ("simulate", "reps"): ("reps", int),
+    ("simulate", "master_seed"): ("master_seed", int),
+    ("runtime", "threads"): ("threads", int),
 }
+_KEY_OF = {field: f"[{section}] {key}"
+           for (section, key), (field, _) in _RUN_KEYS.items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated, typed view of a parsed config file."""
+    """Validated, typed view of a parsed config file; ``__post_init__``
+    checks every setting, and ``schema`` is built from the column names."""
 
     data_path: Optional[str] = None
-    schema: Optional[ColumnSchema] = None
-    split_method: str = "spss"
+    outcome: Optional[str] = None
+    treatment: Optional[str] = None
+    covariates: Optional[tuple] = None
+    split_method: str = SPLIT_SPSS
     test_fraction: float = 0.2
     k: int = 2
     seed: int = 0
@@ -113,130 +138,112 @@ class RunConfig:
     master_seed: int = 0
     threads: int = 1
 
+    def __post_init__(self):
+        for field, allowed in _CHOICES.items():
+            self._require(getattr(self, field) in allowed, field,
+                          f"expected one of {allowed}")
+        self._require(set(self.sim_scenarios) <= {SCENARIO_1, SCENARIO_2},
+                      "sim_scenarios", f"expected {SCENARIO_1} or {SCENARIO_2}")
+        self._require(0.0 < self.alpha < 1.0, "alpha", "must be in (0, 1)", InvalidAlpha)
+        self._require(self.k >= 2, "k", "must be >= 2")
+        self._require(0.0 < self.test_fraction < 1.0, "test_fraction",
+                      "must be in (0, 1)", InvalidFraction)
+        self._require(self.threads >= 1, "threads", "must be >= 1")
+        if self.schema is None and self.data_path is not None:
+            raise InvalidConfig("[data] path given without outcome/treatment/covariates")
 
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    def _require(self, ok: bool, field: str, rule: str, error=InvalidConfig):
+        if not ok:
+            raise error(f"{_KEY_OF[field]}: {rule}, got {getattr(self, field)!r}")
+
+    @property
+    def schema(self) -> Optional[ColumnSchema]:
+        if None in (self.outcome, self.treatment, self.covariates):
+            return None
+        return ColumnSchema(self.outcome, self.treatment, self.covariates)
 
 
-def _parse_num(raw: str, key: str, kind):
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse(raw: str, kind, where: str):
+    """Parse one INI value as ``kind``: int, float, bool, str (verbatim),
+    str.lower (a case-insensitive word), or ``(kind,)`` for a comma list."""
+    if isinstance(kind, tuple):
+        return tuple(_parse(v, kind[0], where) for v in raw.split(",") if v.strip())
+    value = raw.strip()
     try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}")
+        return _BOOLS[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {raw!r}") from None
 
 
-def _parse_enum(raw: str, key: str, allowed) -> str:
-    value = raw.strip().lower()
-    if value not in allowed:
-        raise ConfigError(f"{key}: expected one of {sorted(allowed)}, got {raw!r}")
-    return value
+def _kind_of(default):
+    """The value kind of a spec field, read off its default."""
+    if isinstance(default, tuple):
+        return (_kind_of(default[0]),)
+    return {int: int, float: float, str: str.lower}[type(default)]
 
 
 def _zero_fn(x):
     return np.zeros(np.asarray(x).shape[0])
 
 
-def _learner_from_items(items: dict, where: str):
-    kind = items.pop("kind", None)
-    if kind is None:
-        raise ConfigError(f"{where}: missing 'kind'")
-    kind = _parse_enum(kind, f"{where}.kind", _LEARNER_KEYS.keys())
-    unknown = set(items) - _LEARNER_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys for {kind}: {sorted(unknown)}")
-    if kind == "ridge":
-        return Ridge(lam=_parse_num(items.get("lambda", "1.0"), where, float))
-    if kind == "lasso":
-        return Lasso(
-            lam=_parse_num(items.get("lambda", "0.1"), where, float),
-            max_iter=_parse_num(items.get("max_iter", "1000"), where, int),
-            tol=_parse_num(items.get("tol", "1e-7"), where, float),
-        )
-    if kind == "kernel":
-        loss_name = _parse_enum(
-            items.get("loss", "squared"), f"{where}.loss",
-            {"squared", "epsilon_insensitive"},
-        )
-        if loss_name == "squared":
-            loss = SquaredLoss()
-        else:
-            loss = EpsilonInsensitiveLoss(
-                epsilon=_parse_num(items.get("epsilon", "0.1"), where, float),
-                c=_parse_num(items.get("c", "1.0"), where, float),
-                max_iter=_parse_num(items.get("max_iter", "500"), where, int),
-            )
-        return KernelMachine(
-            bandwidth=_parse_num(items.get("bandwidth", "1.0"), where, float),
-            lam=_parse_num(items.get("lambda", "1.0"), where, float),
-            loss=loss,
-        )
-    if kind == "mlp":
-        hidden_raw = items.get("hidden", "32,32").strip()
-        hidden = tuple(
-            _parse_num(h, f"{where}.hidden", int)
-            for h in hidden_raw.split(",") if h.strip()
-        )
-        return Mlp(
-            hidden=hidden,
-            activation=_parse_enum(
-                items.get("activation", "relu"), f"{where}.activation",
-                {"relu", "tanh"},
-            ),
-            step_size=_parse_num(items.get("step_size", "1e-3"), where, float),
-            epochs=_parse_num(items.get("epochs", "200"), where, int),
-            batch=_parse_num(items.get("batch", "32"), where, int),
-            seed=_parse_num(items.get("seed", "0"), where, int),
-            l2=_parse_num(items.get("l2", "0.0"), where, float),
-        )
-    if kind == "zero":
-        return Oracle(fn=_zero_fn)
-    raise AssertionError(kind)  # superlearner handled by the caller
+_LEARNERS = {"ridge": Ridge, "lasso": Lasso, "kernel": KernelMachine,
+             "mlp": Mlp, "superlearner": SuperLearner, "zero": Oracle}
+_LOSSES = {"squared": SquaredLoss, "epsilon_insensitive": EpsilonInsensitiveLoss}
+_INI_KEY = {"lam": "lambda"}  # spec field -> INI key, where they differ
 
 
-def _learner_from_section(section: dict, where: str):
-    """Build a learner spec from one config section (handles nesting)."""
-    items = dict(section)
-    kind = items.get("kind", "")
-    if kind.strip().lower() == "superlearner":
-        candidates = {}
-        plain = {}
-        for key, value in items.items():
-            if key.startswith("candidate."):
-                parts = key.split(".", 2)
-                if len(parts) != 3:
-                    raise ConfigError(f"{where}: bad candidate key {key!r}")
-                candidates.setdefault(parts[1], {})[parts[2]] = value
-            else:
-                plain[key] = value
-        if not candidates:
-            raise ConfigError(f"{where}: superlearner needs candidate.* keys")
-        plain.pop("kind")
-        unknown = set(plain) - _LEARNER_KEYS["superlearner"]
-        if unknown:
-            raise ConfigError(f"{where}: unknown keys: {sorted(unknown)}")
-        cand_specs = tuple(
-            _learner_from_items(candidates[tag], f"{where}.candidate.{tag}")
-            for tag in sorted(candidates)
-        )
-        return SuperLearner(
-            candidates=cand_specs,
-            v_blocks=_parse_num(plain.get("v_blocks", "5"), where, int),
-            mode=_parse_enum(
-                plain.get("mode", "selector"), f"{where}.mode",
-                {"selector", "convex_weights"},
-            ),
-            seed=_parse_num(plain.get("seed", "0"), where, int),
-            cv_splitter=_parse_enum(
-                plain.get("cv_splitter", "random"), f"{where}.cv_splitter",
-                {"random", "spss"},
-            ),
-        )
-    return _learner_from_items(items, where)
+def _choose(table: dict, raw: str, where: str):
+    name = raw.strip().lower()
+    if name not in table:
+        raise ConfigError(f"{where}: expected one of {sorted(table)}, got {raw!r}")
+    return table[name]
+
+
+def _ini_keys(cls) -> dict:
+    return {_INI_KEY.get(f.name, f.name): f for f in fields(cls)}
+
+
+def _spec(cls, items: dict, where: str, **fixed):
+    """``cls(**fixed, **items)``: each key names a field of ``cls`` and is
+    parsed like that field's default."""
+    settable = {k: f for k, f in _ini_keys(cls).items() if f.name not in fixed}
+    for key, raw in items.items():
+        if key not in settable:
+            raise ConfigError(f"{where}{key}: unknown key for {cls.__name__}")
+        field = settable[key]
+        fixed[field.name] = _parse(raw, _kind_of(field.default), f"{where}{key}")
+    return cls(**fixed)
+
+
+def _learner(items: dict, where: str):
+    """Build a learner spec from one section's items; ``where`` prefixes
+    every key in messages (``"[learner_m] "``, ``"[learner_m] candidate.1."``)."""
+    items = dict(items)
+    cls = _choose(_LEARNERS, items.pop("kind", ""), f"{where}kind")
+    if cls is Oracle:
+        return _spec(Oracle, items, where, fn=_zero_fn)
+    if cls is KernelMachine:
+        own = _ini_keys(KernelMachine)
+        loss_cls = (_choose(_LOSSES, items.pop("loss"), f"{where}loss")
+                    if "loss" in items else type(KernelMachine().loss))
+        loss = _spec(loss_cls, {k: v for k, v in items.items() if k not in own}, where)
+        return _spec(KernelMachine, {k: v for k, v in items.items() if k in own},
+                     where, loss=loss)
+    if cls is SuperLearner:
+        groups = {}
+        for key in [k for k in items if k.startswith("candidate.")]:
+            tag, _, sub = key[len("candidate."):].partition(".")
+            if not (sub and tag.removeprefix("-").isdecimal()):
+                raise ConfigError(f"{where}{key}: expected candidate.<integer>.<key>")
+            groups.setdefault(tag, {})[sub] = items.pop(key)
+        candidates = tuple(_learner(groups[tag], f"{where}candidate.{tag}.")
+                           for tag in sorted(groups, key=int))
+        return _spec(SuperLearner, items, where, candidates=candidates)
+    return _spec(cls, items, where)
 
 
 def parse_config(path) -> RunConfig:
@@ -249,89 +256,24 @@ def parse_config(path) -> RunConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
-    cfg = RunConfig()
+    sections = {section for section, _ in _RUN_KEYS}
+    values = {}
     for section in parser.sections():
+        items = dict(parser[section])
         if section in ("learner_m", "learner_ell"):
-            spec = _learner_from_section(dict(parser[section]), section)
-            setattr(cfg, section, spec)
+            try:
+                values[section] = _learner(items, f"[{section}] ")
+            except InvalidSpec as exc:
+                raise InvalidSpec(f"[{section}] {exc}") from None
             continue
-        if section not in _SECTIONS:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
-        allowed = _SECTIONS[section]
-        for key, value in parser[section].items():
-            if key not in allowed:
+        for key, raw in items.items():
+            if (section, key) not in _RUN_KEYS:
                 raise ConfigError(f"[{section}] unknown key {key!r}")
-            _apply_key(cfg, section, key, value)
-
-    if cfg.data_path is not None and cfg.schema is None:
-        raise ConfigError("[data] path given without outcome/treatment/covariates")
-    return cfg
-
-
-def _apply_key(cfg: RunConfig, section: str, key: str, value: str):
-    where = f"[{section}] {key}"
-    if section == "data":
-        if key == "path":
-            cfg.data_path = value.strip()
-        else:
-            pending = getattr(cfg, "_pending_schema", {})
-            pending[key] = value
-            cfg._pending_schema = pending
-            if {"outcome", "treatment", "covariates"} <= set(pending):
-                cfg.schema = ColumnSchema(
-                    outcome=pending["outcome"].strip(),
-                    treatment=pending["treatment"].strip(),
-                    covariates=tuple(
-                        c.strip() for c in pending["covariates"].split(",")
-                        if c.strip()
-                    ),
-                )
-    elif section == "split":
-        if key == "method":
-            cfg.split_method = _parse_enum(value, where, {"spss", "random", "both"})
-        elif key == "test_fraction":
-            cfg.test_fraction = _parse_num(value, where, float)
-        elif key == "k":
-            cfg.k = _parse_num(value, where, int)
-        elif key == "seed":
-            cfg.seed = _parse_num(value, where, int)
-        elif key == "include_y":
-            cfg.include_y = _parse_bool(value, where)
-    elif section == "dml":
-        if key == "algorithm":
-            cfg.algorithm = _parse_enum(
-                value, where, {dml_mod.ALG_DML1, dml_mod.ALG_DML2}
-            )
-        elif key == "score":
-            cfg.score = _parse_enum(
-                value, where,
-                {dml_mod.SCORE_PARTIALLING_OUT, dml_mod.SCORE_IV_TYPE},
-            )
-        elif key == "alpha":
-            cfg.alpha = _parse_num(value, where, float)
-            if not 0.0 < cfg.alpha < 1.0:
-                raise InvalidAlpha(f"{where}: must be in (0, 1), got {value!r}")
-    elif section == "simulate":
-        if key == "scenario":
-            names = [s.strip().lower() for s in value.split(",") if s.strip()]
-            for name in names:
-                if name not in ("s1", "s2"):
-                    raise ConfigError(f"{where}: unknown scenario {name!r}")
-            cfg.sim_scenarios = tuple(names)
-        elif key == "p_list":
-            cfg.p_list = tuple(
-                _parse_num(v, where, int) for v in value.split(",") if v.strip()
-            )
-        elif key == "n_list":
-            cfg.n_list = tuple(
-                _parse_num(v, where, int) for v in value.split(",") if v.strip()
-            )
-        elif key == "reps":
-            cfg.reps = _parse_num(value, where, int)
-        elif key == "master_seed":
-            cfg.master_seed = _parse_num(value, where, int)
-    elif section == "runtime":
-        cfg.threads = _parse_num(value, where, int)
+            field, kind = _RUN_KEYS[section, key]
+            values[field] = _parse(raw, kind, f"[{section}] {key}")
+    return RunConfig(**values)
 
 
 def _load_dataset(cfg: RunConfig, input_csv: Optional[str]) -> Dataset:
@@ -344,16 +286,16 @@ def _load_dataset(cfg: RunConfig, input_csv: Optional[str]) -> Dataset:
     return load_csv(path, cfg.schema)
 
 
-def _build_plan(cfg: RunConfig, d: Dataset, seed: int):
-    if cfg.split_method == "random":
-        return random_kfold(d.n, cfg.k, seed)
-    return spss_kfold(d, cfg.k, SpConfig(seed=seed), include_y=cfg.include_y)
+def _build_plan(cfg: RunConfig, d: Dataset):
+    if cfg.split_method == SPLIT_RANDOM:
+        return random_kfold(d.n, cfg.k, cfg.seed)
+    return spss_kfold(d, cfg.k, SpConfig(seed=cfg.seed), include_y=cfg.include_y)
 
 
-def cmd_split(cfg: RunConfig, input_csv, out_dir, seed: int) -> int:
+def cmd_split(cfg: RunConfig, input_csv, out_dir) -> int:
     d = _load_dataset(cfg, input_csv)
     result = spss_split(
-        d, cfg.test_fraction, SpConfig(seed=seed), include_y=cfg.include_y
+        d, cfg.test_fraction, SpConfig(seed=cfg.seed), include_y=cfg.include_y
     )
     out = Path(out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -362,10 +304,10 @@ def cmd_split(cfg: RunConfig, input_csv, out_dir, seed: int) -> int:
 
     cloud = _joint_cloud(d, cfg.include_y)
     n_test = len(result.test_idx)
-    baseline = random_subset(d.n, n_test, seed)
+    baseline = random_subset(d.n, n_test, cfg.seed)
     polish = result.polish
     sidecar = {
-        "seed": seed,
+        "seed": cfg.seed,
         "n_test": n_test,
         "n_train": int(len(result.train_idx)),
         "polish_passes": polish.passes,
@@ -381,12 +323,12 @@ def cmd_split(cfg: RunConfig, input_csv, out_dir, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_estimate(cfg: RunConfig, input_csv, out_path, seed: int) -> int:
+def cmd_estimate(cfg: RunConfig, input_csv, out_path) -> int:
     if cfg.learner_m is None or cfg.learner_ell is None:
         raise ConfigError("estimate needs [learner_m] and [learner_ell] sections")
     d = _load_dataset(cfg, input_csv)
     start = time.perf_counter()
-    plan = _build_plan(cfg, d, seed)
+    plan = _build_plan(cfg, d)
     nuis = dml_mod.fit_nuisances_crossfit(
         d, plan, cfg.learner_m, cfg.learner_ell, cfg.score
     )
@@ -404,7 +346,7 @@ def cmd_estimate(cfg: RunConfig, input_csv, out_path, seed: int) -> int:
         "algorithm": est.algorithm,
         "score": est.score,
         "splitter": cfg.split_method,
-        "seed": seed,
+        "seed": cfg.seed,
         "n": est.n_total,
         "wall_time_s": time.perf_counter() - start,
     }
@@ -416,34 +358,36 @@ def cmd_estimate(cfg: RunConfig, input_csv, out_path, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig, out_path, fmt: str, seed: int,
-                 threads: int) -> int:
+def cmd_simulate(cfg: RunConfig, out_path, fmt: str) -> int:
     if cfg.learner_m is None or cfg.learner_ell is None:
         raise ConfigError("simulate needs [learner_m] and [learner_ell] sections")
     if not (cfg.sim_scenarios and cfg.p_list and cfg.n_list):
         raise ConfigError("[simulate] scenario, p_list, and n_list are required")
     splitters = (
-        ("spss", "random") if cfg.split_method == "both" else (cfg.split_method,)
+        (SPLIT_SPSS, SPLIT_RANDOM) if cfg.split_method == "both"
+        else (cfg.split_method,)
     )
-    rows = []
-    for scen in cfg.sim_scenarios:
-        for p in cfg.p_list:
-            for n in cfg.n_list:
-                for splitter in splitters:
-                    mc = McConfig(
-                        scenario=ScenarioConfig(scenario=scen, p=p, n=n),
-                        learner_m=cfg.learner_m,
-                        learner_ell=cfg.learner_ell,
-                        reps=cfg.reps,
-                        k=cfg.k,
-                        splitter=splitter,
-                        score=cfg.score,
-                        algorithm=cfg.algorithm,
-                        master_seed=seed,
-                        alpha=cfg.alpha,
-                        include_y=cfg.include_y,
-                    )
-                    rows.append(run_monte_carlo(mc, threads=threads))
+    # build (and so check) every cell before running the first
+    cells = [
+        McConfig(
+            scenario=ScenarioConfig(scenario=scen, p=p, n=n),
+            learner_m=cfg.learner_m,
+            learner_ell=cfg.learner_ell,
+            reps=cfg.reps,
+            k=cfg.k,
+            splitter=splitter,
+            score=cfg.score,
+            algorithm=cfg.algorithm,
+            master_seed=cfg.master_seed,
+            alpha=cfg.alpha,
+            include_y=cfg.include_y,
+        )
+        for scen in cfg.sim_scenarios
+        for p in cfg.p_list
+        for n in cfg.n_list
+        for splitter in splitters
+    ]
+    rows = [run_monte_carlo(mc, threads=cfg.threads) for mc in cells]
     payload = emit_report(rows, fmt)
     if out_path:
         Path(out_path).write_bytes(payload)
@@ -495,17 +439,15 @@ def main(argv=None) -> int:
         threads = args.threads
         if threads is None:
             env = os.environ.get("DMLSPSS_THREADS")
-            threads = _parse_num(env, "DMLSPSS_THREADS", int) if env else cfg.threads
+            threads = _parse(env, int, "DMLSPSS_THREADS") if env else cfg.threads
+        cfg = replace(cfg, threads=threads)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed, master_seed=args.seed)
         if args.command == "split":
-            seed = args.seed if args.seed is not None else cfg.seed
-            return cmd_split(cfg, args.input, args.out, seed)
+            return cmd_split(cfg, args.input, args.out)
         if args.command == "estimate":
-            seed = args.seed if args.seed is not None else cfg.seed
-            return cmd_estimate(cfg, args.input, args.out, seed)
-        if args.command == "simulate":
-            seed = args.seed if args.seed is not None else cfg.master_seed
-            return cmd_simulate(cfg, args.out, args.format, seed, threads)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_estimate(cfg, args.input, args.out)
+        return cmd_simulate(cfg, args.out, args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -31,6 +31,7 @@ from .data import Dataset
 from .dml import (
     ALG_DML1,
     ALG_DML2,
+    SCORE_IV_TYPE,
     SCORE_PARTIALLING_OUT,
     dml1_estimate,
     dml2_estimate,
@@ -40,7 +41,6 @@ from .errors import InvalidConfig, InvalidRho
 from .learners import (
     KernelMachine,
     Lasso,
-    Mlp,
     Oracle,
     Ridge,
     SuperLearner,
@@ -110,7 +110,8 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Full recipe for one Monte Carlo cell."""
+    """Full recipe for one Monte Carlo cell; its choices and ``reps`` are
+    checked when it is built, before any replication runs."""
 
     scenario: ScenarioConfig
     learner_m: object
@@ -127,6 +128,16 @@ class McConfig:
     sp_tol: float = 1e-7
     include_y: bool = True
     method_label: Optional[str] = None
+
+    def __post_init__(self):
+        if self.splitter not in (SPLIT_SPSS, SPLIT_RANDOM):
+            raise InvalidConfig(f"unknown splitter {self.splitter!r}")
+        if self.score not in (SCORE_PARTIALLING_OUT, SCORE_IV_TYPE):
+            raise InvalidConfig(f"unknown score {self.score!r}")
+        if self.algorithm not in (ALG_DML1, ALG_DML2):
+            raise InvalidConfig(f"unknown algorithm {self.algorithm!r}")
+        if self.reps < 2:
+            raise InvalidConfig(f"reps must be >= 2, got {self.reps}")
 
 
 @dataclass(frozen=True)
@@ -237,20 +248,12 @@ def oracle_learner_specs(cfg: ScenarioConfig) -> tuple[Oracle, Oracle]:
 
 
 def spec_label(spec) -> str:
-    """Short human-readable tag for a learner spec, used in reports."""
-    if isinstance(spec, Ridge):
-        return "ridge"
-    if isinstance(spec, Lasso):
-        return "lasso"
+    """Short human-readable tag for a learner spec, used in reports: the
+    lower-cased class name, ``kernel``, or ``sl(<candidate tags>)``."""
+    if isinstance(spec, SuperLearner):
+        return f"sl({'+'.join(spec_label(c) for c in spec.candidates)})"
     if isinstance(spec, KernelMachine):
         return "kernel"
-    if isinstance(spec, Mlp):
-        return "mlp"
-    if isinstance(spec, SuperLearner):
-        inner = "+".join(spec_label(c) for c in spec.candidates)
-        return f"sl({inner})"
-    if isinstance(spec, Oracle):
-        return "oracle"
     return type(spec).__name__.lower()
 
 
@@ -281,15 +284,11 @@ def _run_one_rep(mc: McConfig, rep: int):
 
     if mc.splitter == SPLIT_SPSS:
         plan = spss_kfold(d, mc.k, SpConfig(seed=split_seed), include_y=mc.include_y)
-    elif mc.splitter == SPLIT_RANDOM:
-        plan = random_kfold(d.n, mc.k, split_seed)
     else:
-        raise InvalidConfig(f"unknown splitter {mc.splitter!r}")
+        plan = random_kfold(d.n, mc.k, split_seed)
 
     nuis = fit_nuisances_crossfit(d, plan, mc.learner_m, mc.learner_ell, mc.score)
     estimate = dml1_estimate if mc.algorithm == ALG_DML1 else dml2_estimate
-    if mc.algorithm not in (ALG_DML1, ALG_DML2):
-        raise InvalidConfig(f"unknown algorithm {mc.algorithm!r}")
     est = estimate(d, plan, nuis, mc.score, alpha=mc.alpha)
     lo, hi, _ = est.ci
     covered = lo <= mc.scenario.beta0 <= hi
@@ -303,8 +302,6 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
     replications are independent tasks; the aggregation folds them in rep
     order regardless of which worker finished first.
     """
-    if mc.reps < 2:
-        raise InvalidConfig(f"reps must be >= 2, got {mc.reps}")
     _check_regularized(mc)
     start = time.perf_counter()
 

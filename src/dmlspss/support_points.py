@@ -321,13 +321,14 @@ def spss_split(
     random row subset of the requested test size, drawn from
     ``cfg.seed``, is polished by row exchange and becomes the test set,
     the rest the training set.  ``result.polish`` reports the polish.
+    Each side must get at least 2 rows, or ``InvalidFraction`` is raised.
     """
     n = d.n
     n_test = int(np.floor(test_fraction * n + 0.5))
-    if not 1 <= n_test <= n - 1:
+    if not 2 <= n_test <= n - 2:
         raise InvalidFraction(
             f"test_fraction={test_fraction} gives test size {n_test} "
-            f"outside [1, {n - 1}]"
+            f"outside [2, {n - 2}]: each side needs at least 2 rows"
         )
     cloud = _joint_cloud(d, include_y)
     test_idx, polish = _representative_rows(cloud, n_test, cfg.seed, cfg.polish_passes)

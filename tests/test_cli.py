@@ -2,13 +2,26 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dmlspss import cli
 from dmlspss.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main, parse_config
+from dmlspss.data import ColumnSchema
 from dmlspss.errors import ConfigError
-from dmlspss.learners import Lasso, Ridge, SuperLearner
+from dmlspss.learners import (
+    EpsilonInsensitiveLoss,
+    KernelMachine,
+    Lasso,
+    Mlp,
+    Oracle,
+    Ridge,
+    SquaredLoss,
+    SuperLearner,
+)
 from dmlspss.support_points import energy_two_sample
 
 
@@ -79,6 +92,22 @@ def test_split_writes_expected_sizes(tmp_path):
     assert sidecar["n_test"] == 3
     assert sidecar["energy_test_vs_full"] <= sidecar["energy_init_vs_full"]
     assert sidecar["energy_test_vs_full"] <= sidecar["energy_random_vs_full"]
+
+
+def test_split_too_small_side_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "in.csv"
+    _make_dataset_csv(csv_path, n=4)
+    cfg = _base_config(tmp_path, csv_path).read_text().replace(
+        "test_fraction = 0.3", "test_fraction = 0.25"
+    )
+    cfg_path = tmp_path / "small.ini"
+    cfg_path.write_text(cfg)
+    out = tmp_path / "split_out"
+    rc = main(["--config", str(cfg_path), "--out", str(out), "split"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "test size 1" in err and "Traceback" not in err
+    assert not (out / "train.csv").exists() and not (out / "test.csv").exists()
 
 
 def test_split_rerun_is_identical(tmp_path):
@@ -203,6 +232,20 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     assert run_once("1") == run_once("2")
 
 
+def test_simulate_checks_every_cell_before_running(tmp_path, capsys, monkeypatch):
+    cfg = _base_config(tmp_path, tmp_path / "unused.csv", SIM_EXTRA)
+    text = cfg.read_text().replace("kind = zero", "kind = ridge\nlambda = 1.0")
+    cfg.write_text(text.replace("n_list = 60", "n_list = 60,1"))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cell ran before every cell was checked")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", no_run)
+    rc = main(["--config", str(cfg), "simulate"])
+    assert rc == EXIT_CONFIG
+    assert "n=1" in capsys.readouterr().err
+
+
 # --- energy ----------------------------------------------------------------------
 
 def test_energy_command_matches_library(tmp_path, capsys):
@@ -266,8 +309,29 @@ def test_bad_enum_rejected_at_parse_time(tmp_path):
     ("[dml]\nalpha = 0\n", "alpha"),
     ("[dml]\nalpha = nan\n", "alpha"),
     ("[split]\nsp.max_iter = 40\n", "sp.max_iter"),
+    ("[learner_m]\nkind = superlearner\ncandidate.1.kind = superlearner\n"
+     "candidate.1.candidate.1.kind = ridge\n", "may not be nested"),
+    ("[learner_m]\nkind = superlearner\ncandidate.1.kind = superlearner\n",
+     "needs at least one candidate"),
+    ("[learner_m]\nkind = kernel\nloss = squared\nc = -5\n",
+     r"\[learner_m\] c: unknown key for SquaredLoss"),
+    ("[split]\nk = 1\n", r"\[split\] k: must be >= 2"),
+    ("[split]\ntest_fraction = 5\n", r"\[split\] test_fraction: must be in \(0, 1\)"),
+    ("[runtime]\nthreads = -3\n", r"\[runtime\] threads: must be >= 1"),
+    ("[learner_m]\nkind = ridge\nlambda = abc\n",
+     r"\[learner_m\] lambda: expected float, got 'abc'"),
+    ("[learner_m]\nkind = superlearner\ncandidate.1.kind = ridge\n"
+     "candidate.1.lambda = abc\n",
+     r"\[learner_m\] candidate.1.lambda: expected float"),
+    ("[learner_m]\nkind = superlearner\ncandidate.a.kind = ridge\n",
+     r"\[learner_m\] candidate.a.kind: expected candidate.<integer>"),
+    ("[simulate]\nscenario = s1,s3\n", r"\[simulate\] scenario"),
 ], ids=["ridge", "lasso", "kernel", "svr-loss", "mlp", "sl", "sl-candidate",
-        "alpha-above", "alpha-zero", "alpha-nan", "dropped-sp-key"])
+        "alpha-above", "alpha-zero", "alpha-nan", "dropped-sp-key",
+        "sl-nested", "sl-nested-bare", "squared-loss-key", "k-one",
+        "test-fraction-five", "threads-negative", "typed-value-names-key",
+        "candidate-value-names-key", "candidate-tag-not-integer",
+        "unknown-scenario"])
 def test_bad_values_rejected_at_parse_time(tmp_path, text, match):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text)
@@ -296,6 +360,18 @@ def test_bad_threads_env_exit_code(tmp_path, capsys, monkeypatch):
     assert "DMLSPSS_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_zero_threads_exit_code(tmp_path, capsys, monkeypatch, source):
+    cfg = _base_config(tmp_path, tmp_path / "unused.csv", SIM_EXTRA)
+    argv = ["--config", str(cfg), "simulate"]
+    if source == "flag":
+        argv = ["--threads", "0", *argv]
+    else:
+        monkeypatch.setenv("DMLSPSS_THREADS", "0")
+    assert main(argv) == EXIT_CONFIG
+    assert "threads: must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_superlearner_config_parsing(tmp_path):
     cfg = tmp_path / "sl.ini"
     cfg.write_text(
@@ -316,3 +392,114 @@ def test_superlearner_config_parsing(tmp_path):
     assert parsed.learner_m.v_blocks == 3
     assert parsed.learner_m.candidates == (Ridge(lam=0.5), Lasso(lam=0.05))
     assert parsed.learner_ell == Ridge(lam=2.0)
+
+
+def test_superlearner_candidates_ordered_by_integer_tag(tmp_path):
+    cfg = tmp_path / "sl.ini"
+    cfg.write_text("[learner_m]\nkind = superlearner\n" + "".join(
+        f"candidate.{tag}.kind = ridge\ncandidate.{tag}.lambda = {tag}\n"
+        for tag in (10, 2, 1, 9, 3, 8, 4, 7, 5, 6)
+    ))
+    lams = [c.lam for c in parse_config(cfg).learner_m.candidates]
+    assert lams == [float(tag) for tag in range(1, 11)]
+
+
+# --- config equivalence: the INI keys are the spec fields -------------------------
+
+def _parse_text(tmp_path, text):
+    path = tmp_path / "eq.ini"
+    path.write_text(text)
+    return parse_config(path)
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("ridge", Ridge()),
+    ("lasso", Lasso()),
+    ("kernel", KernelMachine()),
+    ("mlp", Mlp()),
+])
+def test_kind_only_section_parses_to_spec_defaults(tmp_path, kind, expected):
+    parsed = _parse_text(tmp_path, f"[learner_m]\nkind = {kind}\n").learner_m
+    assert parsed == expected
+
+
+def test_kind_only_superlearner_and_zero_use_spec_defaults(tmp_path):
+    parsed = _parse_text(
+        tmp_path,
+        "[learner_m]\nkind = superlearner\ncandidate.1.kind = ridge\n"
+        "[learner_ell]\nkind = zero\n",
+    )
+    assert parsed.learner_m == SuperLearner(candidates=(Ridge(),))
+    assert isinstance(parsed.learner_ell, Oracle)
+    assert np.array_equal(parsed.learner_ell.fn(np.ones((3, 2))), np.zeros(3))
+
+
+@pytest.mark.parametrize("section, expected", [
+    ("kind = Ridge\nlambda = 2.5\n", Ridge(lam=2.5)),
+    ("kind = lasso\nlambda = 0.3\nmax_iter = 50\ntol = 1e-5\n",
+     Lasso(lam=0.3, max_iter=50, tol=1e-5)),
+    ("kind = kernel\nbandwidth = 0.5\nlambda = 2\nloss = squared\n",
+     KernelMachine(bandwidth=0.5, lam=2.0, loss=SquaredLoss())),
+    ("kind = kernel\nbandwidth = 0.5\nlambda = 2\nloss = Epsilon_Insensitive\n"
+     "epsilon = 0.2\nc = 3\nmax_iter = 40\n",
+     KernelMachine(bandwidth=0.5, lam=2.0, loss=EpsilonInsensitiveLoss(
+         epsilon=0.2, c=3.0, max_iter=40))),
+    ("kind = mlp\nhidden = 8, 4\nactivation = TANH\nstep_size = 0.01\n"
+     "epochs = 5\nbatch = 16\nseed = 9\nl2 = 0.1\n",
+     Mlp(hidden=(8, 4), activation="tanh", step_size=0.01, epochs=5, batch=16,
+         seed=9, l2=0.1)),
+    ("kind = superlearner\nv_blocks = 4\nmode = convex_weights\nseed = 2\n"
+     "cv_splitter = spss\ncandidate.1.kind = lasso\ncandidate.1.lambda = 0.2\n"
+     "candidate.2.kind = mlp\ncandidate.2.hidden = 16\n",
+     SuperLearner(candidates=(Lasso(lam=0.2), Mlp(hidden=(16,))), v_blocks=4,
+                  mode="convex_weights", seed=2, cv_splitter="spss")),
+], ids=["ridge", "lasso", "kernel-squared", "kernel-epsilon", "mlp", "superlearner"])
+def test_every_key_section_parses_to_explicit_spec(tmp_path, section, expected):
+    assert _parse_text(tmp_path, "[learner_m]\n" + section).learner_m == expected
+
+
+def _run_fields(cfg):
+    names = ("data_path", "schema", "split_method", "test_fraction", "k", "seed",
+             "include_y", "learner_m", "learner_ell", "algorithm", "score", "alpha",
+             "sim_scenarios", "p_list", "n_list", "reps", "master_seed", "threads")
+    return {name: getattr(cfg, name) for name in names}
+
+
+def test_readme_example_config_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert _run_fields(_parse_text(tmp_path, example)) == {
+        "data_path": "data.csv",
+        "schema": ColumnSchema("y", "t", ("x1", "x2", "x3")),
+        "split_method": "spss", "test_fraction": 0.2, "k": 2, "seed": 7,
+        "include_y": True,
+        "learner_m": SuperLearner(
+            candidates=(Ridge(lam=0.001), Lasso(lam=0.01), Mlp(hidden=(16,))),
+            v_blocks=5),
+        "learner_ell": Ridge(lam=0.001),
+        "algorithm": "dml2", "score": "partialling_out", "alpha": 0.05,
+        "sim_scenarios": ("s1",), "p_list": (20,), "n_list": (100, 1000),
+        "reps": 200, "master_seed": 42, "threads": 2,
+    }
+
+
+def test_benchmark_estimate_config_parses(tmp_path):
+    # the run.ini that the estimate_random_16k benchmark workload writes
+    covariates = ",".join(f"x{j + 1}" for j in range(20))
+    text = (
+        f"[data]\noutcome = y\ntreatment = t\ncovariates = {covariates}\n\n"
+        "[split]\nmethod = random\nk = 2\nseed = 0\n\n"
+        "[learner_m]\nkind = ridge\nlambda = 0.001\n\n"
+        "[learner_ell]\nkind = ridge\nlambda = 0.001\n\n"
+        "[dml]\nalgorithm = dml1\nscore = iv_type\n"
+    )
+    assert _run_fields(_parse_text(tmp_path, text)) == {
+        "data_path": None,
+        "schema": ColumnSchema("y", "t", tuple(f"x{j + 1}" for j in range(20))),
+        "split_method": "random", "test_fraction": 0.2, "k": 2, "seed": 0,
+        "include_y": True,
+        "learner_m": Ridge(lam=0.001), "learner_ell": Ridge(lam=0.001),
+        "algorithm": "dml1", "score": "iv_type", "alpha": 0.05,
+        "sim_scenarios": (), "p_list": (), "n_list": (), "reps": 100,
+        "master_seed": 0, "threads": 1,
+    }

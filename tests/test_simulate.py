@@ -180,6 +180,17 @@ def test_run_monte_carlo_rejects_single_rep():
         run_monte_carlo(_oracle_mc(reps=1))
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"splitter": "sideways"}, "splitter 'sideways'"),
+    ({"score": "bogus"}, "score 'bogus'"),
+    ({"algorithm": "dml9"}, "algorithm 'dml9'"),
+    ({"reps": 1}, "reps must be >= 2"),
+], ids=["splitter", "score", "algorithm", "reps"])
+def test_mc_config_checks_its_settings_when_built(bad, match):
+    with pytest.raises(InvalidConfig, match=match):
+        _oracle_mc(**bad)
+
+
 def test_high_dimensional_cells_require_regularization():
     cfg = ScenarioConfig(scenario="s1", p=60, n=50)
     mc = McConfig(scenario=cfg, learner_m=Ridge(lam=0.0),
