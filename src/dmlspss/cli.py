@@ -326,6 +326,11 @@ def cmd_split(cfg: RunConfig, input_csv, out_dir) -> int:
 def cmd_estimate(cfg: RunConfig, input_csv, out_path) -> int:
     if cfg.learner_m is None or cfg.learner_ell is None:
         raise ConfigError("estimate needs [learner_m] and [learner_ell] sections")
+    if cfg.split_method not in (SPLIT_SPSS, SPLIT_RANDOM):
+        raise ConfigError(
+            f"[split] method: estimate needs {SPLIT_SPSS} or {SPLIT_RANDOM}, "
+            f"got {cfg.split_method!r}"
+        )
     d = _load_dataset(cfg, input_csv)
     start = time.perf_counter()
     plan = _build_plan(cfg, d)
@@ -413,7 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output file (or directory for split)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--seed", type=int, help="override config seeds")
-    parser.add_argument("--threads", type=int, help="worker threads")
+    parser.add_argument("--threads", type=int,
+                        help="simulate: worker processes for the replications")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_split = sub.add_parser("split", help="support-points train/test split")

@@ -400,6 +400,14 @@ def mlp_forward(weights: list, x: np.ndarray, activation: str) -> np.ndarray:
     return (a @ w + b).reshape(-1)
 
 
+def _mlp_loss(resid: np.ndarray, weights: list, l2: float) -> float:
+    """(1/(2m))||resid||^2 + (l2/(2m))*sum||W||^2 over the m residuals."""
+    m = resid.shape[0]
+    loss = (resid @ resid) / (2.0 * m)
+    loss += l2 / (2.0 * m) * sum(float((w ** 2).sum()) for w, _ in weights)
+    return loss
+
+
 def mlp_loss_and_grad(weights: list, x: np.ndarray, y: np.ndarray,
                       l2: float, activation: str):
     """Batch squared loss (1/(2m))||out - y||^2 + (l2/(2m))*sum||W||^2
@@ -420,8 +428,7 @@ def mlp_loss_and_grad(weights: list, x: np.ndarray, y: np.ndarray,
     out = (a @ w_last + b_last).reshape(-1)
 
     resid = out - y
-    loss = (resid @ resid) / (2.0 * m)
-    loss += l2 / (2.0 * m) * sum(float((w ** 2).sum()) for w, _ in weights)
+    loss = _mlp_loss(resid, weights, l2)
 
     grads = [None] * len(weights)
     delta = resid[:, None] / m
@@ -456,7 +463,9 @@ def _fit_mlp(spec: Mlp, x, y) -> MlpModel:
                 (w - spec.step_size * gw, b - spec.step_size * gb)
                 for (w, b), (gw, gb) in zip(weights, grads)
             ]
-        epoch_loss, _ = mlp_loss_and_grad(weights, x, y, spec.l2, spec.activation)
+        epoch_loss = _mlp_loss(
+            mlp_forward(weights, x, spec.activation) - y, weights, spec.l2
+        )
         if not np.isfinite(epoch_loss):
             raise NonConvergence(
                 "mlp training diverged (non-finite loss)",

@@ -6,7 +6,8 @@ covariates; they differ in the correlation decay (0.7 vs 0.5) and in
 whether the disturbances U, V are correlated (0 vs 0.3).  The harness
 replicates draw -> split -> cross-fit -> estimate over seeded
 replications and aggregates bias, spread, mse, and coverage for one
-(scenario, p, n) cell.
+(scenario, p, n) cell, serially or in forked worker processes, with
+bitwise the same result.
 
 Reported metrics: bias = mean(beta_hat) - beta0, se = sample standard
 deviation of beta_hat across replications, se_adjusted = se / sqrt(n),
@@ -20,7 +21,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -295,12 +295,34 @@ def _run_one_rep(mc: McConfig, rep: int):
     return est.beta, est.se, covered
 
 
+_worker_mc: Optional[McConfig] = None
+
+
+def _worker_init(mc: McConfig) -> None:
+    global _worker_mc
+    _worker_mc = mc
+
+
+def _worker_rep(rep: int):
+    """One replication in a worker process; None if it raised, so that no
+    exception (which may not survive pickling) is sent back."""
+    try:
+        return _run_one_rep(_worker_mc, rep)
+    except Exception:
+        return None
+
+
 def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
-    """Replicate one cell and aggregate; bitwise independent of thread count.
+    """Replicate one cell and aggregate; bitwise independent of ``threads``.
 
     Per-replication seeds are avalanche-mixed from (master_seed, rep), so
-    replications are independent tasks; the aggregation folds them in rep
-    order regardless of which worker finished first.
+    replications are independent tasks.  ``threads > 1`` runs them in
+    ``min(threads, reps)`` forked worker processes (serially without the
+    ``fork`` start method): ``mc``, which may hold unpicklable ``Oracle``
+    closures, reaches them through the fork, only rep indices and result
+    tuples are pickled, and results fold in rep order.  A replication
+    that fails in a worker is run again here, so its exception is raised
+    with its type, attributes and traceback unchanged.
     """
     _check_regularized(mc)
     start = time.perf_counter()
@@ -316,11 +338,23 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
             )
             raise
 
+    results = []
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(guarded, range(mc.reps)))
-    else:
-        results = [guarded(rep) for rep in range(mc.reps)]
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(
+                min(threads, mc.reps), multiprocessing.get_context("fork"),
+                initializer=_worker_init, initargs=(mc,),
+            ) as pool:
+                for result in pool.map(_worker_rep, range(mc.reps)):
+                    if result is None:
+                        pool.shutdown(cancel_futures=True)
+                        break
+                    results.append(result)
+    # serial path, and the rest after a replication failed in a worker
+    results += [guarded(rep) for rep in range(len(results), mc.reps)]
 
     betas = np.array([r[0] for r in results])
     model_ses = np.array([r[1] for r in results])

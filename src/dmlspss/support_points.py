@@ -52,12 +52,12 @@ class SpConfig:
 
 @dataclass(frozen=True)
 class SpResult:
-    """Converged support points plus the per-iteration objective trace."""
+    """Support points plus the per-iteration objective trace."""
 
     points: np.ndarray
     objective_trace: np.ndarray
     iterations: int
-    converged: bool
+    converged: bool  # the relative objective change fell below tol
 
 
 @dataclass(frozen=True)
@@ -216,8 +216,7 @@ def compute_support_points(full: np.ndarray, cfg: SpConfig) -> SpResult:
         new_d_xf = cdist(new_pts, full)
         new_d_pp = cdist(new_pts, new_pts)
         new_obj = _objective_from_dists(new_d_xf, new_d_pp)
-        if new_obj > obj:
-            converged = True
+        if new_obj > obj:  # rejected ascent step: stopped, not converged
             break
 
         pts, d_xf, d_pp = new_pts, new_d_xf, new_d_pp

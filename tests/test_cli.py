@@ -161,6 +161,16 @@ def test_estimate_missing_column_exits_3(tmp_path, capsys):
     assert "'t'" in capsys.readouterr().err
 
 
+def test_estimate_rejects_simulate_only_split_before_reading(tmp_path, capsys):
+    # "both" is a simulate setting; the CSV does not exist, so reading it
+    # first would exit 3
+    cfg = _base_config(tmp_path, tmp_path / "missing.csv")
+    cfg.write_text(cfg.read_text().replace("method = random", "method = both"))
+    rc = main(["--config", str(cfg), "estimate"])
+    assert rc == EXIT_CONFIG
+    assert "[split] method" in capsys.readouterr().err
+
+
 def test_estimate_numeric_failure_exits_4(tmp_path, capsys):
     csv_path = tmp_path / "in.csv"
     rng = np.random.default_rng(1)

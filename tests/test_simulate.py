@@ -1,5 +1,6 @@
 """Tests for the data-generating processes and the Monte Carlo harness."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -164,15 +165,37 @@ def test_run_monte_carlo_oracle_is_roughly_unbiased():
     assert abs(row.bias) < 4 * (1.0 / np.sqrt(300)) / np.sqrt(60)
 
 
+def _row_values(row):
+    values = dataclasses.asdict(row)
+    del values["wall_time_s"]
+    return values
+
+
 def test_run_monte_carlo_deterministic_and_thread_invariant():
-    base = run_monte_carlo(_oracle_mc(splitter="spss"))
-    again = run_monte_carlo(_oracle_mc(splitter="spss"))
-    threaded = run_monte_carlo(_oracle_mc(splitter="spss"), threads=4)
-    for other in (again, threaded):
-        assert other.bias == base.bias
-        assert other.se == base.se
-        assert other.coverage == base.coverage
-        assert other.mean_model_se == base.mean_model_se
+    # Oracle closures cannot be pickled; they reach the workers by fork
+    base = _row_values(run_monte_carlo(_oracle_mc(splitter="spss")))
+    for threads in (1, 2, 4):
+        again = run_monte_carlo(_oracle_mc(splitter="spss"), threads=threads)
+        assert _row_values(again) == base
+
+
+def test_run_monte_carlo_more_workers_than_reps():
+    mc = _oracle_mc(reps=2, seed=4)
+    assert _row_values(run_monte_carlo(mc, threads=3)) == _row_values(
+        run_monte_carlo(mc, threads=1))
+
+
+def test_run_monte_carlo_without_fork_runs_serially(monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no worker pool without fork")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    mc = _oracle_mc(reps=3, seed=5)
+    assert _row_values(run_monte_carlo(mc, threads=2)) == _row_values(
+        run_monte_carlo(mc, threads=1))
 
 
 def test_run_monte_carlo_rejects_single_rep():
@@ -232,7 +255,7 @@ class _TwoArgError(RuntimeError):
         self.code = code
 
 
-def test_run_monte_carlo_failing_rep_keeps_exception_type():
+def _check_failing_rep_keeps_exception_type(threads):
     def boom(x):
         raise _TwoArgError(7, "boom")
 
@@ -242,9 +265,20 @@ def test_run_monte_carlo_failing_rep_keeps_exception_type():
                   master_seed=1)
     seed = mix_seed(1, 0)
     with pytest.raises(_TwoArgError) as info:
-        run_monte_carlo(mc)
+        run_monte_carlo(mc, threads=threads)
     assert str(info.value) == f"replication 0 (seed {seed}): code 7: boom"
     assert info.value.code == 7
+
+
+def test_run_monte_carlo_failing_rep_keeps_exception_type():
+    _check_failing_rep_keeps_exception_type(threads=1)
+
+
+def test_run_monte_carlo_failing_rep_keeps_exception_type_in_workers():
+    # a worker sends no exception back (an exception whose constructor
+    # takes two arguments does not survive pickling); the replication is
+    # run again in this process
+    _check_failing_rep_keeps_exception_type(threads=2)
 
 
 def test_spec_label_composition():

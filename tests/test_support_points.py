@@ -126,6 +126,15 @@ def test_trace_monotone_and_below_init():
         assert sp_objective(res.points, full) <= trace[0] + 1e-12
 
 
+def test_rejected_ascent_step_is_not_converged():
+    full = np.random.default_rng(0).standard_normal((60, 1))
+    cfg = SpConfig(n_points=10, max_iter=500, tol=1e-15, seed=0)
+    res = compute_support_points(full, cfg)
+    # stopped early by a rejected step, neither by tol nor by max_iter
+    assert res.iterations == 18
+    assert not res.converged
+
+
 def test_solver_deterministic():
     rng = np.random.default_rng(2)
     full = rng.normal(size=(30, 3))
