@@ -8,7 +8,8 @@ parsed like their defaults.  Unknown sections or keys are errors.  All
 randomness flows from seeds in the config (or the --seed override).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure.  Diagnostics go to stderr, results to stdout or --out.
+failure, 5 a simulate worker process died.  Diagnostics go to stderr,
+results to stdout or --out.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import (
     InvalidFraction,
     InvalidSpec,
     NumericError,
+    WorkerDied,
 )
 from .learners import (
     EpsilonInsensitiveLoss,
@@ -70,7 +72,6 @@ from .support_points import (
     _joint_cloud,
     energy_two_sample,
     random_kfold,
-    random_subset,
     spss_kfold,
     spss_split,
 )
@@ -79,6 +80,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+EXIT_WORKER = 5
 
 _CHOICES = {  # RunConfig field -> its allowed values
     "split_method": [SPLIT_SPSS, SPLIT_RANDOM, "both"],
@@ -303,19 +305,19 @@ def cmd_split(cfg: RunConfig, input_csv, out_dir) -> int:
     write_csv(out / "test.csv", subset_rows(d, result.test_idx))
 
     cloud = _joint_cloud(d, cfg.include_y)
-    n_test = len(result.test_idx)
-    baseline = random_subset(d.n, n_test, cfg.seed)
     polish = result.polish
+    # the polish starts from random_subset(n, n_test, seed), the random baseline
+    init_energy = energy_two_sample(cloud[polish.init_idx], cloud)
     sidecar = {
         "seed": cfg.seed,
-        "n_test": n_test,
-        "n_train": int(len(result.train_idx)),
+        "n_test": len(result.test_idx),
+        "n_train": len(result.train_idx),
         "polish_passes": polish.passes,
         "polish_swaps": polish.swaps,
         "polish_converged": polish.converged,
-        "energy_init_vs_full": energy_two_sample(cloud[polish.init_idx], cloud),
+        "energy_init_vs_full": init_energy,
         "energy_test_vs_full": energy_two_sample(cloud[result.test_idx], cloud),
-        "energy_random_vs_full": energy_two_sample(cloud[baseline], cloud),
+        "energy_random_vs_full": init_energy,
     }
     with open(out / "split.json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
@@ -463,6 +465,9 @@ def main(argv=None) -> int:
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except WorkerDied as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     except DmlSpssError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

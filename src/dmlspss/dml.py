@@ -8,8 +8,9 @@ trained without row i's fold).  The estimating equation mean(psi) = 0 is
 solved either per fold and averaged (DML1) or pooled (DML2), where the
 pooled mean is the equal-weight mean of the fold means.  Scores are
 linear in beta, psi = psi_a*beta + psi_b, so every solve is a ratio of
-means.  The variance estimator is the sandwich mean(psi^2) / j_hat^2
-with j_hat the pooled mean of psi_a.
+means (one routine for DML1, DML2 and the IV-type preliminary beta).
+The variance estimator is the sandwich mean(psi^2) / j_hat^2 with j_hat
+the pooled mean of psi_a.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .data import Dataset
 from .errors import (
@@ -108,10 +109,36 @@ def _fold_means(plan: FoldPlan, v: np.ndarray) -> np.ndarray:
     return np.array([v[f].mean() for f in plan.folds])
 
 
-def _fold_score_means(d: Dataset, plan: FoldPlan, nuis: NuisanceFit, kind: str):
-    """Fold means of psi_a and psi_b (psi at beta=0 gives psi_b)."""
-    psi_a, psi_b, _ = score_components(d.y, d.t, nuis, kind, beta=0.0)
-    return _fold_means(plan, psi_a), _fold_means(plan, psi_b)
+def _solve(plan: FoldPlan, psi_a: np.ndarray, psi_b: np.ndarray, algorithm: str):
+    """Solve mean(psi_a)*beta + mean(psi_b) = 0 over the plan's fold means:
+    pooled (DML2: ``(beta, None)``) or per fold and averaged (DML1:
+    ``(beta, per_fold_betas)``)."""
+    means_a, means_b = _fold_means(plan, psi_a), _fold_means(plan, psi_b)
+    if algorithm == ALG_DML1:
+        if np.any(np.abs(means_a) <= DEGENERACY_EPS):
+            bad = int(np.argmin(np.abs(means_a)))
+            raise DegenerateFold(
+                f"fold {bad}: mean psi_a ~ 0, no treatment variation after "
+                "residualization"
+            )
+        per_fold = -means_b / means_a
+        return float(per_fold.mean()), per_fold
+    pooled_a = means_a.mean()
+    if abs(pooled_a) <= DEGENERACY_EPS:
+        raise DegenerateAggregate(
+            "pooled mean psi_a ~ 0, no treatment variation after residualization"
+        )
+    return float(-means_b.mean() / pooled_a), None
+
+
+def _sandwich(plan: FoldPlan, psi_a, psi_b, beta: float) -> tuple[float, float]:
+    """(sigma2_hat, j_hat) at ``beta`` from the score components."""
+    j_hat = _fold_means(plan, psi_a).mean()
+    if abs(j_hat) <= DEGENERACY_EPS:
+        raise DegenerateJacobian("pooled mean psi_a ~ 0")
+    psi = psi_a * beta + psi_b
+    sigma2_hat = float(_fold_means(plan, psi ** 2).mean() / j_hat ** 2)
+    return sigma2_hat, float(j_hat)
 
 
 def fit_nuisances_crossfit(
@@ -141,11 +168,8 @@ def fit_nuisances_crossfit(
     po = NuisanceFit(m_hat=m_hat, ell_hat=ell_hat)
     if kind == SCORE_PARTIALLING_OUT:
         return po
-    means_a, means_b = _fold_score_means(d, plan, po, SCORE_PARTIALLING_OUT)
-    pooled_a = means_a.mean()
-    if abs(pooled_a) <= DEGENERACY_EPS:
-        raise DegenerateAggregate("no treatment variation after residualization")
-    beta_prelim = -means_b.mean() / pooled_a
+    psi_a, psi_b, _ = score_components(d.y, d.t, po, SCORE_PARTIALLING_OUT, beta=0.0)
+    beta_prelim, _ = _solve(plan, psi_a, psi_b, ALG_DML2)
     return NuisanceFit(m_hat=m_hat, g_hat=ell_hat - beta_prelim * m_hat)
 
 
@@ -154,18 +178,7 @@ def dml1_estimate(
     alpha: float = 0.05,
 ) -> DmlEstimate:
     """Solve the estimating equation per fold and average the solutions."""
-    means_a, means_b = _fold_score_means(d, plan, nuis, kind)
-    if np.any(np.abs(means_a) <= DEGENERACY_EPS):
-        bad = int(np.argmin(np.abs(means_a)))
-        raise DegenerateFold(
-            f"fold {bad}: mean psi_a ~ 0, no treatment variation after "
-            "residualization"
-        )
-    per_fold = -means_b / means_a
-    beta = float(per_fold.mean())
-    return _attach_inference(
-        beta, d, plan, nuis, kind, ALG_DML1, alpha, per_fold_beta=per_fold
-    )
+    return _estimate(d, plan, nuis, kind, ALG_DML1, alpha)
 
 
 def dml2_estimate(
@@ -173,19 +186,14 @@ def dml2_estimate(
     alpha: float = 0.05,
 ) -> DmlEstimate:
     """Solve the pooled estimating equation across folds."""
-    means_a, means_b = _fold_score_means(d, plan, nuis, kind)
-    pooled_a = means_a.mean()
-    if abs(pooled_a) <= DEGENERACY_EPS:
-        raise DegenerateAggregate(
-            "pooled mean psi_a ~ 0, no treatment variation after residualization"
-        )
-    beta = float(-means_b.mean() / pooled_a)
-    return _attach_inference(beta, d, plan, nuis, kind, ALG_DML2, alpha)
+    return _estimate(d, plan, nuis, kind, ALG_DML2, alpha)
 
 
-def _attach_inference(beta, d, plan, nuis, kind, algorithm, alpha,
-                      per_fold_beta=None) -> DmlEstimate:
-    sigma2_hat, j_hat = variance_estimate(beta, d, plan, nuis, kind)
+def _estimate(d, plan, nuis, kind, algorithm, alpha) -> DmlEstimate:
+    """Evaluate the scores once; solve, then attach the sandwich inference."""
+    psi_a, psi_b, _ = score_components(d.y, d.t, nuis, kind, beta=0.0)
+    beta, per_fold = _solve(plan, psi_a, psi_b, algorithm)
+    sigma2_hat, j_hat = _sandwich(plan, psi_a, psi_b, beta)
     lo, hi = confidence_interval(beta, sigma2_hat, d.n, alpha)
     return DmlEstimate(
         beta=beta,
@@ -195,8 +203,8 @@ def _attach_inference(beta, d, plan, nuis, kind, algorithm, alpha,
         algorithm=algorithm,
         score=kind,
         ci=(lo, hi, alpha),
-        j_hat=float(j_hat),
-        per_fold_beta=per_fold_beta,
+        j_hat=j_hat,
+        per_fold_beta=per_fold,
     )
 
 
@@ -209,12 +217,8 @@ def variance_estimate(
     sigma2_hat = (1/K) sum_k mean_k(psi^2) / j_hat^2 with
     j_hat = (1/K) sum_k mean_k(psi_a); scalar-parameter case.
     """
-    psi_a, _, psi = score_components(d.y, d.t, nuis, kind, beta=est_beta)
-    j_hat = _fold_means(plan, psi_a).mean()
-    if abs(j_hat) <= DEGENERACY_EPS:
-        raise DegenerateJacobian("pooled mean psi_a ~ 0")
-    sigma2_hat = float(_fold_means(plan, psi ** 2).mean() / j_hat ** 2)
-    return sigma2_hat, float(j_hat)
+    psi_a, psi_b, _ = score_components(d.y, d.t, nuis, kind, beta=0.0)
+    return _sandwich(plan, psi_a, psi_b, est_beta)
 
 
 def confidence_interval(
@@ -227,7 +231,7 @@ def confidence_interval(
         raise InvalidConfig(f"sigma2_hat must be >= 0, got {sigma2_hat}")
     if n_total < 1:
         raise InvalidConfig(f"n_total must be >= 1, got {n_total}")
-    z = norm.ppf(1.0 - alpha / 2.0)
+    z = ndtri(1.0 - alpha / 2.0)
     half = z * np.sqrt(sigma2_hat / n_total)
     return float(beta - half), float(beta + half)
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Three families matter to callers (and to the CLI exit-code mapping):
-configuration problems, data problems, and numeric failures.
+configuration problems, data problems, and numeric failures; a worker
+process that dies is a fourth case.
 """
 
 
@@ -97,3 +98,9 @@ class DegenerateAggregate(NumericError):
 
 class DegenerateJacobian(NumericError):
     pass
+
+
+# --- worker processes ---------------------------------------------------
+
+class WorkerDied(DmlSpssError):
+    """A worker process ended (killed, or ``os._exit``) without its result."""

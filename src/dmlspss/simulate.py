@@ -21,7 +21,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -37,7 +37,7 @@ from .dml import (
     dml2_estimate,
     fit_nuisances_crossfit,
 )
-from .errors import InvalidConfig, InvalidRho
+from .errors import InvalidConfig, InvalidRho, WorkerDied
 from .learners import (
     KernelMachine,
     Lasso,
@@ -53,15 +53,6 @@ SPLIT_SPSS = "spss"
 SPLIT_RANDOM = "random"
 
 _MASK64 = (1 << 64) - 1
-
-REPORT_COLUMNS = (
-    "scenario", "p", "n", "method", "splitter", "bias", "se", "se_adjusted",
-    "mse", "coverage", "mean_model_se", "wall_time_s", "reps", "master_seed",
-)
-_FLOAT_COLUMNS = {
-    "bias", "se", "se_adjusted", "mse", "coverage", "mean_model_se",
-    "wall_time_s",
-}
 
 
 @dataclass(frozen=True)
@@ -110,8 +101,9 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Full recipe for one Monte Carlo cell; its choices and ``reps`` are
-    checked when it is built, before any replication runs."""
+    """Full recipe for one Monte Carlo cell; its choices, ``reps`` and,
+    when p >= n, the learners' penalties are checked when it is built,
+    before any replication runs."""
 
     scenario: ScenarioConfig
     learner_m: object
@@ -127,7 +119,6 @@ class McConfig:
     sp_max_iter: int = 100
     sp_tol: float = 1e-7
     include_y: bool = True
-    method_label: Optional[str] = None
 
     def __post_init__(self):
         if self.splitter not in (SPLIT_SPSS, SPLIT_RANDOM):
@@ -138,6 +129,15 @@ class McConfig:
             raise InvalidConfig(f"unknown algorithm {self.algorithm!r}")
         if self.reps < 2:
             raise InvalidConfig(f"reps must be >= 2, got {self.reps}")
+        for learner in (self.learner_m, self.learner_ell):
+            nested = learner.candidates if isinstance(learner, SuperLearner) else ()
+            for spec in (learner, *nested):
+                unpenalized = isinstance(spec, (Ridge, Lasso)) and spec.lam == 0.0
+                if unpenalized and self.scenario.p >= self.scenario.n:
+                    raise InvalidConfig(
+                        f"{spec_label(spec)} with lambda=0 is not allowed when "
+                        f"p={self.scenario.p} >= n={self.scenario.n}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,10 @@ class SimulationRow:
     wall_time_s: float
     reps: int
     master_seed: int
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(SimulationRow))
+_FLOAT_COLUMNS = {f.name for f in fields(SimulationRow) if f.type in (float, "float")}
 
 
 def _splitmix64(x: int) -> int:
@@ -257,25 +261,6 @@ def spec_label(spec) -> str:
     return type(spec).__name__.lower()
 
 
-def _iter_specs(spec):
-    yield spec
-    if isinstance(spec, SuperLearner):
-        for cand in spec.candidates:
-            yield cand
-
-
-def _check_regularized(mc: McConfig) -> None:
-    """High-dimensional cells (p >= n) must use penalized learners."""
-    if mc.scenario.p < mc.scenario.n:
-        return
-    for spec in (*_iter_specs(mc.learner_m), *_iter_specs(mc.learner_ell)):
-        if isinstance(spec, (Ridge, Lasso)) and spec.lam == 0.0:
-            raise InvalidConfig(
-                f"{spec_label(spec)} with lambda=0 is not allowed when "
-                f"p={mc.scenario.p} >= n={mc.scenario.n}"
-            )
-
-
 def _run_one_rep(mc: McConfig, rep: int):
     rep_seed = mix_seed(mc.master_seed, rep)
     data_seed = mix_seed(rep_seed, 1)
@@ -322,9 +307,10 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
     closures, reaches them through the fork, only rep indices and result
     tuples are pickled, and results fold in rep order.  A replication
     that fails in a worker is run again here, so its exception is raised
-    with its type, attributes and traceback unchanged.
+    with its type, attributes and traceback unchanged.  A worker process
+    that dies raises :class:`WorkerDied`, naming the first replication
+    without a result; that replication is not run again here.
     """
-    _check_regularized(mc)
     start = time.perf_counter()
 
     def guarded(rep):
@@ -342,17 +328,25 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
     if threads > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         if "fork" in multiprocessing.get_all_start_methods():
-            with ProcessPoolExecutor(
-                min(threads, mc.reps), multiprocessing.get_context("fork"),
-                initializer=_worker_init, initargs=(mc,),
-            ) as pool:
-                for result in pool.map(_worker_rep, range(mc.reps)):
-                    if result is None:
-                        pool.shutdown(cancel_futures=True)
-                        break
-                    results.append(result)
+            try:
+                with ProcessPoolExecutor(
+                    min(threads, mc.reps), multiprocessing.get_context("fork"),
+                    initializer=_worker_init, initargs=(mc,),
+                ) as pool:
+                    for result in pool.map(_worker_rep, range(mc.reps)):
+                        if result is None:
+                            pool.shutdown(cancel_futures=True)
+                            break
+                        results.append(result)
+            except BrokenProcessPool as exc:
+                rep = len(results)
+                raise WorkerDied(
+                    f"a worker process died; replication {rep} (seed "
+                    f"{mix_seed(mc.master_seed, rep)}) has no result"
+                ) from exc
     # serial path, and the rest after a replication failed in a worker
     results += [guarded(rep) for rep in range(len(results), mc.reps)]
 
@@ -362,14 +356,11 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
 
     bias = float(betas.mean() - mc.scenario.beta0)
     se = float(betas.std(ddof=1))
-    label = mc.method_label or (
-        f"{spec_label(mc.learner_m)}|{spec_label(mc.learner_ell)}"
-    )
     return SimulationRow(
         scenario=mc.scenario.scenario,
         p=mc.scenario.p,
         n=mc.scenario.n,
-        method=label,
+        method=f"{spec_label(mc.learner_m)}|{spec_label(mc.learner_ell)}",
         splitter=mc.splitter,
         bias=bias,
         se=se,
@@ -393,10 +384,7 @@ def emit_report(rows, fmt: str = "csv") -> bytes:
     if not rows:
         raise InvalidConfig("report needs at least one row")
     if fmt == "json":
-        payload = [
-            {col: getattr(r, col) for col in REPORT_COLUMNS} for r in rows
-        ]
-        return json.dumps(payload, indent=2).encode()
+        return json.dumps([asdict(r) for r in rows], indent=2).encode()
     if fmt != "csv":
         raise InvalidConfig(f"unknown report format {fmt!r}")
     buf = io.StringIO()

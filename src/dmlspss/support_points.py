@@ -8,11 +8,12 @@ attraction term, tangent plane for the concave repulsion term), which
 guarantees a non-increasing objective.  :func:`snap_to_rows` projects
 points onto distinct data rows.
 
-The splitting operations (:func:`spss_split`, :func:`spss_kfold`) select
-rows directly: a seeded random row subset is refined by a greedy exchange
-polish that strictly lowers its energy distance to the cloud.  They skip
-the MM solver because, at p=20, snapping its points returns the seeded
-rows, so only the polish changes the subset.
+The splitting operations (:func:`spss_split`, :func:`spss_kfold`) are one
+operation, :func:`_peel`: it takes parts of given sizes off the cloud in
+turn, each a seeded random row subset of the rows left, refined by a
+greedy exchange polish that strictly lowers its energy distance to them.
+They skip the MM solver because, at p=20, snapping its points returns
+the seeded rows, so only the polish changes the subset.
 
 All randomness is confined to seeds in :class:`SpConfig`; every operation
 is a pure, deterministic function of its inputs.
@@ -20,7 +21,7 @@ is a pure, deterministic function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -29,6 +30,8 @@ from scipy.spatial.distance import cdist
 from .data import Dataset, standardize
 from .errors import DimensionMismatch, InvalidConfig, InvalidFraction
 
+# the MM update omits point pairs closer than this, so it stays finite
+_ZERO_DIST_EPS = 1e-10
 
 @dataclass(frozen=True)
 class SpConfig:
@@ -37,16 +40,14 @@ class SpConfig:
     The splitting operations read only ``seed`` (the random row subset
     the polish starts from) and ``polish_passes`` (the bound on greedy
     row-exchange passes; 0 keeps the seeded rows).  ``n_points``,
-    ``max_iter``, ``tol`` and ``zero_dist_eps`` configure
-    :func:`compute_support_points`, which starts from ``n_points``
-    seeded random rows.
+    ``max_iter`` and ``tol`` configure :func:`compute_support_points`,
+    which starts from ``n_points`` seeded random rows.
     """
 
     n_points: int = 0
     max_iter: int = 200
     tol: float = 1e-8  # relative objective change
     seed: int = 0
-    zero_dist_eps: float = 1e-10
     polish_passes: int = 30
 
 
@@ -142,11 +143,8 @@ def sp_objective(candidate: np.ndarray, full: np.ndarray) -> float:
     the within-data mean, which is constant in the candidate.
     """
     candidate, full = _check_same_dim(candidate, full)
-    n = candidate.shape[0]
-    big_n = full.shape[0]
-    attract = cdist(candidate, full).sum() * 2.0 / (n * big_n)
-    repel = cdist(candidate, candidate).sum() / (n * n)
-    return float(attract - repel)
+    return float(_objective_from_dists(cdist(candidate, full),
+                                       cdist(candidate, candidate)))
 
 
 def _objective_from_dists(d_xf: np.ndarray, d_pp: np.ndarray) -> float:
@@ -159,8 +157,8 @@ def compute_support_points(full: np.ndarray, cfg: SpConfig) -> SpResult:
 
     Parallel MM sweep: every point moves to the weighted combination of
     data attractions (1/distance weights) and a repulsion displacement
-    from the other current points.  Pairs closer than
-    ``cfg.zero_dist_eps`` are omitted from the update so it stays finite;
+    from the other current points.  Pairs closer than ``_ZERO_DIST_EPS``
+    (1e-10) are omitted from the update so it stays finite;
     a revert-and-stop safeguard makes the recorded objective trace
     non-increasing unconditionally.
     """
@@ -175,7 +173,7 @@ def compute_support_points(full: np.ndarray, cfg: SpConfig) -> SpResult:
     if cfg.max_iter < 1:
         raise InvalidConfig(f"max_iter must be positive, got {cfg.max_iter}")
 
-    eps = cfg.zero_dist_eps
+    eps = _ZERO_DIST_EPS
     n = cfg.n_points
     ratio = big_n / n
 
@@ -295,12 +293,21 @@ def _exchange_polish(
     return np.flatnonzero(selected), PolishStats(idx, passes, swaps, swaps == before)
 
 
-def _representative_rows(
-    cloud: np.ndarray, m: int, seed: int, passes: int
-) -> tuple[np.ndarray, PolishStats]:
-    """The seeded random m-row subset of ``cloud`` (the MM solver's
-    starting rows), polished by row exchange."""
-    return _exchange_polish(cloud, random_subset(cloud.shape[0], m, seed), passes)
+def _peel(cloud: np.ndarray, sizes, seed: int, passes: int) -> tuple[list, list]:
+    """Peel row subsets of the given sizes off ``cloud`` in turn: part j is
+    the seeded random subset (seed ``seed + j``) of the rows left, polished
+    by row exchange against them; the last part is the rest.  Returns the
+    parts and each polished part's PolishStats, in sorted rows of ``cloud``."""
+    remaining = np.arange(cloud.shape[0])
+    parts, stats = [], []
+    for j, size in enumerate(sizes[:-1]):
+        init = random_subset(len(remaining), size, seed + j)
+        local, polish = _exchange_polish(cloud[remaining], init, passes)
+        parts.append(remaining[local])
+        stats.append(replace(polish, init_idx=remaining[init]))
+        remaining = np.setdiff1d(remaining, parts[-1])
+    parts.append(remaining)
+    return parts, stats
 
 
 def _joint_cloud(d: Dataset, include_y: bool) -> np.ndarray:
@@ -329,37 +336,23 @@ def spss_split(
             f"test_fraction={test_fraction} gives test size {n_test} "
             f"outside [2, {n - 2}]: each side needs at least 2 rows"
         )
-    cloud = _joint_cloud(d, include_y)
-    test_idx, polish = _representative_rows(cloud, n_test, cfg.seed, cfg.polish_passes)
-    train_idx = np.setdiff1d(np.arange(n), test_idx)
+    (test_idx, train_idx), (polish,) = _peel(
+        _joint_cloud(d, include_y), (n_test, n - n_test), cfg.seed,
+        cfg.polish_passes,
+    )
     return SplitResult(test_idx=test_idx, train_idx=train_idx, polish=polish)
 
 
 def spss_kfold_cloud(cloud: np.ndarray, k: int, cfg: SpConfig) -> FoldPlan:
-    """K folds peeled from an already-standardized point cloud.
-
-    Each fold is the polished seeded row subset (as in
-    :func:`spss_split`) of the rows not yet assigned; the last fold takes
-    the remainder.  Fold k uses seed ``cfg.seed + k`` so the whole plan
-    is deterministic.
-    """
+    """K near-equal folds peeled from an already-standardized point cloud
+    by :func:`_peel`: fold k is the polished subset seeded by
+    ``cfg.seed + k`` (as in :func:`spss_split`), the last fold the rest."""
     n = cloud.shape[0]
     if k < 2 or k > n // 2:
         raise InvalidConfig(f"need 2 <= K <= n/2, got K={k} with n={n}")
     base, rem = divmod(n, k)
     sizes = [base + 1 if i < rem else base for i in range(k)]
-
-    remaining = np.arange(n)
-    folds = []
-    for fold_id in range(k - 1):
-        pool = cloud[remaining]
-        local, _ = _representative_rows(
-            pool, sizes[fold_id], cfg.seed + fold_id, cfg.polish_passes
-        )
-        fold = np.sort(remaining[local])
-        folds.append(fold)
-        remaining = np.setdiff1d(remaining, fold)
-    folds.append(np.sort(remaining))
+    folds, _ = _peel(cloud, sizes, cfg.seed, cfg.polish_passes)
     return FoldPlan(folds=tuple(folds))
 
 

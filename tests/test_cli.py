@@ -2,16 +2,21 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dmlspss import cli
-from dmlspss.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main, parse_config
+from dmlspss.cli import (
+    EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_WORKER, main, parse_config,
+)
 from dmlspss.data import ColumnSchema
-from dmlspss.errors import ConfigError
+from dmlspss.errors import ConfigError, WorkerDied
 from dmlspss.learners import (
     EpsilonInsensitiveLoss,
     KernelMachine,
@@ -254,6 +259,37 @@ def test_simulate_checks_every_cell_before_running(tmp_path, capsys, monkeypatch
     rc = main(["--config", str(cfg), "simulate"])
     assert rc == EXIT_CONFIG
     assert "n=1" in capsys.readouterr().err
+
+
+def test_simulate_checks_regularization_before_running(tmp_path, capsys, monkeypatch):
+    # the first cell (n=2000) is fine; the second (p=20 >= n=10) needs a
+    # penalty, and must fail before the first one runs
+    cfg = _base_config(tmp_path, tmp_path / "unused.csv", SIM_EXTRA)
+    text = cfg.read_text().replace("kind = zero", "kind = ridge\nlambda = 0")
+    text = text.replace("p_list = 3", "p_list = 20")
+    cfg.write_text(text.replace("n_list = 60", "n_list = 2000,10"))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cell ran before every cell was checked")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", no_run)
+    rc = main(["--config", str(cfg), "simulate"])
+    assert rc == EXIT_CONFIG
+    assert "lambda=0 is not allowed when p=20 >= n=10" in capsys.readouterr().err
+
+
+def test_dead_worker_exits_5(tmp_path, capsys, monkeypatch):
+    cfg = _base_config(tmp_path, tmp_path / "unused.csv", SIM_EXTRA)
+
+    def died(*args, **kwargs):
+        raise WorkerDied("a worker process died; replication 0 (seed 1) has no result")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", died)
+    rc = main(["--config", str(cfg), "--threads", "2", "simulate"])
+    assert rc == EXIT_WORKER == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("worker error: a worker process died; replication 0 (seed 1)")
 
 
 # --- energy ----------------------------------------------------------------------
@@ -513,3 +549,13 @@ def test_benchmark_estimate_config_parses(tmp_path):
         "sim_scenarios": (), "p_list": (), "n_list": (), "reps": 100,
         "master_seed": 0, "threads": 1,
     }
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # the normal quantile comes from scipy.special.ndtri; scipy.stats alone
+    # would add about 300 modules to every command's start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, dmlspss.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dmlspss.errors import InvalidConfig, InvalidRho
+from dmlspss.errors import InvalidConfig, InvalidRho, WorkerDied
 from dmlspss.learners import Oracle, Ridge
 from dmlspss.simulate import (
     McConfig,
@@ -216,14 +216,24 @@ def test_mc_config_checks_its_settings_when_built(bad, match):
 
 def test_high_dimensional_cells_require_regularization():
     cfg = ScenarioConfig(scenario="s1", p=60, n=50)
-    mc = McConfig(scenario=cfg, learner_m=Ridge(lam=0.0),
-                  learner_ell=Ridge(lam=1.0), reps=2, splitter="random")
     with pytest.raises(InvalidConfig, match="lambda=0"):
-        run_monte_carlo(mc)
+        McConfig(scenario=cfg, learner_m=Ridge(lam=0.0),
+                 learner_ell=Ridge(lam=1.0), reps=2, splitter="random")
     # regularized learners are fine
     ok = McConfig(scenario=cfg, learner_m=Ridge(lam=1.0),
                   learner_ell=Ridge(lam=1.0), reps=2, splitter="random")
     run_monte_carlo(ok)
+
+
+def test_unregularized_candidate_rejected_in_high_dimensions():
+    from dmlspss.learners import SuperLearner
+    cfg = ScenarioConfig(scenario="s1", p=20, n=20)
+    sl = SuperLearner(candidates=(Ridge(lam=1.0), Ridge(lam=0.0)))
+    with pytest.raises(InvalidConfig, match="ridge with lambda=0"):
+        McConfig(scenario=cfg, learner_m=Ridge(lam=1.0), learner_ell=sl, reps=2)
+    # p < n: unpenalized learners are fine
+    McConfig(scenario=ScenarioConfig(scenario="s1", p=3, n=20),
+             learner_m=Ridge(lam=0.0), learner_ell=sl, reps=2)
 
 
 def test_bias_weakly_shrinks_with_sample_size():
@@ -279,6 +289,24 @@ def test_run_monte_carlo_failing_rep_keeps_exception_type_in_workers():
     # takes two arguments does not survive pickling); the replication is
     # run again in this process
     _check_failing_rep_keeps_exception_type(threads=2)
+
+
+def test_dead_worker_raises_worker_died():
+    # a learner that kills its worker process; the parent never calls it
+    import os
+    parent = os.getpid()
+
+    def die(x):
+        if os.getpid() != parent:
+            os._exit(9)
+        raise AssertionError("the replication ran again in the parent")
+
+    cfg = ScenarioConfig(scenario="s1", p=4, n=50)
+    mc = McConfig(scenario=cfg, learner_m=Oracle(fn=die),
+                  learner_ell=Oracle(fn=die), reps=4, splitter="random",
+                  master_seed=1)
+    with pytest.raises(WorkerDied, match=f"replication 0 \\(seed {mix_seed(1, 0)}\\)"):
+        run_monte_carlo(mc, threads=2)
 
 
 def test_spec_label_composition():

@@ -332,6 +332,34 @@ def test_spss_kfold_partition_properties():
         )
 
 
+def _digest(*arrays):
+    import hashlib
+    text = "|".join(",".join(str(int(i)) for i in a) for a in arrays)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _pinned_dataset():
+    rng = np.random.default_rng(2024)
+    return Dataset(y=rng.normal(size=61), t=rng.normal(size=61),
+                   x=rng.normal(size=(61, 3)))
+
+
+def test_spss_kfold_rows_are_pinned():
+    # rows chosen before spss_split and spss_kfold shared one peeling routine
+    plan = spss_kfold(_pinned_dataset(), 3, SpConfig(seed=5))
+    assert [len(f) for f in plan.folds] == [21, 20, 20]
+    assert _digest(*plan.folds) == "309039418e51118b"
+
+
+def test_spss_split_rows_and_polish_are_pinned():
+    res = spss_split(_pinned_dataset(), 0.3, SpConfig(seed=6))
+    assert len(res.test_idx) == 18
+    assert _digest(res.test_idx, res.train_idx) == "ab24f3076a39dc0e"
+    stats = res.polish
+    assert _digest(stats.init_idx) == "b927d4fb33759fe9"
+    assert (stats.passes, stats.swaps, stats.converged) == (5, 20, True)
+
+
 def test_spss_kfold_tiny_folds():
     d = _small_dataset(n=8)
     plan = spss_kfold(d, 4, SpConfig(seed=0))
