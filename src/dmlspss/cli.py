@@ -45,6 +45,7 @@ from .errors import (
     InvalidFraction,
     InvalidSpec,
     NumericError,
+    SchemaError,
     WorkerDied,
 )
 from .learners import (
@@ -99,7 +100,6 @@ _RUN_KEYS = {
     ("split", "test_fraction"): ("test_fraction", float),
     ("split", "k"): ("k", int),
     ("split", "seed"): ("seed", int),
-    ("split", "include_y"): ("include_y", bool),
     ("dml", "algorithm"): ("algorithm", str.lower),
     ("dml", "score"): ("score", str.lower),
     ("dml", "alpha"): ("alpha", float),
@@ -127,7 +127,6 @@ class RunConfig:
     test_fraction: float = 0.2
     k: int = 2
     seed: int = 0
-    include_y: bool = True
     learner_m: Optional[object] = None
     learner_ell: Optional[object] = None
     algorithm: str = dml_mod.ALG_DML2
@@ -151,7 +150,12 @@ class RunConfig:
         self._require(0.0 < self.test_fraction < 1.0, "test_fraction",
                       "must be in (0, 1)", InvalidFraction)
         self._require(self.threads >= 1, "threads", "must be >= 1")
-        if self.schema is None and self.data_path is not None:
+        self._require(self.seed >= 0, "seed", "must be >= 0")
+        try:
+            schema = self.schema
+        except SchemaError as exc:
+            raise InvalidConfig(f"[data] {exc}") from None
+        if schema is None and self.data_path is not None:
             raise InvalidConfig("[data] path given without outcome/treatment/covariates")
 
     def _require(self, ok: bool, field: str, rule: str, error=InvalidConfig):
@@ -165,19 +169,15 @@ class RunConfig:
         return ColumnSchema(self.outcome, self.treatment, self.covariates)
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
 def _parse(raw: str, kind, where: str):
-    """Parse one INI value as ``kind``: int, float, bool, str (verbatim),
+    """Parse one INI value as ``kind``: int, float, str (verbatim),
     str.lower (a case-insensitive word), or ``(kind,)`` for a comma list."""
     if isinstance(kind, tuple):
         return tuple(_parse(v, kind[0], where) for v in raw.split(",") if v.strip())
     value = raw.strip()
     try:
-        return _BOOLS[value.lower()] if kind is bool else kind(value)
-    except (KeyError, ValueError):
+        return kind(value)
+    except ValueError:
         raise ConfigError(f"{where}: expected {kind.__name__}, got {raw!r}") from None
 
 
@@ -291,20 +291,18 @@ def _load_dataset(cfg: RunConfig, input_csv: Optional[str]) -> Dataset:
 def _build_plan(cfg: RunConfig, d: Dataset):
     if cfg.split_method == SPLIT_RANDOM:
         return random_kfold(d.n, cfg.k, cfg.seed)
-    return spss_kfold(d, cfg.k, SpConfig(seed=cfg.seed), include_y=cfg.include_y)
+    return spss_kfold(d, cfg.k, SpConfig(seed=cfg.seed))
 
 
 def cmd_split(cfg: RunConfig, input_csv, out_dir) -> int:
     d = _load_dataset(cfg, input_csv)
-    result = spss_split(
-        d, cfg.test_fraction, SpConfig(seed=cfg.seed), include_y=cfg.include_y
-    )
+    result = spss_split(d, cfg.test_fraction, SpConfig(seed=cfg.seed))
     out = Path(out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "train.csv", subset_rows(d, result.train_idx))
     write_csv(out / "test.csv", subset_rows(d, result.test_idx))
 
-    cloud = _joint_cloud(d, cfg.include_y)
+    cloud = _joint_cloud(d)
     polish = result.polish
     # the polish starts from random_subset(n, n_test, seed), the random baseline
     init_energy = energy_two_sample(cloud[polish.init_idx], cloud)
@@ -387,7 +385,6 @@ def cmd_simulate(cfg: RunConfig, out_path, fmt: str) -> int:
             algorithm=cfg.algorithm,
             master_seed=cfg.master_seed,
             alpha=cfg.alpha,
-            include_y=cfg.include_y,
         )
         for scen in cfg.sim_scenarios
         for p in cfg.p_list

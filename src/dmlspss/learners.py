@@ -109,7 +109,8 @@ class Mlp:
             raise InvalidSpec(f"hidden sizes must be positive, got {self.hidden}")
         if self.activation not in (ACT_RELU, ACT_TANH):
             raise InvalidSpec(f"unknown activation {self.activation!r}")
-        if self.step_size <= 0 or self.epochs < 1 or self.batch < 1 or self.l2 < 0:
+        if (self.step_size <= 0 or self.epochs < 1 or self.batch < 1 or self.l2 < 0
+                or self.seed < 0):
             raise InvalidSpec(f"bad mlp spec {self}")
 
 
@@ -129,6 +130,8 @@ class SuperLearner:
             raise InvalidSpec("super learner candidates may not be nested")
         if self.v_blocks < 2:
             raise InvalidSpec(f"v_blocks must be >= 2, got {self.v_blocks}")
+        if self.seed < 0:
+            raise InvalidSpec(f"super learner seed must be >= 0, got {self.seed}")
         if self.mode not in (MODE_SELECTOR, MODE_CONVEX_WEIGHTS):
             raise InvalidSpec(f"unknown super learner mode {self.mode!r}")
         if self.cv_splitter not in ("random", "spss"):

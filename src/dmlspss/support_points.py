@@ -22,7 +22,6 @@ is a pure, deterministic function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -77,7 +76,7 @@ class SplitResult:
 
     test_idx: np.ndarray
     train_idx: np.ndarray
-    polish: Optional[PolishStats] = field(default=None, compare=False)
+    polish: PolishStats = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -310,24 +309,21 @@ def _peel(cloud: np.ndarray, sizes, seed: int, passes: int) -> tuple[list, list]
     return parts, stats
 
 
-def _joint_cloud(d: Dataset, include_y: bool) -> np.ndarray:
-    cols = [d.t[:, None], d.x]
-    if include_y:
-        cols.append(d.y[:, None])
-    cloud, _ = standardize(np.hstack(cols))
+def _joint_cloud(d: Dataset) -> np.ndarray:
+    """The standardized (treatment, covariates, outcome) cloud."""
+    cloud, _ = standardize(np.hstack([d.t[:, None], d.x, d.y[:, None]]))
     return cloud
 
 
-def spss_split(
-    d: Dataset, test_fraction: float, cfg: SpConfig, include_y: bool = True
-) -> SplitResult:
+def spss_split(d: Dataset, test_fraction: float, cfg: SpConfig) -> SplitResult:
     """Split a dataset into train/test via support points.
 
     The joint (treatment, covariates, outcome) cloud is standardized; a
     random row subset of the requested test size, drawn from
-    ``cfg.seed``, is polished by row exchange and becomes the test set,
-    the rest the training set.  ``result.polish`` reports the polish.
-    Each side must get at least 2 rows, or ``InvalidFraction`` is raised.
+    ``cfg.seed``, is polished by row exchange (at most
+    ``cfg.polish_passes`` passes) and becomes the test set, the rest the
+    training set.  ``result.polish`` reports the polish.  Each side must
+    get at least 2 rows, or ``InvalidFraction`` is raised.
     """
     n = d.n
     n_test = int(np.floor(test_fraction * n + 0.5))
@@ -337,8 +333,7 @@ def spss_split(
             f"outside [2, {n - 2}]: each side needs at least 2 rows"
         )
     (test_idx, train_idx), (polish,) = _peel(
-        _joint_cloud(d, include_y), (n_test, n - n_test), cfg.seed,
-        cfg.polish_passes,
+        _joint_cloud(d), (n_test, n - n_test), cfg.seed, cfg.polish_passes
     )
     return SplitResult(test_idx=test_idx, train_idx=train_idx, polish=polish)
 
@@ -356,13 +351,11 @@ def spss_kfold_cloud(cloud: np.ndarray, k: int, cfg: SpConfig) -> FoldPlan:
     return FoldPlan(folds=tuple(folds))
 
 
-def spss_kfold(
-    d: Dataset, k: int, cfg: SpConfig, include_y: bool = True
-) -> FoldPlan:
+def spss_kfold(d: Dataset, k: int, cfg: SpConfig) -> FoldPlan:
     """Build K cross-fitting folds by sequentially peeling polished row
     subsets from the standardized joint (treatment, covariates, outcome)
-    cloud; see :func:`spss_kfold_cloud`."""
-    return spss_kfold_cloud(_joint_cloud(d, include_y), k, cfg)
+    cloud, seeded by ``cfg.seed``; see :func:`spss_kfold_cloud`."""
+    return spss_kfold_cloud(_joint_cloud(d), k, cfg)
 
 
 def random_kfold(n: int, k: int, seed: int) -> FoldPlan:

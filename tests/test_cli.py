@@ -355,6 +355,7 @@ def test_bad_enum_rejected_at_parse_time(tmp_path):
     ("[dml]\nalpha = 0\n", "alpha"),
     ("[dml]\nalpha = nan\n", "alpha"),
     ("[split]\nsp.max_iter = 40\n", "sp.max_iter"),
+    ("[split]\ninclude_y = true\n", "include_y"),
     ("[learner_m]\nkind = superlearner\ncandidate.1.kind = superlearner\n"
      "candidate.1.candidate.1.kind = ridge\n", "may not be nested"),
     ("[learner_m]\nkind = superlearner\ncandidate.1.kind = superlearner\n",
@@ -372,12 +373,21 @@ def test_bad_enum_rejected_at_parse_time(tmp_path):
     ("[learner_m]\nkind = superlearner\ncandidate.a.kind = ridge\n",
      r"\[learner_m\] candidate.a.kind: expected candidate.<integer>"),
     ("[simulate]\nscenario = s1,s3\n", r"\[simulate\] scenario"),
+    ("[split]\nseed = -3\n", r"\[split\] seed: must be >= 0, got -3"),
+    ("[learner_m]\nkind = mlp\nseed = -1\n", r"\[learner_m\] bad mlp spec .*seed=-1"),
+    ("[learner_m]\nkind = superlearner\nseed = -2\ncandidate.1.kind = ridge\n",
+     r"\[learner_m\] super learner seed must be >= 0, got -2"),
+    ("[data]\noutcome = y\ntreatment = t\ncovariates = ,\n",
+     r"\[data\] schema needs at least one covariate"),
+    ("[data]\noutcome = y\ntreatment = y\ncovariates = x1\n",
+     r"\[data\] schema names must be distinct"),
 ], ids=["ridge", "lasso", "kernel", "svr-loss", "mlp", "sl", "sl-candidate",
         "alpha-above", "alpha-zero", "alpha-nan", "dropped-sp-key",
-        "sl-nested", "sl-nested-bare", "squared-loss-key", "k-one",
-        "test-fraction-five", "threads-negative", "typed-value-names-key",
+        "dropped-include-y-key", "sl-nested", "sl-nested-bare", "squared-loss-key",
+        "k-one", "test-fraction-five", "threads-negative", "typed-value-names-key",
         "candidate-value-names-key", "candidate-tag-not-integer",
-        "unknown-scenario"])
+        "unknown-scenario", "seed-negative", "mlp-seed-negative",
+        "sl-seed-negative", "data-no-covariates", "data-repeated-name"])
 def test_bad_values_rejected_at_parse_time(tmp_path, text, match):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text)
@@ -391,6 +401,13 @@ def test_config_error_exit_code(tmp_path, capsys):
     rc = main(["--config", str(cfg), "estimate"])
     assert rc == EXIT_CONFIG
     assert "sideways" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["split", "estimate"])
+def test_negative_seed_flag_exits_2_before_reading(tmp_path, capsys, command):
+    cfg = _base_config(tmp_path, tmp_path / "unused.csv")
+    assert main(["--config", str(cfg), "--seed", "-3", command]) == EXIT_CONFIG
+    assert "[split] seed: must be >= 0, got -3" in capsys.readouterr().err
 
 
 def test_missing_config_file_exit_code(tmp_path, capsys):
@@ -506,7 +523,7 @@ def test_every_key_section_parses_to_explicit_spec(tmp_path, section, expected):
 
 def _run_fields(cfg):
     names = ("data_path", "schema", "split_method", "test_fraction", "k", "seed",
-             "include_y", "learner_m", "learner_ell", "algorithm", "score", "alpha",
+             "learner_m", "learner_ell", "algorithm", "score", "alpha",
              "sim_scenarios", "p_list", "n_list", "reps", "master_seed", "threads")
     return {name: getattr(cfg, name) for name in names}
 
@@ -518,7 +535,6 @@ def test_readme_example_config_parses(tmp_path):
         "data_path": "data.csv",
         "schema": ColumnSchema("y", "t", ("x1", "x2", "x3")),
         "split_method": "spss", "test_fraction": 0.2, "k": 2, "seed": 7,
-        "include_y": True,
         "learner_m": SuperLearner(
             candidates=(Ridge(lam=0.001), Lasso(lam=0.01), Mlp(hidden=(16,))),
             v_blocks=5),
@@ -527,6 +543,15 @@ def test_readme_example_config_parses(tmp_path):
         "sim_scenarios": ("s1",), "p_list": (20,), "n_list": (100, 1000),
         "reps": 200, "master_seed": 42, "threads": 2,
     }
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    scope = {}
+    exec(example, scope)
+    lo, hi, _ = scope["est"].ci
+    assert lo < scope["est"].beta < hi
 
 
 def test_benchmark_estimate_config_parses(tmp_path):
@@ -543,7 +568,6 @@ def test_benchmark_estimate_config_parses(tmp_path):
         "data_path": None,
         "schema": ColumnSchema("y", "t", tuple(f"x{j + 1}" for j in range(20))),
         "split_method": "random", "test_fraction": 0.2, "k": 2, "seed": 0,
-        "include_y": True,
         "learner_m": Ridge(lam=0.001), "learner_ell": Ridge(lam=0.001),
         "algorithm": "dml1", "score": "iv_type", "alpha": 0.05,
         "sim_scenarios": (), "p_list": (), "n_list": (), "reps": 100,

@@ -1,15 +1,22 @@
-"""Property tests: SPSS splits partition the rows, and the energy distance
-obeys its axioms."""
+"""Property tests: SPSS and random folds partition the rows, the energy
+distance obeys its axioms, the CSV writer and reader round-trip, and a
+config file either parses or fails as a configuration error."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmlspss.data import Dataset
+from dmlspss.cli import _RUN_KEYS, RunConfig, parse_config
+from dmlspss.data import ColumnSchema, Dataset, load_csv, write_csv
+from dmlspss.errors import ConfigError, NonFinite
 from dmlspss.support_points import (
     SpConfig,
     energy_two_sample,
+    random_kfold,
     random_subset,
     spss_kfold,
     spss_split,
@@ -86,3 +93,174 @@ def test_energy_invariant_to_translation_and_rotation(pair):
     e = energy_two_sample(a, b)
     assert energy_two_sample(a + shift, b + shift) == pytest.approx(e, abs=1e-9)
     assert energy_two_sample(a @ rotation, b @ rotation) == pytest.approx(e, abs=1e-9)
+
+
+@FEW
+@given(st.data(), seeds)
+def test_random_kfold_partitions_rows(data, seed):
+    n = data.draw(st.integers(2, 60), label="n")
+    k = data.draw(st.integers(2, n), label="k")
+    plan = random_kfold(n, k, seed)
+    assert np.array_equal(np.sort(np.concatenate(plan.folds)), np.arange(n))
+    sizes = [len(f) for f in plan.folds]
+    assert len(sizes) == k and max(sizes) - min(sizes) <= 1
+
+
+# --- CSV round trip -----------------------------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _schema(p):
+    return ColumnSchema("y", "t", tuple(f"x{j + 1}" for j in range(p)))
+
+
+@FEW
+@given(st.data(), st.integers(2, 8), st.integers(1, 3))
+def test_csv_round_trips_bitwise(data, n, p):
+    cells = np.array(data.draw(st.lists(finite, min_size=n * (p + 2),
+                                        max_size=n * (p + 2)))).reshape(n, p + 2)
+    d = Dataset(y=cells[:, 0], t=cells[:, 1], x=cells[:, 2:])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_csv(path, d)
+        back = load_csv(path, _schema(p))
+    for a, b in ((d.y, back.y), (d.t, back.t), (d.x, back.x)):
+        assert a.tobytes() == b.tobytes()
+
+
+@FEW
+@given(st.data(), st.integers(2, 6), st.integers(1, 3), st.sampled_from(["nan", "inf", "-inf"]))
+def test_csv_non_finite_cell_raises(data, n, p, cell):
+    row = data.draw(st.integers(0, n - 1), label="row")
+    col = data.draw(st.integers(0, p + 1), label="col")
+    d = Dataset(y=np.ones(n), t=np.ones(n), x=np.ones((n, p)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_csv(path, d)
+        lines = path.read_text().splitlines()
+        cells = lines[row + 1].split(",")
+        cells[col] = cell
+        lines[row + 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonFinite):
+            load_csv(path, _schema(p))
+
+
+# --- config files -------------------------------------------------------------------
+
+_SECTION_KEY = {field: key for key, (field, _) in _RUN_KEYS.items()}
+names = st.text(st.sampled_from("abxyz_019"), min_size=1, max_size=4)
+fractions = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+int_lists = st.lists(st.integers(1, 10**6), max_size=3).map(tuple)
+_RUN_VALUES = {
+    "data_path": st.none() | names.map(lambda s: s + ".csv"),
+    "split_method": st.sampled_from(["spss", "random", "both"]),
+    "test_fraction": fractions,
+    "k": st.integers(2, 10**6),
+    "seed": st.integers(0, 2**64),
+    "algorithm": st.sampled_from(["dml1", "dml2"]),
+    "score": st.sampled_from(["partialling_out", "iv_type"]),
+    "alpha": fractions,
+    "sim_scenarios": st.lists(st.sampled_from(["s1", "s2"]), max_size=2).map(tuple),
+    "p_list": int_lists,
+    "n_list": int_lists,
+    "reps": st.integers(2, 10**6),
+    "master_seed": st.integers(-(2**64), 2**64),
+    "threads": st.integers(1, 64),
+}
+
+
+def _ini(entries) -> str:
+    """INI text from ((section, key), value) pairs; tuples become comma lists."""
+    sections = {}
+    for (section, key), value in entries:
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        sections.setdefault(section, []).append(f"{key} = {text}")
+    return "".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items())
+
+
+def _parse_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(text)
+        return parse_config(path)
+
+
+@FEW
+@given(st.fixed_dictionaries({}, optional=_RUN_VALUES),
+       st.lists(names, min_size=3, max_size=5, unique=True))
+def test_valid_run_settings_round_trip_through_ini(values, columns):
+    values = {k: v for k, v in values.items() if v is not None}
+    outcome, treatment, *covariates = columns
+    values.update(outcome=outcome, treatment=treatment, covariates=tuple(covariates))
+    expected = RunConfig(**values)
+    entries = [(_SECTION_KEY[field], value) for field, value in values.items()]
+    assert _parse_text(_ini(entries)) == expected
+
+
+# per key: values that it accepts on their own (the column names may still
+# collide); any key may instead get one from _ODD, which most keys reject
+_ODD = ["", ",", "-3", "nan", "1e400", "abc", "y,y"]
+_RUN_VALID = {
+    ("data", "path"): ["data.csv"],
+    ("data", "outcome"): ["y"],
+    ("data", "treatment"): ["t", "y"],
+    ("data", "covariates"): ["x1,x2", "x1, ,x2", "t"],
+    ("split", "method"): ["spss", "random", "Both"],
+    ("split", "test_fraction"): ["0.2"],
+    ("split", "k"): ["2", "5"],
+    ("split", "seed"): ["0", "7"],
+    ("dml", "algorithm"): ["dml1", "DML2"],
+    ("dml", "score"): ["iv_type", "partialling_out"],
+    ("dml", "alpha"): ["0.05", "0.5"],
+    ("simulate", "scenario"): ["s1", "s1,s2"],
+    ("simulate", "p_list"): ["20", "1,5"],
+    ("simulate", "n_list"): ["100", "10,1000"],
+    ("simulate", "reps"): ["200", "2"],
+    ("simulate", "master_seed"): ["42", "-1"],
+    ("runtime", "threads"): ["2", "1"],
+}
+_LEARNER_VALID = {  # kind -> its keys' accepted values
+    "ridge": {"lambda": ["0.1", "0"]},
+    "lasso": {"lambda": ["0.1"], "tol": ["1e-6"], "max_iter": ["50"]},
+    "kernel": {"bandwidth": ["0.5"], "lambda": ["2"], "loss": ["epsilon_insensitive"],
+               "epsilon": ["0.1"], "c": ["2"], "max_iter": ["40"]},
+    "mlp": {"hidden": ["16", "8,4"], "activation": ["relu", "TANH"],
+            "step_size": ["0.01"], "epochs": ["5"], "batch": ["16"], "seed": ["3"],
+            "l2": ["0.1"]},
+    "superlearner": {"candidate.1.kind": ["ridge"], "candidate.1.lambda": ["0.5"],
+                     "candidate.2.kind": ["mlp", "zero"], "v_blocks": ["3"],
+                     "mode": ["selector", "convex_weights"], "seed": ["1"],
+                     "cv_splitter": ["random", "spss"]},
+    "zero": {},
+}
+_NAMES = ("outcome", "treatment", "covariates")
+
+
+def _draw_value(data, valid):
+    return data.draw(st.sampled_from(_ODD if data.draw(st.integers(0, 11)) == 0 else valid))
+
+
+@FEW
+@given(st.data())
+def test_any_config_parses_or_is_a_config_error(data):
+    assert set(_RUN_VALID) == set(_RUN_KEYS)
+    entries = []
+    for section in sorted({s for s, _ in _RUN_VALID}):
+        if data.draw(st.booleans(), label=section):
+            # the column names come together: one alone is an error
+            entries += [(key, _draw_value(data, valid))
+                        for key, valid in _RUN_VALID.items() if key[0] == section
+                        and (key[1] in _NAMES or data.draw(st.integers(0, 3)))]
+    for section in ("learner_m", "learner_ell"):
+        if data.draw(st.booleans(), label=section):
+            kind = data.draw(st.sampled_from(sorted(_LEARNER_VALID)))
+            entries.append(((section, "kind"), kind))
+            entries += [((section, key), _draw_value(data, valid))
+                        for key, valid in _LEARNER_VALID[kind].items()
+                        if data.draw(st.booleans())]
+    try:
+        _parse_text(_ini(entries))
+    except ConfigError:
+        pass
