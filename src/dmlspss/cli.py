@@ -146,6 +146,8 @@ class RunConfig:
         self._require(set(self.sim_scenarios) <= {SCENARIO_1, SCENARIO_2},
                       "sim_scenarios", f"expected {SCENARIO_1} or {SCENARIO_2}")
         self._require(0.0 < self.alpha < 1.0, "alpha", "must be in (0, 1)", InvalidAlpha)
+        self._require(1.0 - self.alpha / 2.0 < 1.0, "alpha",
+                      "too small for a finite normal quantile", InvalidAlpha)
         self._require(self.k >= 2, "k", "must be >= 2")
         self._require(0.0 < self.test_fraction < 1.0, "test_fraction",
                       "must be in (0, 1)", InvalidFraction)

@@ -1,12 +1,13 @@
 """Orthogonal-score estimation of the treatment coefficient.
 
 The partially linear model Y = T*beta + g(X) + U, T = m(X) + V is
-estimated by cross-fitting: nuisance regressions are trained on each
-fold's complement and predict the fold's rows, so a :class:`NuisanceFit`
-holds full-length out-of-fold vectors (row i is predicted by the model
-trained without row i's fold).  The estimating equation mean(psi) = 0 is
-solved either per fold and averaged (DML1) or pooled (DML2), where the
-pooled mean is the equal-weight mean of the fold means.  Scores are
+estimated by cross-fitting: ``learners.crossfit`` trains each nuisance
+regression on each fold's complement and predicts the fold's rows, so a
+:class:`NuisanceFit` holds full-length out-of-fold vectors (row i is
+predicted by the model trained without row i's fold).  The estimating
+equation mean(psi) = 0 is solved either per fold and averaged (DML1) or
+pooled (DML2), where the pooled mean is the equal-weight mean of the
+fold means (``FoldPlan.means``).  Scores are
 linear in beta, psi = psi_a*beta + psi_b, so every solve is a ratio of
 means (one routine for DML1, DML2 and the IV-type preliminary beta).
 The variance estimator is the sandwich mean(psi^2) / j_hat^2 with j_hat
@@ -31,7 +32,8 @@ from .errors import (
     InvalidAlpha,
     InvalidConfig,
 )
-from .learners import fit
+from .learners import crossfit
+from .learners import fit  # unused here; kept as dml.fit for bench/tracing.py
 from .support_points import FoldPlan
 
 SCORE_PARTIALLING_OUT = "partialling_out"
@@ -102,18 +104,11 @@ def score_components(y, t, nuis: NuisanceFit, kind: str, beta: float):
     return psi_a, psi_b, psi
 
 
-def _fold_means(plan: FoldPlan, v: np.ndarray) -> np.ndarray:
-    """Per-fold means of a full-length vector, in fold order."""
-    if len(v) != plan.n_total:
-        raise DimensionMismatch(f"plan covers {plan.n_total} rows, got {len(v)}")
-    return np.array([v[f].mean() for f in plan.folds])
-
-
 def _solve(plan: FoldPlan, psi_a: np.ndarray, psi_b: np.ndarray, algorithm: str):
     """Solve mean(psi_a)*beta + mean(psi_b) = 0 over the plan's fold means:
     pooled (DML2: ``(beta, None)``) or per fold and averaged (DML1:
     ``(beta, per_fold_betas)``)."""
-    means_a, means_b = _fold_means(plan, psi_a), _fold_means(plan, psi_b)
+    means_a, means_b = plan.means(psi_a), plan.means(psi_b)
     if algorithm == ALG_DML1:
         if np.any(np.abs(means_a) <= DEGENERACY_EPS):
             bad = int(np.argmin(np.abs(means_a)))
@@ -133,18 +128,19 @@ def _solve(plan: FoldPlan, psi_a: np.ndarray, psi_b: np.ndarray, algorithm: str)
 
 def _sandwich(plan: FoldPlan, psi_a, psi_b, beta: float) -> tuple[float, float]:
     """(sigma2_hat, j_hat) at ``beta`` from the score components."""
-    j_hat = _fold_means(plan, psi_a).mean()
+    j_hat = plan.means(psi_a).mean()
     if abs(j_hat) <= DEGENERACY_EPS:
         raise DegenerateJacobian("pooled mean psi_a ~ 0")
     psi = psi_a * beta + psi_b
-    sigma2_hat = float(_fold_means(plan, psi ** 2).mean() / j_hat ** 2)
+    sigma2_hat = float(plan.means(psi ** 2).mean() / j_hat ** 2)
     return sigma2_hat, float(j_hat)
 
 
 def fit_nuisances_crossfit(
     d: Dataset, plan: FoldPlan, spec_m, spec_ell, kind: str
 ) -> NuisanceFit:
-    """Train nuisance learners on each fold's complement, predict the fold.
+    """Train nuisance learners on each fold's complement, predict the fold
+    (``learners.crossfit``: every m fit, then every ell fit).
 
     The IV-type score needs g(X) = E[Y - T*beta | X], which itself
     involves beta, so it is built in two passes: partialling-out
@@ -155,16 +151,13 @@ def fit_nuisances_crossfit(
         raise InvalidConfig(f"unknown score kind {kind!r}")
     if plan.n_total != d.n:
         raise DimensionMismatch(f"plan covers {plan.n_total} rows, data has {d.n}")
-    m_hat = np.empty(d.n)
-    ell_hat = np.empty(d.n)
     for k, fold in enumerate(plan.folds):
-        comp = plan.complement(k)
-        if len(comp) < 2:
+        if d.n - len(fold) < 2:
             raise FoldTooSmall(
-                f"fold {k}: complement has {len(comp)} rows, need at least 2"
+                f"fold {k}: complement has {d.n - len(fold)} rows, need at least 2"
             )
-        m_hat[fold] = fit(spec_m, d.x[comp], d.t[comp]).predict(d.x[fold])
-        ell_hat[fold] = fit(spec_ell, d.x[comp], d.y[comp]).predict(d.x[fold])
+    m_hat = crossfit(spec_m, d.x, d.t, plan)
+    ell_hat = crossfit(spec_ell, d.x, d.y, plan)
     po = NuisanceFit(m_hat=m_hat, ell_hat=ell_hat)
     if kind == SCORE_PARTIALLING_OUT:
         return po
@@ -232,6 +225,8 @@ def confidence_interval(
     if n_total < 1:
         raise InvalidConfig(f"n_total must be >= 1, got {n_total}")
     z = ndtri(1.0 - alpha / 2.0)
+    if not np.isfinite(z):
+        raise InvalidAlpha(f"alpha={alpha} is too small for a finite z_(1-alpha/2)")
     half = z * np.sqrt(sigma2_hat / n_total)
     return float(beta - half), float(beta + half)
 
@@ -261,6 +256,6 @@ def orthogonality_diagnostic(
     def mean_score(r: float) -> float:
         shifted = replace(nuis, m_hat=nuis.m_hat + r * direction)
         _, _, psi = score_components(d.y, d.t, shifted, kind, beta=beta)
-        return _fold_means(plan, psi).mean()
+        return plan.means(psi).mean()
 
     return abs((mean_score(eps) - mean_score(-eps)) / (2.0 * eps))

@@ -5,8 +5,13 @@ perceptron) plus a cross-validated super learner that either selects the
 minimum-risk candidate or blends candidates with simplex-constrained
 weights.  Every fit is deterministic given the spec (including its seed)
 and the data; randomness never leaks from the OS or the clock.  Specs
-check their hyperparameters when built and raise ``InvalidSpec``, so a
-bad spec fails before any data is read.
+check their hyperparameters when built (a NaN or infinite float is
+rejected too) and raise ``InvalidSpec``, so a bad spec fails before any
+data is read.
+
+``crossfit`` is the one out-of-fold loop (fit on each fold's complement,
+predict the fold) behind the DML nuisances, the super learner's
+candidate risks and ``cv_risk``.
 
 ``fit`` dispatches on the spec type via ``functools.singledispatch``, so
 test code can register additional learner kinds without touching this
@@ -15,7 +20,8 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import singledispatch
 from typing import Callable, Union
 
@@ -42,11 +48,21 @@ MODE_CONVEX_WEIGHTS = "convex_weights"
 # specs
 # --------------------------------------------------------------------------
 
+def _require_finite(spec) -> None:
+    """Reject a NaN or infinite float field, which would pass a range check."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidSpec(
+                f"{type(spec).__name__} {f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Ridge:
     lam: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.lam < 0:
             raise InvalidSpec(f"ridge lambda must be >= 0, got {self.lam}")
 
@@ -58,6 +74,7 @@ class Lasso:
     tol: float = 1e-7
 
     def __post_init__(self):
+        _require_finite(self)
         if self.lam < 0 or self.max_iter < 1 or self.tol <= 0:
             raise InvalidSpec(f"bad lasso spec {self}")
 
@@ -74,6 +91,7 @@ class EpsilonInsensitiveLoss:
     max_iter: int = 500
 
     def __post_init__(self):
+        _require_finite(self)
         if self.epsilon < 0 or self.c <= 0 or self.max_iter < 1:
             raise InvalidSpec(f"bad epsilon-insensitive loss {self}")
 
@@ -87,6 +105,7 @@ class KernelMachine:
     loss: Union[SquaredLoss, EpsilonInsensitiveLoss] = SquaredLoss()
 
     def __post_init__(self):
+        _require_finite(self)
         if self.bandwidth <= 0 or self.lam <= 0:
             raise InvalidSpec(f"kernel bandwidth and lambda must be > 0, got {self}")
         if not isinstance(self.loss, (SquaredLoss, EpsilonInsensitiveLoss)):
@@ -104,6 +123,7 @@ class Mlp:
     l2: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         object.__setattr__(self, "hidden", tuple(self.hidden))
         if any(h < 1 for h in self.hidden):
             raise InvalidSpec(f"hidden sizes must be positive, got {self.hidden}")
@@ -484,20 +504,16 @@ def _fit_oracle(spec: Oracle, x, y) -> OracleModel:
     return OracleModel(spec, x.shape)
 
 
-# --- super learner ---------------------------------------------------------
+# --- cross-fitting and the super learner ----------------------------------
 
-def _oof_predictions(spec, x, y, plan):
-    """Out-of-fold predictions and per-block MSEs for one candidate."""
-    n = x.shape[0]
-    preds = np.empty(n)
-    block_mses = []
+def crossfit(spec, x, y, plan) -> np.ndarray:
+    """Out-of-fold predictions: row i is predicted by ``spec`` fitted on
+    the complement of row i's fold in ``plan``."""
+    preds = np.empty(plan.n_total)
     for k, fold in enumerate(plan.folds):
         comp = plan.complement(k)
-        model = fit(spec, x[comp], y[comp])
-        p_k = model.predict(x[fold])
-        preds[fold] = p_k
-        block_mses.append(float(np.mean((p_k - y[fold]) ** 2)))
-    return preds, block_mses
+        preds[fold] = fit(spec, x[comp], y[comp]).predict(x[fold])
+    return preds
 
 
 def cv_risk(spec, x, y, v_blocks: int, seed: int) -> float:
@@ -508,8 +524,7 @@ def cv_risk(spec, x, y, v_blocks: int, seed: int) -> float:
     if not 2 <= v_blocks <= n:
         raise InvalidSpec(f"need 2 <= v_blocks <= n, got {v_blocks} with n={n}")
     plan = random_kfold(n, v_blocks, seed)
-    _, block_mses = _oof_predictions(spec, x, y, plan)
-    return float(np.mean(block_mses))
+    return float(plan.means((crossfit(spec, x, y, plan) - y) ** 2).mean())
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -569,26 +584,22 @@ def _fit_super_learner(spec: SuperLearner, x, y) -> SuperLearnerModel:
     oof = [None] * n_cand
     for i, cand in enumerate(spec.candidates):
         try:
-            preds, block_mses = _oof_predictions(cand, x, y, plan)
+            oof[i] = crossfit(cand, x, y, plan)
         except (DmlSpssError, np.linalg.LinAlgError):
             continue
-        oof[i] = preds
-        risks[i] = float(np.mean(block_mses))
+        risks[i] = plan.means((oof[i] - y) ** 2).mean()
 
     if not np.any(np.isfinite(risks)):
         raise InvalidSpec("every super learner candidate failed to fit")
 
+    chosen = int(np.argmin(risks))
+    weights = np.zeros(n_cand)
     if spec.mode == MODE_SELECTOR:
-        chosen = int(np.argmin(risks))
-        weights = np.zeros(n_cand)
         weights[chosen] = 1.0
     else:
         valid = [i for i in range(n_cand) if oof[i] is not None]
         p_mat = np.column_stack([oof[i] for i in valid])
-        w_valid = _simplex_least_squares(p_mat, y)
-        weights = np.zeros(n_cand)
-        weights[valid] = w_valid
-        chosen = int(np.argmin(risks))
+        weights[valid] = _simplex_least_squares(p_mat, y)
 
     models = [
         fit(spec.candidates[i], x, y) if weights[i] != 0.0 else None

@@ -109,6 +109,12 @@ class FoldPlan:
     def complement(self, k: int) -> np.ndarray:
         return np.sort(np.concatenate([f for i, f in enumerate(self.folds) if i != k]))
 
+    def means(self, v: np.ndarray) -> np.ndarray:
+        """Per-fold means of a full-length vector, in fold order."""
+        if len(v) != self.n_total:
+            raise DimensionMismatch(f"plan covers {self.n_total} rows, got {len(v)}")
+        return np.array([v[f].mean() for f in self.folds])
+
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.atleast_2d(np.asarray(a, dtype=float))

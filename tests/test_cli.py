@@ -381,13 +381,25 @@ def test_bad_enum_rejected_at_parse_time(tmp_path):
      r"\[data\] schema needs at least one covariate"),
     ("[data]\noutcome = y\ntreatment = y\ncovariates = x1\n",
      r"\[data\] schema names must be distinct"),
+    ("[learner_m]\nkind = ridge\nlambda = nan\n",
+     r"\[learner_m\] Ridge lam must be finite, got nan"),
+    ("[learner_m]\nkind = lasso\ntol = nan\n", r"Lasso tol must be finite"),
+    ("[learner_m]\nkind = kernel\nbandwidth = inf\n",
+     r"KernelMachine bandwidth must be finite, got inf"),
+    ("[learner_m]\nkind = mlp\nstep_size = nan\n", r"Mlp step_size must be finite"),
+    ("[learner_m]\nkind = kernel\nloss = epsilon_insensitive\nepsilon = nan\n",
+     r"EpsilonInsensitiveLoss epsilon must be finite"),
+    ("[dml]\nalpha = 1e-17\n",
+     r"\[dml\] alpha: too small for a finite normal quantile"),
 ], ids=["ridge", "lasso", "kernel", "svr-loss", "mlp", "sl", "sl-candidate",
         "alpha-above", "alpha-zero", "alpha-nan", "dropped-sp-key",
         "dropped-include-y-key", "sl-nested", "sl-nested-bare", "squared-loss-key",
         "k-one", "test-fraction-five", "threads-negative", "typed-value-names-key",
         "candidate-value-names-key", "candidate-tag-not-integer",
         "unknown-scenario", "seed-negative", "mlp-seed-negative",
-        "sl-seed-negative", "data-no-covariates", "data-repeated-name"])
+        "sl-seed-negative", "data-no-covariates", "data-repeated-name",
+        "ridge-nan", "lasso-tol-nan", "kernel-bandwidth-inf", "mlp-step-nan",
+        "svr-epsilon-nan", "alpha-tiny"])
 def test_bad_values_rejected_at_parse_time(tmp_path, text, match):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text)

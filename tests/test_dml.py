@@ -1,5 +1,6 @@
 """Tests for score construction, cross-fitted estimation, and inference."""
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from dmlspss.errors import (
     FoldTooSmall,
     InvalidAlpha,
 )
-from dmlspss.learners import FittedModel, Oracle, Ridge, fit
+from dmlspss.learners import FittedModel, Lasso, Oracle, Ridge, SuperLearner, fit
 from dmlspss.simulate import (
     ScenarioConfig,
     draw_dataset,
@@ -348,6 +349,14 @@ def test_confidence_interval_properties():
         confidence_interval(0.0, 1.0, 10, 1.5)
 
 
+def test_alpha_too_small_for_a_finite_quantile_is_rejected():
+    # 1 - alpha/2 rounds to 1, so z would be inf and the interval infinite
+    with pytest.raises(InvalidAlpha, match="too small"):
+        confidence_interval(0.0, 1.0, 10, 1e-17)
+    lo, hi = confidence_interval(0.0, 1.0, 10, 2.3e-16)
+    assert np.isfinite(lo) and np.isfinite(hi)
+
+
 # --- orthogonality diagnostic ------------------------------------------------------
 
 def test_orthogonal_score_has_small_gateaux_derivative():
@@ -442,3 +451,27 @@ def test_estimates_are_bitwise_pinned(algorithm, kind):
     per_fold = () if est.per_fold_beta is None else est.per_fold_beta
     assert got == GOLDEN[algorithm, kind][0]
     assert tuple(float(v).hex() for v in per_fold) == GOLDEN[algorithm, kind][1]
+
+
+# sha256 of the out-of-fold nuisances of a super-learner pair, computed
+# before the DML cross-fit and the super learner's CV shared one loop
+CROSSFIT_PINNED = {
+    SCORE_PARTIALLING_OUT: "20155ffbdf819cc4",
+    SCORE_IV_TYPE: "ca14a3102530888a",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CROSSFIT_PINNED))
+def test_crossfit_nuisances_are_pinned(kind):
+    d, _ = draw_dataset(ScenarioConfig(scenario="s1", p=4, n=101), seed=41)
+    plan = random_kfold(d.n, 3, seed=42)
+    candidates = (Ridge(lam=1.0), Lasso(lam=0.05))
+    spec_m = SuperLearner(candidates=candidates, v_blocks=3, mode="convex_weights",
+                          seed=1, cv_splitter="spss")
+    spec_ell = SuperLearner(candidates=candidates, v_blocks=4, seed=2)
+    nuis = fit_nuisances_crossfit(d, plan, spec_m, spec_ell, kind)
+    h = hashlib.sha256()
+    for v in (nuis.m_hat, nuis.ell_hat, nuis.g_hat):
+        if v is not None:
+            h.update(v.tobytes())
+    assert h.hexdigest()[:16] == CROSSFIT_PINNED[kind]

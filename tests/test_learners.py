@@ -387,13 +387,13 @@ def test_convex_weights_never_worse_than_best_single():
         candidates=(Ridge(lam=10.0), Lasso(lam=0.05), Ridge(lam=0.01)),
         mode="convex_weights", seed=5,
     )
-    from dmlspss.learners import _oof_predictions
+    from dmlspss.learners import crossfit
     from dmlspss.support_points import random_kfold
 
     model = fit(spec, x, y)
     plan = random_kfold(80, spec.v_blocks, spec.seed)
     p_cols = [
-        _oof_predictions(c, x, y, plan)[0] for c in spec.candidates
+        crossfit(c, x, y, plan) for c in spec.candidates
     ]
     p_mat = np.column_stack(p_cols)
     stacked = np.sum((y - p_mat @ model.report.weights) ** 2)
@@ -457,3 +457,63 @@ def test_fits_are_repeatable_bitwise():
         a, b = fit(spec, x, y), fit(spec, x, y)
         xq = rng.normal(size=(4, 3))
         assert np.array_equal(a.predict(xq), b.predict(xq))
+
+
+# --- pinned cross-validation outputs ------------------------------------------------
+
+def _always_fails(x):
+    raise SingularSystem("this candidate never predicts")
+
+
+def _pinned_xy():
+    rng = np.random.default_rng(61)
+    x = rng.normal(size=(61, 3))
+    y = np.sin(x[:, 0]) + x[:, 1] * x[:, 2] + rng.normal(size=61) * 0.3
+    return x, y
+
+
+def _sha(*arrays):
+    import hashlib
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+# sha256 of (risks, weights, chosen, predictions) computed before the
+# super learner's CV and the DML cross-fit shared one out-of-fold loop
+SL_PINNED = {
+    ("selector", "random", False): "1d6747616fe6e0f9",
+    ("selector", "random", True): "9ab31d8ae92d9f22",
+    ("selector", "spss", False): "1cdbf629a95ee34f",
+    ("selector", "spss", True): "ff61953777a533f2",
+    ("convex_weights", "random", False): "040905c2f9061a82",
+    ("convex_weights", "random", True): "437340c456b61f30",
+    ("convex_weights", "spss", False): "7613b53b0040e4a0",
+    ("convex_weights", "spss", True): "ed4f1db680838738",
+}
+
+
+@pytest.mark.parametrize("mode, cv_splitter, failing", sorted(SL_PINNED))
+def test_super_learner_report_is_pinned(mode, cv_splitter, failing):
+    x, y = _pinned_xy()
+    candidates = [Ridge(lam=0.5), Lasso(lam=0.05), KernelMachine(bandwidth=0.5),
+                  Mlp(hidden=(8,), epochs=20, batch=16, seed=2)]
+    if failing:
+        candidates.insert(2, Oracle(fn=_always_fails))
+    spec = SuperLearner(candidates=tuple(candidates), v_blocks=3, mode=mode,
+                        seed=7, cv_splitter=cv_splitter)
+    model = fit(spec, x, y)
+    report = model.report
+    assert np.isinf(report.risks).sum() == int(failing)
+    digest = _sha(report.risks, report.weights, [report.chosen], model.predict(x[:9]))
+    assert digest == SL_PINNED[mode, cv_splitter, failing]
+
+
+def test_cv_risk_is_pinned():
+    x, y = _pinned_xy()
+    specs = (Ridge(lam=0.3), Lasso(lam=0.02),
+             KernelMachine(bandwidth=0.4, loss=EpsilonInsensitiveLoss(epsilon=0.05)))
+    got = [float(cv_risk(s, x, y, v_blocks=4, seed=3)).hex() for s in specs]
+    assert got == ["0x1.f439e60905519p-2", "0x1.f677aeb9d6fe6p-2",
+                   "0x1.96a6e54b3cd8fp-3"]

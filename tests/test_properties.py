@@ -1,7 +1,9 @@
 """Property tests: SPSS and random folds partition the rows, the energy
-distance obeys its axioms, the CSV writer and reader round-trip, and a
-config file either parses or fails as a configuration error."""
+distance obeys its axioms, the CSV writer and reader round-trip, a
+config file either parses or fails as a configuration error, and the
+command line ends with a documented exit code, never a traceback."""
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -10,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmlspss.cli import _RUN_KEYS, RunConfig, parse_config
+from dmlspss.cli import (
+    _LEARNERS,
+    _LOSSES,
+    _RUN_KEYS,
+    RunConfig,
+    _ini_keys,
+    main,
+    parse_config,
+)
 from dmlspss.data import ColumnSchema, Dataset, load_csv, write_csv
 from dmlspss.errors import ConfigError, NonFinite
 from dmlspss.support_points import (
@@ -161,7 +171,7 @@ _RUN_VALUES = {
     "seed": st.integers(0, 2**64),
     "algorithm": st.sampled_from(["dml1", "dml2"]),
     "score": st.sampled_from(["partialling_out", "iv_type"]),
-    "alpha": fractions,
+    "alpha": fractions.filter(lambda a: 1.0 - a / 2.0 < 1.0),  # finite z_(1-alpha/2)
     "sim_scenarios": st.lists(st.sampled_from(["s1", "s2"]), max_size=2).map(tuple),
     "p_list": int_lists,
     "n_list": int_lists,
@@ -264,3 +274,94 @@ def test_any_config_parses_or_is_a_config_error(data):
         _parse_text(_ini(entries))
     except ConfigError:
         pass
+
+
+# --- main on fuzzed settings and data -----------------------------------------------
+
+_VALUES = {  # value kind or field -> (settings in range, settings out of it)
+    int: (["2", "3", "5"], ["-1", "0", "1", "", "1.5"]),
+    float: (["0.2", "0.5", "1"], ["nan", "inf", "-inf", "-1", "0", "1e-17", "1e300"]),
+    "split_method": (["spss", "random"], ["both"]),
+    "algorithm": (["dml1", "dml2"], ["dml9"]),
+    "score": (["partialling_out", "iv_type"], ["abc"]),
+    "sim_scenarios": (["s1", "s2"], ["s3"]),
+    "activation": (["relu", "tanh"], ["sigmoid"]),
+    "mode": (["selector", "convex_weights"], ["abc"]),
+    "cv_splitter": (["random", "spss"], ["both"]),
+    "hidden": (["4", "3,2"], ["0"]),
+    "epochs": (["1", "3"], ["0"]),  # always set, so an MLP fit stays fast
+}
+_FUZZ_KINDS = ("ridge", "lasso", "kernel", "mlp", "zero")
+
+
+def _fuzz_learner(data, prefix, kinds):
+    """A learner's ``kind`` entry and slots ``(key, field, value kind)`` for
+    its float fields, its MLP ``epochs`` and some of its other fields."""
+    kind = data.draw(st.sampled_from(kinds), label=f"{prefix}kind")
+    keys = {k: f for k, f in _ini_keys(_LEARNERS[kind]).items()
+            if k not in ("candidates", "loss", "fn")}
+    fixed, slots = [(f"{prefix}kind", kind)], []
+    if kind == "kernel" and data.draw(st.booleans(), label=f"{prefix}loss"):
+        fixed.append((f"{prefix}loss", "epsilon_insensitive"))
+        keys.update(_ini_keys(_LOSSES["epsilon_insensitive"]))
+    if kind == "superlearner":
+        for tag in range(1, data.draw(st.integers(1, 2)) + 1):
+            more_fixed, more_slots = _fuzz_learner(
+                data, f"{prefix}candidate.{tag}.", _FUZZ_KINDS)
+            fixed, slots = fixed + more_fixed, slots + more_slots
+    for key, f in keys.items():
+        if (key == "epochs" or isinstance(f.default, float)
+                or data.draw(st.booleans(), label=f"{prefix}{key} set")):
+            slots.append((f"{prefix}{key}", f.name, type(f.default)))
+    return fixed, slots
+
+
+def _raise_on_constant(name):
+    raise AssertionError(f"output holds {name}")
+
+
+@FEW
+@given(st.data(), st.integers(4, 60), st.integers(1, 3), seeds,
+       st.sampled_from(["estimate", "split"]))
+def test_main_exits_with_a_code_never_a_traceback(data, n, p, seed, command):
+    """Every setting is in range but at most one, which may be nan, inf or
+    out of range; ``main`` returns a documented code and prints no NaN."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p)) * data.draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    constant_t = data.draw(st.integers(0, 3), label="constant t") == 0
+    t = np.ones(n) if constant_t else x[:, 0] + rng.normal(size=n)
+    d = Dataset(y=0.5 * t + x.sum(axis=1) + rng.normal(size=n), t=t, x=x)
+    entries = [(("data", "outcome"), "y"), (("data", "treatment"), "t"),
+               (("data", "covariates"), ",".join(f"x{j + 1}" for j in range(p)))]
+    slots = []
+    for section in ("learner_m", "learner_ell"):
+        fixed, more = _fuzz_learner(data, "", _FUZZ_KINDS + ("superlearner",))
+        entries += [((section, key), value) for key, value in fixed]
+        slots += [((section, key), field, kind) for key, field, kind in more]
+    slots += [(key, field, kind) for key, (field, kind) in _RUN_KEYS.items()
+              if key[0] != "data" and data.draw(st.integers(0, 3), label=str(key)) == 0]
+    # float settings first: the odd-slot draw leans to small indices, and
+    # floats are where nan and inf can pass a range check
+    slots.sort(key=lambda slot: slot[2] is not float)
+    # the slot that gets an odd setting; a negative draw leaves all in range
+    odd = data.draw(st.integers(-1 - len(slots), len(slots) - 1), label="odd slot")
+    for i, (key, field, kind) in enumerate(slots):
+        kind = kind[0] if isinstance(kind, tuple) else kind
+        valid, bad = _VALUES[field] if field in _VALUES else _VALUES[kind]
+        entries.append((key, data.draw(st.sampled_from(bad if i == odd else valid),
+                                       label=str(key))))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_csv(tmp / "d.csv", d)
+        (tmp / "run.ini").write_text(_ini(entries))
+        out = tmp / ("est.json" if command == "estimate" else "split")
+        rc = main(["--config", str(tmp / "run.ini"), "--out", str(out),
+                   command, str(tmp / "d.csv")])
+        assert rc in (0, 2, 3, 4)
+        if rc != 0:
+            return
+        if command == "split":
+            out = out / "split.json"
+        record = json.loads(out.read_text(), parse_constant=_raise_on_constant)
+    if command == "estimate":
+        assert all(np.isfinite([record["beta"], record["se"], *record["ci"]]))
