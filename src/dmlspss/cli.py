@@ -71,6 +71,7 @@ from .simulate import (
 from .support_points import (
     SpConfig,
     _joint_cloud,
+    _subset_energies,
     energy_two_sample,
     random_kfold,
     spss_kfold,
@@ -304,10 +305,10 @@ def cmd_split(cfg: RunConfig, input_csv, out_dir) -> int:
     write_csv(out / "train.csv", subset_rows(d, result.train_idx))
     write_csv(out / "test.csv", subset_rows(d, result.test_idx))
 
-    cloud = _joint_cloud(d)
     polish = result.polish
     # the polish starts from random_subset(n, n_test, seed), the random baseline
-    init_energy = energy_two_sample(cloud[polish.init_idx], cloud)
+    init_energy, test_energy = _subset_energies(
+        _joint_cloud(d), (polish.init_idx, result.test_idx))
     sidecar = {
         "seed": cfg.seed,
         "n_test": len(result.test_idx),
@@ -316,7 +317,7 @@ def cmd_split(cfg: RunConfig, input_csv, out_dir) -> int:
         "polish_swaps": polish.swaps,
         "polish_converged": polish.converged,
         "energy_init_vs_full": init_energy,
-        "energy_test_vs_full": energy_two_sample(cloud[result.test_idx], cloud),
+        "energy_test_vs_full": test_energy,
         "energy_random_vs_full": init_energy,
     }
     with open(out / "split.json", "w") as fh:

@@ -11,7 +11,10 @@ data is read.
 
 ``crossfit`` is the one out-of-fold loop (fit on each fold's complement,
 predict the fold) behind the DML nuisances, the super learner's
-candidate risks and ``cv_risk``.
+candidate risks and ``cv_risk``.  ``mlp_forward``, ``mlp_loss_and_grad``
+and the SGD step share one MLP forward pass and one backpropagation; the
+epsilon-insensitive kernel dual and the super learner's simplex weights
+share one proximal-gradient loop, each with its own proximal map.
 
 ``fit`` dispatches on the spec type via ``functools.singledispatch``, so
 test code can register additional learner kinds without touching this
@@ -42,6 +45,18 @@ ACT_RELU = "relu"
 ACT_TANH = "tanh"
 MODE_SELECTOR = "selector"
 MODE_CONVEX_WEIGHTS = "convex_weights"
+
+# activation -> (function, its derivative as a function of its output)
+_ACTIVATIONS = {
+    ACT_RELU: (lambda z: np.maximum(z, 0.0), lambda a: (a > 0).astype(float)),
+    ACT_TANH: (np.tanh, lambda a: 1.0 - a ** 2),
+}
+
+
+def _activation(name: str):
+    if name not in _ACTIVATIONS:
+        raise InvalidSpec(f"unknown activation {name!r}")
+    return _ACTIVATIONS[name]
 
 
 # --------------------------------------------------------------------------
@@ -127,8 +142,7 @@ class Mlp:
         object.__setattr__(self, "hidden", tuple(self.hidden))
         if any(h < 1 for h in self.hidden):
             raise InvalidSpec(f"hidden sizes must be positive, got {self.hidden}")
-        if self.activation not in (ACT_RELU, ACT_TANH):
-            raise InvalidSpec(f"unknown activation {self.activation!r}")
+        _activation(self.activation)
         if (self.step_size <= 0 or self.epochs < 1 or self.batch < 1 or self.l2 < 0
                 or self.seed < 0):
             raise InvalidSpec(f"bad mlp spec {self}")
@@ -376,32 +390,33 @@ def _fit_kernel(spec: KernelMachine, x, y) -> KernelModel:
         dual = np.linalg.solve(gram + spec.lam * np.eye(n), y)
         return KernelModel(spec, x.copy(), dual, (n, p))
     # epsilon-insensitive SVR dual in beta = alpha - alpha*:
-    # min 0.5 b'Kb - y'b + eps*||b||_1 over the box [-C, C]^n,
-    # solved by proximal gradient with step 1/L.
+    # min 0.5 b'Kb - y'b + eps*||b||_1 over the box [-C, C]^n;
+    # its prox is a soft threshold, then a clip to the box.
     loss = spec.loss
-    lip = max(float(np.linalg.eigvalsh(gram)[-1]), 1e-12)
-    beta = np.zeros(n)
-    for _ in range(loss.max_iter):
-        grad = gram @ beta - y
-        z = beta - grad / lip
-        new = np.sign(z) * np.maximum(np.abs(z) - loss.epsilon / lip, 0.0)
-        new = np.clip(new, -loss.c, loss.c)
-        if np.max(np.abs(new - beta)) < 1e-12:
-            beta = new
-            break
-        beta = new
+
+    def prox(z, lip):
+        shrunk = np.sign(z) * np.maximum(np.abs(z) - loss.epsilon / lip, 0.0)
+        return np.clip(shrunk, -loss.c, loss.c)
+
+    beta = _proximal_gradient(gram, y, prox, np.zeros(n), 1e-12, loss.max_iter)
     return KernelModel(spec, x.copy(), beta, (n, p))
 
 
+def _proximal_gradient(gram, lin, prox, x, tol, max_iter) -> np.ndarray:
+    """Minimize 0.5 x'Gx - lin'x + h(x) from ``x`` by proximal gradient with
+    step 1/L, L the largest eigenvalue of G (Parikh & Boyd 2014): x <-
+    prox(x - (Gx - lin)/L, L), ``prox(z, L)`` the proximal map of h/L.
+    Stops when no coordinate moves by ``tol``, else after ``max_iter``."""
+    lip = max(float(np.linalg.eigvalsh(gram)[-1]), 1e-12)
+    for _ in range(max_iter):
+        new = prox(x - (gram @ x - lin) / lip, lip)
+        if np.max(np.abs(new - x)) < tol:
+            return new
+        x = new
+    return x
+
+
 # --- multilayer perceptron -------------------------------------------------
-
-def _activation(name: str):
-    if name == ACT_RELU:
-        return lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)
-    if name == ACT_TANH:
-        return np.tanh, lambda z: 1.0 - np.tanh(z) ** 2
-    raise InvalidSpec(f"unknown activation {name!r}")
-
 
 def mlp_init_weights(p: int, hidden, seed: int) -> list:
     """Seeded layer weights [(W, b), ...] with 1/sqrt(fan_in) scaling."""
@@ -414,13 +429,32 @@ def mlp_init_weights(p: int, hidden, seed: int) -> list:
     return weights
 
 
-def mlp_forward(weights: list, x: np.ndarray, activation: str) -> np.ndarray:
-    act, _ = _activation(activation)
-    a = x
+def _forward(weights: list, x: np.ndarray, act) -> list:
+    """Every layer's output, input first: [x, a_1, ..., a_{L-1}, out]."""
+    outs = [x]
     for w, b in weights[:-1]:
-        a = act(a @ w + b)
+        outs.append(act(outs[-1] @ w + b))
     w, b = weights[-1]
-    return (a @ w + b).reshape(-1)
+    outs.append((outs[-1] @ w + b).reshape(-1))
+    return outs
+
+
+def _backprop(weights: list, outs: list, resid: np.ndarray, l2: float, deriv) -> list:
+    """Gradient of the batch loss, from the forward pass's layer outputs
+    and residual, in the [(W, b), ...] layout."""
+    m = resid.shape[0]
+    delta = resid[:, None] / m
+    grads = [None] * len(weights)
+    for layer in range(len(weights) - 1, -1, -1):
+        w = weights[layer][0]
+        grads[layer] = (outs[layer].T @ delta + (l2 / m) * w, delta.sum(axis=0))
+        if layer:
+            delta = (delta @ w.T) * deriv(outs[layer])
+    return grads
+
+
+def mlp_forward(weights: list, x: np.ndarray, activation: str) -> np.ndarray:
+    return _forward(weights, x, _activation(activation)[0])[-1]
 
 
 def _mlp_loss(resid: np.ndarray, weights: list, l2: float) -> float:
@@ -437,64 +471,41 @@ def mlp_loss_and_grad(weights: list, x: np.ndarray, y: np.ndarray,
     and its gradient by backpropagation, in the same [(W, b), ...] layout.
     Bias terms are unpenalized.
     """
-    act, act_deriv = _activation(activation)
-    m = x.shape[0]
-    acts = [x]
-    zs = []
-    a = x
-    for w, b in weights[:-1]:
-        z = a @ w + b
-        zs.append(z)
-        a = act(z)
-        acts.append(a)
-    w_last, b_last = weights[-1]
-    out = (a @ w_last + b_last).reshape(-1)
-
-    resid = out - y
-    loss = _mlp_loss(resid, weights, l2)
-
-    grads = [None] * len(weights)
-    delta = resid[:, None] / m
-    grads[-1] = (acts[-1].T @ delta + (l2 / m) * w_last, delta.sum(axis=0))
-    for layer in range(len(weights) - 2, -1, -1):
-        w_next = weights[layer + 1][0]
-        delta = (delta @ w_next.T) * act_deriv(zs[layer])
-        grads[layer] = (
-            acts[layer].T @ delta + (l2 / m) * weights[layer][0],
-            delta.sum(axis=0),
-        )
-    return loss, grads
+    act, deriv = _activation(activation)
+    outs = _forward(weights, x, act)
+    resid = outs[-1] - y
+    return _mlp_loss(resid, weights, l2), _backprop(weights, outs, resid, l2, deriv)
 
 
 @fit.register
 def _fit_mlp(spec: Mlp, x, y) -> MlpModel:
-    """Mini-batch SGD on the squared loss; fully determined by spec.seed."""
+    """Mini-batch SGD on the squared loss; fully determined by spec.seed.
+
+    A diverging fit raises NonConvergence, with no numpy overflow warning."""
     x, y = _check_xy(x, y)
     n, p = x.shape
     rng = np.random.default_rng(spec.seed)
     weights = mlp_init_weights(p, spec.hidden, spec.seed + 1)
+    act, deriv = _activation(spec.activation)
 
     loss_trace = []
-    for _ in range(spec.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, spec.batch):
-            batch = order[start:start + spec.batch]
-            _, grads = mlp_loss_and_grad(
-                weights, x[batch], y[batch], spec.l2, spec.activation
-            )
-            weights = [
-                (w - spec.step_size * gw, b - spec.step_size * gb)
-                for (w, b), (gw, gb) in zip(weights, grads)
-            ]
-        epoch_loss = _mlp_loss(
-            mlp_forward(weights, x, spec.activation) - y, weights, spec.l2
-        )
-        if not np.isfinite(epoch_loss):
-            raise NonConvergence(
-                "mlp training diverged (non-finite loss)",
-                partial=MlpModel(spec, weights, (n, p), np.array(loss_trace)),
-            )
-        loss_trace.append(epoch_loss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(spec.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, spec.batch):
+                batch = order[start:start + spec.batch]
+                outs = _forward(weights, x[batch], act)
+                grads = _backprop(weights, outs, outs[-1] - y[batch], spec.l2, deriv)
+                for (w, b), (gw, gb) in zip(weights, grads):
+                    w -= spec.step_size * gw
+                    b -= spec.step_size * gb
+            epoch_loss = _mlp_loss(_forward(weights, x, act)[-1] - y, weights, spec.l2)
+            if not np.isfinite(epoch_loss):
+                raise NonConvergence(
+                    "mlp training diverged (non-finite loss)",
+                    partial=MlpModel(spec, weights, (n, p), np.array(loss_trace)),
+                )
+            loss_trace.append(epoch_loss)
     return MlpModel(spec, weights, (n, p), np.array(loss_trace))
 
 
@@ -543,20 +554,11 @@ def _simplex_least_squares(p_mat: np.ndarray, y: np.ndarray,
     Starts at the best single column, so the solution is never worse than
     any individual candidate.
     """
-    k = p_mat.shape[1]
     sses = ((y[:, None] - p_mat) ** 2).sum(axis=0)
-    w = np.zeros(k)
-    w[int(np.argmin(sses))] = 1.0
-    gram = p_mat.T @ p_mat
-    lip = max(float(np.linalg.eigvalsh(gram)[-1]), 1e-12)
-    pty = p_mat.T @ y
-    for _ in range(max_iter):
-        grad = gram @ w - pty
-        new = _project_simplex(w - grad / lip)
-        if np.max(np.abs(new - w)) < tol:
-            return new
-        w = new
-    return w
+    w0 = np.zeros(p_mat.shape[1])
+    w0[int(np.argmin(sses))] = 1.0
+    return _proximal_gradient(p_mat.T @ p_mat, p_mat.T @ y,
+                              lambda z, lip: _project_simplex(z), w0, tol, max_iter)
 
 
 @fit.register

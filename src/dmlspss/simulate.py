@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
@@ -290,13 +291,22 @@ def _worker_rep(rep: int):
         return None
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS keeps
+    one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
     """Replicate one cell and aggregate; bitwise independent of ``threads``.
 
     Per-replication seeds are avalanche-mixed from (master_seed, rep), so
-    replications are independent tasks.  ``threads > 1`` runs them in
-    ``min(threads, reps)`` forked worker processes (serially without the
-    ``fork`` start method): ``mc``, which may hold unpicklable ``Oracle``
+    replications are independent tasks.  They run in
+    ``min(threads, reps, CPUs available)`` forked worker processes, all
+    started at once, or serially when that is 1 or without the ``fork``
+    start method: ``mc``, which may hold unpicklable ``Oracle``
     closures, reaches them through the fork, only rep indices and result
     tuples are pickled, and results fold in rep order.  A replication
     that fails in a worker is run again here, so its exception is raised
@@ -318,7 +328,8 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
             raise
 
     results = []
-    if threads > 1:
+    workers = min(threads, mc.reps, _available_cpus())
+    if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
@@ -326,7 +337,7 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
         if "fork" in multiprocessing.get_all_start_methods():
             try:
                 with ProcessPoolExecutor(
-                    min(threads, mc.reps), multiprocessing.get_context("fork"),
+                    workers, multiprocessing.get_context("fork"),
                     initializer=_worker_init, initargs=(mc,),
                 ) as pool:
                     for result in pool.map(_worker_rep, range(mc.reps)):

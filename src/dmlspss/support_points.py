@@ -6,7 +6,8 @@ majorization-minimization (MM): each sweep replaces every point with the
 minimizer of a separable convex surrogate (quadratic majorant for the
 attraction term, tangent plane for the concave repulsion term), which
 guarantees a non-increasing objective.  :func:`snap_to_rows` projects
-points onto distinct data rows.
+points onto distinct data rows.  :func:`energy_two_sample` is that
+criterion minus the within-data mean, so both come from one formula.
 
 The splitting operations (:func:`spss_split`, :func:`spss_kfold`) are one
 operation, :func:`_peel`: it takes parts of given sizes off the cloud in
@@ -134,10 +135,17 @@ def energy_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     included in the denominators).  Zero exactly on identical multisets.
     """
     a, b = _check_same_dim(a, b)
-    cross = cdist(a, b).mean()
-    within_a = cdist(a, a).sum() / (a.shape[0] ** 2)
     within_b = cdist(b, b).sum() / (b.shape[0] ** 2)
-    return float(2.0 * cross - within_a - within_b)
+    return float(_objective_from_dists(cdist(a, b), cdist(a, a)) - within_b)
+
+
+def _subset_energies(cloud: np.ndarray, subsets) -> list:
+    """``energy_two_sample(cloud[rows], cloud)`` for each row subset, all
+    sliced from one N x N distance matrix."""
+    dists = cdist(cloud, cloud)
+    within = dists.sum() / (cloud.shape[0] ** 2)
+    return [float(_objective_from_dists(dists[rows], dists[np.ix_(rows, rows)]) - within)
+            for rows in subsets]
 
 
 def sp_objective(candidate: np.ndarray, full: np.ndarray) -> float:

@@ -126,6 +126,21 @@ def test_split_rerun_is_identical(tmp_path):
     assert (out_a / "train.csv").read_text() == (out_b / "train.csv").read_text()
 
 
+
+def test_split_json_bytes_are_pinned(tmp_path):
+    # computed before the sidecar energies shared one N x N distance matrix
+    import hashlib
+    csv_path = tmp_path / "in.csv"
+    _make_dataset_csv(csv_path, n=40, seed=8, noiseless=False)
+    cfg = _base_config(tmp_path, csv_path)
+    out = tmp_path / "split_out"
+    assert main(["--config", str(cfg), "--out", str(out), "split"]) == 0
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()[:16]
+               for f in ("split.json", "test.csv", "train.csv")}
+    assert digests == {"split.json": "8d0143190663a5aa",
+                       "test.csv": "a216e8765c20bb56",
+                       "train.csv": "c9ac8b7159240f44"}
+
 # --- estimate -----------------------------------------------------------------
 
 def test_estimate_noiseless_recovers_half(tmp_path, capsys):
@@ -193,6 +208,25 @@ def test_estimate_numeric_failure_exits_4(tmp_path, capsys):
     rc = main(["--config", str(cfg_path), "estimate"])
     assert rc == EXIT_NUMERIC
 
+
+
+def test_diverging_mlp_exits_4_with_one_line(tmp_path, capsys):
+    import warnings
+    csv_path = tmp_path / "in.csv"
+    _make_dataset_csv(csv_path, n=40, seed=1, noiseless=False)
+    cfg = _base_config(tmp_path, csv_path).read_text().replace(
+        "kind = zero", "kind = mlp\nstep_size = 1e300", 1
+    )
+    cfg_path = tmp_path / "diverge.ini"
+    cfg_path.write_text(cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--config", str(cfg_path), "estimate"])
+    assert rc == EXIT_NUMERIC
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("numeric error: mlp training diverged")
 
 # --- simulate ------------------------------------------------------------------
 

@@ -17,9 +17,11 @@ from dmlspss.learners import (
     Oracle,
     Ridge,
     SuperLearner,
+    _simplex_least_squares,
     cv_risk,
     fit,
     generalization_error,
+    mlp_forward,
     mlp_init_weights,
     mlp_loss_and_grad,
     predict,
@@ -254,15 +256,27 @@ def test_mlp_training_reduces_loss():
     assert model.loss_trace[-1] < model.loss_trace[0]
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.filterwarnings("ignore:invalid value")
 def test_mlp_divergence_raises_nonconvergence():
+    import warnings
     rng = np.random.default_rng(13)
     x = rng.normal(size=(20, 2)) * 10
     y = rng.normal(size=20) * 10
     spec = Mlp(hidden=(8,), step_size=1e6, epochs=50, batch=20, seed=4)
-    with pytest.raises(NonConvergence):
-        fit(spec, x, y)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonConvergence):
+            fit(spec, x, y)
+    assert caught == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda w, x, y: mlp_forward(w, x, "sigmoid"),
+    lambda w, x, y: mlp_loss_and_grad(w, x, y, 0.0, "sigmoid"),
+])
+def test_mlp_functions_reject_unknown_activation(call):
+    weights = mlp_init_weights(2, (3,), seed=0)
+    with pytest.raises(InvalidSpec, match="unknown activation 'sigmoid'"):
+        call(weights, np.zeros((4, 2)), np.zeros(4))
 
 
 # --- oracle / predict ----------------------------------------------------------
@@ -517,3 +531,50 @@ def test_cv_risk_is_pinned():
     got = [float(cv_risk(s, x, y, v_blocks=4, seed=3)).hex() for s in specs]
     assert got == ["0x1.f439e60905519p-2", "0x1.f677aeb9d6fe6p-2",
                    "0x1.96a6e54b3cd8fp-3"]
+
+
+# --- pinned MLP, SVR-dual and simplex-weight outputs -------------------------------
+# computed before the MLP paths shared one forward pass and backprop, and
+# the SVR dual and the simplex weights shared one proximal-gradient loop
+
+MLP_PINNED = {
+    "tanh_two_layers_l2": (Mlp(hidden=(6, 5), activation="tanh", step_size=0.02,
+                               epochs=12, batch=8, seed=4, l2=0.3), "f9a2fd9ab82966ec"),
+    "no_hidden_l2": (Mlp(hidden=(), step_size=0.05, epochs=10, batch=16, seed=1,
+                         l2=0.2), "65ae8c038de058d7"),
+    "relu_two_layers": (Mlp(hidden=(7, 3), step_size=0.01, epochs=8, batch=10,
+                            seed=9), "ad104a8dc04f52b6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MLP_PINNED))
+def test_mlp_loss_trace_and_predictions_are_pinned(name):
+    x, y = _pinned_xy()
+    spec, digest = MLP_PINNED[name]
+    model = fit(spec, x, y)
+    assert _sha(model.loss_trace, model.predict(x[:9])) == digest
+
+
+# max_iter=7 stops before convergence; 5000 converges after 243 steps
+@pytest.mark.parametrize("max_iter, digest", [(7, "12ddfc2522765aa4"),
+                                              (5000, "228cf2c7319e41d3")])
+def test_svr_dual_coefficients_are_pinned(max_iter, digest):
+    x, y = _pinned_xy()
+    spec = KernelMachine(bandwidth=0.7, lam=1.0, loss=EpsilonInsensitiveLoss(
+        epsilon=0.1, c=0.5, max_iter=max_iter))
+    assert _sha(fit(spec, x[:30], y[:30]).dual_coef) == digest
+
+
+# the default max_iter converges after 430 steps; max_iter=3 stops early
+@pytest.mark.parametrize("max_iter, expected", [
+    (20000, ["0x1.374bee8c20c00p-1", "0x1.d4687dc3caa58p-3",
+             "0x1.88e518542dd6ap-4", "0x1.13ea77c336de8p-4"]),
+    (3, ["0x1.e601f43755581p-1", "0x1.2658a5d209fe6p-8",
+         "0x1.0109ae1f49084p-6", "0x1.f521a18189766p-6"]),
+])
+def test_simplex_least_squares_weights_are_pinned(max_iter, expected):
+    x, y = _pinned_xy()
+    rng = np.random.default_rng(12)
+    p_mat = np.column_stack([y + rng.normal(size=61) * s for s in (0.3, 0.5, 0.8, 1.2)])
+    got = _simplex_least_squares(p_mat, y, max_iter=max_iter)
+    assert [float(v).hex() for v in got] == expected

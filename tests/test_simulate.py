@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from dmlspss import simulate
 from dmlspss.errors import InvalidConfig, InvalidRho, WorkerDied
 from dmlspss.learners import Oracle, Ridge
 from dmlspss.simulate import (
@@ -183,7 +184,13 @@ def _row_values(row):
     return values
 
 
-def test_run_monte_carlo_deterministic_and_thread_invariant():
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """The worker pool sees four CPUs, whatever the host has."""
+    monkeypatch.setattr(simulate, "_available_cpus", lambda: 4)
+
+
+def test_run_monte_carlo_deterministic_and_thread_invariant(four_cpus):
     # Oracle closures cannot be pickled; they reach the workers by fork
     base = _row_values(run_monte_carlo(_oracle_mc(splitter="spss")))
     for threads in (1, 2, 4):
@@ -191,13 +198,13 @@ def test_run_monte_carlo_deterministic_and_thread_invariant():
         assert _row_values(again) == base
 
 
-def test_run_monte_carlo_more_workers_than_reps():
+def test_run_monte_carlo_more_workers_than_reps(four_cpus):
     mc = _oracle_mc(reps=2, seed=4)
     assert _row_values(run_monte_carlo(mc, threads=3)) == _row_values(
         run_monte_carlo(mc, threads=1))
 
 
-def test_run_monte_carlo_without_fork_runs_serially(monkeypatch):
+def test_run_monte_carlo_without_fork_runs_serially(monkeypatch, four_cpus):
     import multiprocessing
 
     def no_pool(*args, **kwargs):
@@ -208,6 +215,52 @@ def test_run_monte_carlo_without_fork_runs_serially(monkeypatch):
     mc = _oracle_mc(reps=3, seed=5)
     assert _row_values(run_monte_carlo(mc, threads=2)) == _row_values(
         run_monte_carlo(mc, threads=1))
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and runs the
+    replications in this process, so no worker is forked."""
+
+    sizes = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("affinity, cpu_count, expected", [
+    ({0, 1, 2}, 64, [3]),  # the affinity set caps the pool
+    (None, 2, [2]),  # no affinity call: the machine's count
+    ({5}, 64, []),  # one CPU: serial, no pool
+])
+def test_run_monte_carlo_caps_workers_at_available_cpus(
+        monkeypatch, affinity, cpu_count, expected):
+    import concurrent.futures
+    import os
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(simulate, "_worker_mc", None)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    mc = _oracle_mc(reps=8, seed=6)
+    row = run_monte_carlo(mc, threads=64)
+    assert _RecordingPool.sizes == expected
+    assert _row_values(row) == _row_values(run_monte_carlo(mc, threads=1))
 
 
 def test_run_monte_carlo_rejects_single_rep():
@@ -296,14 +349,14 @@ def test_run_monte_carlo_failing_rep_keeps_exception_type():
     _check_failing_rep_keeps_exception_type(threads=1)
 
 
-def test_run_monte_carlo_failing_rep_keeps_exception_type_in_workers():
+def test_run_monte_carlo_failing_rep_keeps_exception_type_in_workers(four_cpus):
     # a worker sends no exception back (an exception whose constructor
     # takes two arguments does not survive pickling); the replication is
     # run again in this process
     _check_failing_rep_keeps_exception_type(threads=2)
 
 
-def test_dead_worker_raises_worker_died():
+def test_dead_worker_raises_worker_died(four_cpus):
     # a learner that kills its worker process; the parent never calls it
     import os
     parent = os.getpid()

@@ -389,3 +389,12 @@ def test_fold_plan_validation():
         FoldPlan(folds=(np.array([0, 1]), np.array([1, 2])))  # overlap
     with pytest.raises(InvalidConfig):
         FoldPlan(folds=(np.array([0, 1, 2, 3]), np.array([4,])))  # spread > 1
+
+
+def test_energy_two_sample_is_pinned():
+    # computed before energy_two_sample shared the MM criterion's formula
+    rng = np.random.default_rng(33)
+    got = [float(energy_two_sample(rng.normal(size=(m, 3)), rng.normal(size=(n, 3)))).hex()
+           for m, n in ((1, 1), (5, 9), (17, 4), (30, 30))]
+    assert got == ["0x1.25671849bc33bp+1", "0x1.5ecf3a3dc86e8p-1",
+                   "0x1.fe90f7a89664cp-2", "0x1.205201b246bb0p-2"]
