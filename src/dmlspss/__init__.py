@@ -63,7 +63,6 @@ from .support_points import (
     energy_two_sample,
     random_kfold,
     snap_to_rows,
-    sp_objective,
     spss_kfold,
     spss_split,
 )

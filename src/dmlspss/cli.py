@@ -70,8 +70,6 @@ from .simulate import (
 )
 from .support_points import (
     SpConfig,
-    _joint_cloud,
-    _subset_energies,
     energy_two_sample,
     random_kfold,
     spss_kfold,
@@ -307,8 +305,6 @@ def cmd_split(cfg: RunConfig, input_csv, out_dir) -> int:
 
     polish = result.polish
     # the polish starts from random_subset(n, n_test, seed), the random baseline
-    init_energy, test_energy = _subset_energies(
-        _joint_cloud(d), (polish.init_idx, result.test_idx))
     sidecar = {
         "seed": cfg.seed,
         "n_test": len(result.test_idx),
@@ -316,9 +312,9 @@ def cmd_split(cfg: RunConfig, input_csv, out_dir) -> int:
         "polish_passes": polish.passes,
         "polish_swaps": polish.swaps,
         "polish_converged": polish.converged,
-        "energy_init_vs_full": init_energy,
-        "energy_test_vs_full": test_energy,
-        "energy_random_vs_full": init_energy,
+        "energy_init_vs_full": polish.init_energy,
+        "energy_test_vs_full": polish.energy,
+        "energy_random_vs_full": polish.init_energy,
     }
     with open(out / "split.json", "w") as fh:
         json.dump(sidecar, fh, indent=2)

@@ -141,9 +141,10 @@ def read_csv_matrix(path, columns=None, min_rows: int = 1) -> np.ndarray:
 
     ``columns`` gives the header names to read, in result order; None
     reads every column in file order.  Blank lines are skipped.  Raises
-    SchemaError for a missing column, ParseError for ragged rows,
-    non-numeric cells or fewer than ``min_rows`` data rows, and NonFinite
-    for nan/inf literals; each names the file line and column.
+    SchemaError for a column missing from the header or named in it more
+    than once, ParseError for ragged rows, non-numeric cells or fewer
+    than ``min_rows`` data rows, and NonFinite for nan/inf literals; each
+    names the file line and column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -156,10 +157,9 @@ def read_csv_matrix(path, columns=None, min_rows: int = 1) -> np.ndarray:
         else:
             names = tuple(columns)
             for name in names:
-                if name not in header:
-                    raise SchemaError(
-                        f"{path}: column {name!r} not in header {header}"
-                    )
+                if header.count(name) != 1:
+                    where = "not in" if name not in header else "repeated in"
+                    raise SchemaError(f"{path}: column {name!r} {where} header {header}")
             positions = [header.index(name) for name in names]
 
         rows = []
@@ -206,7 +206,7 @@ def load_csv(path, schema: ColumnSchema) -> Dataset:
     """Read a CSV file with a header row into a Dataset.
 
     Column order in the result follows the schema, not the file.  Raises
-    SchemaError for missing columns, ParseError for non-numeric cells or
+    SchemaError for missing or repeated columns, ParseError for non-numeric cells or
     ragged rows (identifying the offending row and column), and NonFinite
     for nan/inf literals.
     """

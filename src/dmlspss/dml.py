@@ -11,12 +11,14 @@ fold means (``FoldPlan.means``).  Scores are
 linear in beta, psi = psi_a*beta + psi_b, so every solve is a ratio of
 means (one routine for DML1, DML2 and the IV-type preliminary beta).
 The variance estimator is the sandwich mean(psi^2) / j_hat^2 with j_hat
-the pooled mean of psi_a.
+the pooled mean of psi_a.  Scores are quadratic in m_hat, so the
+orthogonality diagnostic is their exact derivative along a direction,
+not a finite difference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -74,6 +76,20 @@ class DmlEstimate:
         return self.sigma_hat / np.sqrt(self.n_total)
 
 
+def _outcome_residual(y: np.ndarray, nuis: NuisanceFit, kind: str) -> np.ndarray:
+    """y minus the outcome nuisance the score uses: ``ell_hat`` for
+    partialling-out, ``g_hat`` for IV-type."""
+    name = {SCORE_PARTIALLING_OUT: "ell_hat", SCORE_IV_TYPE: "g_hat"}.get(kind)
+    if name is None:
+        raise InvalidConfig(f"unknown score kind {kind!r}")
+    if getattr(nuis, name) is None:
+        raise InvalidConfig(f"{kind} score needs {name}")
+    fit = np.asarray(getattr(nuis, name), dtype=float).reshape(-1)
+    if len(fit) != len(y):
+        raise DimensionMismatch(f"{name} length mismatch")
+    return y - fit
+
+
 def score_components(y, t, nuis: NuisanceFit, kind: str, beta: float):
     """Evaluate (psi_a, psi_b, psi) elementwise; psi = psi_a*beta + psi_b."""
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -82,24 +98,9 @@ def score_components(y, t, nuis: NuisanceFit, kind: str, beta: float):
     if not len(y) == len(t) == len(m_hat):
         raise DimensionMismatch("y, t, and nuisance predictions must align")
     t_res = t - m_hat
-    if kind == SCORE_PARTIALLING_OUT:
-        if nuis.ell_hat is None:
-            raise InvalidConfig("partialling-out score needs ell_hat")
-        y_res = y - np.asarray(nuis.ell_hat, dtype=float).reshape(-1)
-        if len(y_res) != len(y):
-            raise DimensionMismatch("ell_hat length mismatch")
-        psi_a = -t_res ** 2
-        psi_b = y_res * t_res
-    elif kind == SCORE_IV_TYPE:
-        if nuis.g_hat is None:
-            raise InvalidConfig("iv-type score needs g_hat")
-        g_hat = np.asarray(nuis.g_hat, dtype=float).reshape(-1)
-        if len(g_hat) != len(y):
-            raise DimensionMismatch("g_hat length mismatch")
-        psi_a = -t * t_res
-        psi_b = (y - g_hat) * t_res
-    else:
-        raise InvalidConfig(f"unknown score kind {kind!r}")
+    y_res = _outcome_residual(y, nuis, kind)
+    psi_a = -t_res ** 2 if kind == SCORE_PARTIALLING_OUT else -t * t_res
+    psi_b = y_res * t_res
     psi = psi_a * beta + psi_b
     return psi_a, psi_b, psi
 
@@ -233,18 +234,19 @@ def confidence_interval(
 
 def orthogonality_diagnostic(
     d: Dataset, plan: FoldPlan, nuis: NuisanceFit, kind: str,
-    eps: float, beta: Optional[float] = None,
-    direction: Optional[np.ndarray] = None,
+    beta: Optional[float] = None, direction: Optional[np.ndarray] = None,
 ) -> float:
-    """Numerical check of first-order insensitivity to the treatment model.
+    """First-order sensitivity of the pooled mean score to the treatment model.
 
-    Central-difference derivative of the pooled mean score at the fitted
-    beta when m_hat is shifted by r * direction; near zero for orthogonal
-    scores with good nuisances, bounded away from zero for a naive
-    unresidualized score on confounded data.
+    The absolute derivative in r of the pooled mean score at the fitted
+    beta when m_hat is shifted by r * direction, in closed form: psi is
+    quadratic in m_hat, so it is the pooled mean of
+    (2*beta*(t - m_hat) - (y - ell_hat)) * direction for partialling-out
+    and of (beta*t - (y - g_hat)) * direction for IV-type.  Near zero for
+    orthogonal scores with good nuisances, bounded away from zero for a
+    naive unresidualized score on confounded data.
     """
-    if not 0.0 < eps <= 0.1:
-        raise InvalidConfig(f"eps must be in (0, 0.1], got {eps}")
+    y_res = _outcome_residual(d.y, nuis, kind)
     if beta is None:
         beta = dml2_estimate(d, plan, nuis, kind).beta
     if direction is None:
@@ -252,10 +254,8 @@ def orthogonality_diagnostic(
     direction = np.asarray(direction, dtype=float).reshape(-1)
     if len(direction) != d.n:
         raise DimensionMismatch("direction must have one entry per row")
-
-    def mean_score(r: float) -> float:
-        shifted = replace(nuis, m_hat=nuis.m_hat + r * direction)
-        _, _, psi = score_components(d.y, d.t, shifted, kind, beta=beta)
-        return plan.means(psi).mean()
-
-    return abs((mean_score(eps) - mean_score(-eps)) / (2.0 * eps))
+    if kind == SCORE_PARTIALLING_OUT:
+        lever = 2.0 * beta * (d.t - nuis.m_hat)
+    else:
+        lever = beta * d.t
+    return abs(float(plan.means((lever - y_res) * direction).mean()))

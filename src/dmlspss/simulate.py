@@ -46,7 +46,7 @@ from .learners import (
     Ridge,
     SuperLearner,
 )
-from .support_points import SpConfig, random_kfold, spss_kfold
+from .support_points import SpConfig, check_fold_count, random_kfold, spss_kfold
 
 SCENARIO_1 = "s1"
 SCENARIO_2 = "s2"
@@ -96,9 +96,9 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Full recipe for one Monte Carlo cell; its choices, ``reps`` and,
-    when p >= n, the learners' penalties are checked when it is built,
-    before any replication runs."""
+    """Full recipe for one Monte Carlo cell; its choices, ``reps``, ``k``
+    against ``n`` and, when p >= n, the learners' penalties are checked
+    when it is built, before any replication runs."""
 
     scenario: ScenarioConfig
     learner_m: object
@@ -123,6 +123,7 @@ class McConfig:
             raise InvalidConfig(f"unknown algorithm {self.algorithm!r}")
         if self.reps < 2:
             raise InvalidConfig(f"reps must be >= 2, got {self.reps}")
+        check_fold_count(self.scenario.n, self.k, spss=self.splitter == SPLIT_SPSS)
         for learner in (self.learner_m, self.learner_ell):
             nested = learner.candidates if isinstance(learner, SuperLearner) else ()
             for spec in (learner, *nested):

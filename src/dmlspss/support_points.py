@@ -13,8 +13,10 @@ The splitting operations (:func:`spss_split`, :func:`spss_kfold`) are one
 operation, :func:`_peel`: it takes parts of given sizes off the cloud in
 turn, each a seeded random row subset of the rows left, refined by a
 greedy exchange polish that strictly lowers its energy distance to them.
-They skip the MM solver because, at p=20, snapping its points returns
-the seeded rows, so only the polish changes the subset.
+The polish reports that distance before and after from the distance
+sums it keeps, so no caller computes a second N x N matrix.  They skip
+the MM solver because, at p=20, snapping its points returns the seeded
+rows, so only the polish changes the subset.
 
 All randomness is confined to seeds in :class:`SpConfig`; every operation
 is a pure, deterministic function of its inputs.
@@ -63,12 +65,16 @@ class SpResult:
 
 @dataclass(frozen=True)
 class PolishStats:
-    """What the exchange polish did to a seeded row subset."""
+    """What the exchange polish did to a seeded row subset.  Its energies
+    are ``energy_two_sample(rows, pool)``, ``pool`` being the rows it chose
+    from (the whole cloud for a split or a first fold), from its row sums."""
 
     init_idx: np.ndarray  # the seeded rows it started from, sorted
     passes: int  # passes run, the last one included
     swaps: int  # accepted row exchanges
     converged: bool  # a pass made no swap: no single exchange helps
+    init_energy: float  # energy distance of the seeded rows to the pool
+    energy: float  # energy distance of the polished rows to the pool
 
 
 @dataclass(frozen=True)
@@ -137,27 +143,6 @@ def energy_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     a, b = _check_same_dim(a, b)
     within_b = cdist(b, b).sum() / (b.shape[0] ** 2)
     return float(_objective_from_dists(cdist(a, b), cdist(a, a)) - within_b)
-
-
-def _subset_energies(cloud: np.ndarray, subsets) -> list:
-    """``energy_two_sample(cloud[rows], cloud)`` for each row subset, all
-    sliced from one N x N distance matrix."""
-    dists = cdist(cloud, cloud)
-    within = dists.sum() / (cloud.shape[0] ** 2)
-    return [float(_objective_from_dists(dists[rows], dists[np.ix_(rows, rows)]) - within)
-            for rows in subsets]
-
-
-def sp_objective(candidate: np.ndarray, full: np.ndarray) -> float:
-    """Two-term support-points criterion (energy distance up to a constant).
-
-    (2/(n*N)) * sum of candidate-to-data distances minus (1/n^2) * sum of
-    within-candidate distances; differs from :func:`energy_two_sample` by
-    the within-data mean, which is constant in the candidate.
-    """
-    candidate, full = _check_same_dim(candidate, full)
-    return float(_objective_from_dists(cdist(candidate, full),
-                                       cdist(candidate, candidate)))
 
 
 def _objective_from_dists(d_xf: np.ndarray, d_pp: np.ndarray) -> float:
@@ -276,23 +261,31 @@ def _exchange_polish(
     Each pass offers every selected row its best replacement and accepts
     strict improvements.  Deterministic (ascending row order,
     lowest-index ties) and monotone in the subset energy; costs one
-    N x N distance matrix.
+    N x N distance matrix, whose row sums give the energy distance of
+    the seeded and of the polished rows to ``full``.
     """
     big_n = full.shape[0]
     m = len(idx)
-    if max_passes < 1 or m >= big_n:
-        return idx, PolishStats(init_idx=idx, passes=0, swaps=0, converged=False)
     dists = cdist(full, full)
-    a = dists.sum(axis=1)
+    a = dists.sum(axis=1)  # distances from each row to all rows
     selected = np.zeros(big_n, dtype=bool)
     selected[idx] = True
-    b = dists[:, selected].sum(axis=1)
+    b = dists[:, selected].sum(axis=1)  # ... and to the selected rows
     attract_w = 2.0 / (m * big_n)
     within_w = 2.0 / (m * m)
-    swaps = 0
-    for passes in range(1, max_passes + 1):
+    within_full = a.sum() / (big_n * big_n)
+
+    def energy() -> float:  # energy_two_sample(full[selected], full)
+        return float(attract_w * a[selected].sum() - b[selected].sum() / (m * m)
+                     - within_full)
+
+    init_energy = energy()
+    passes = swaps = 0
+    converged = False
+    while passes < max_passes and not converged:
+        passes += 1
         before = swaps
-        for u in np.sort(np.flatnonzero(selected)):
+        for u in np.flatnonzero(selected):
             delta = attract_w * (a - a[u]) - within_w * (b - dists[u] - b[u])
             delta[selected] = np.inf
             v = int(np.argmin(delta))
@@ -301,9 +294,9 @@ def _exchange_polish(
                 selected[v] = True
                 b += dists[v] - dists[u]
                 swaps += 1
-        if swaps == before:
-            break
-    return np.flatnonzero(selected), PolishStats(idx, passes, swaps, swaps == before)
+        converged = swaps == before
+    return np.flatnonzero(selected), PolishStats(
+        idx, passes, swaps, converged, init_energy, energy())
 
 
 def _peel(cloud: np.ndarray, sizes, seed: int, passes: int) -> tuple[list, list]:
@@ -352,13 +345,20 @@ def spss_split(d: Dataset, test_fraction: float, cfg: SpConfig) -> SplitResult:
     return SplitResult(test_idx=test_idx, train_idx=train_idx, polish=polish)
 
 
+def check_fold_count(n: int, k: int, spss: bool) -> None:
+    """Raise InvalidConfig unless ``n`` rows make ``k`` folds: random folds
+    need 2 <= K <= n, SPSS folds 2 <= K <= n/2 (at least 2 rows each)."""
+    top, bound = (n // 2, "n/2") if spss else (n, "n")
+    if not 2 <= k <= top:
+        raise InvalidConfig(f"need 2 <= K <= {bound}, got K={k} with n={n}")
+
+
 def spss_kfold_cloud(cloud: np.ndarray, k: int, cfg: SpConfig) -> FoldPlan:
     """K near-equal folds peeled from an already-standardized point cloud
     by :func:`_peel`: fold k is the polished subset seeded by
     ``cfg.seed + k`` (as in :func:`spss_split`), the last fold the rest."""
     n = cloud.shape[0]
-    if k < 2 or k > n // 2:
-        raise InvalidConfig(f"need 2 <= K <= n/2, got K={k} with n={n}")
+    check_fold_count(n, k, spss=True)
     base, rem = divmod(n, k)
     sizes = [base + 1 if i < rem else base for i in range(k)]
     folds, _ = _peel(cloud, sizes, cfg.seed, cfg.polish_passes)
@@ -374,8 +374,7 @@ def spss_kfold(d: Dataset, k: int, cfg: SpConfig) -> FoldPlan:
 
 def random_kfold(n: int, k: int, seed: int) -> FoldPlan:
     """Uniformly shuffled K-fold partition of 0..n-1 (the usual baseline)."""
-    if k < 2 or k > n:
-        raise InvalidConfig(f"need 2 <= K <= n, got K={k} with n={n}")
+    check_fold_count(n, k, spss=False)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     folds = tuple(np.sort(f) for f in np.array_split(perm, k))

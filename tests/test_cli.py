@@ -181,6 +181,18 @@ def test_estimate_missing_column_exits_3(tmp_path, capsys):
     assert "'t'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "split"])
+def test_repeated_header_name_exits_3(tmp_path, capsys, command):
+    csv_path = tmp_path / "in.csv"
+    _write_csv(csv_path, ["y", "t", "x1", "x1", "x2"],
+               [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [1, 3, 5, 7, 9]])
+    cfg = _base_config(tmp_path, csv_path)
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"), command])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "'x1' repeated in header" in err
+
+
 def test_estimate_rejects_simulate_only_split_before_reading(tmp_path, capsys):
     # "both" is a simulate setting; the CSV does not exist, so reading it
     # first would exit 3
@@ -249,6 +261,23 @@ def test_simulate_single_cell(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2  # header + one row
     assert lines[0].startswith("scenario,p,n,method,splitter")
+
+
+def test_simulate_checks_k_of_every_cell_before_running_any(tmp_path, capsys,
+                                                            monkeypatch):
+    # n=4 cannot take K=3 SPSS folds; the n=2000 cell must not run first
+    extra = SIM_EXTRA.replace("p_list = 3", "p_list = 5").replace(
+        "n_list = 60", "n_list = 2000,4").replace("reps = 4", "reps = 20")
+    cfg = _base_config(tmp_path, tmp_path / "unused.csv", extra)
+    text = cfg.read_text().replace("kind = zero", "kind = ridge\nlambda = 1.0")
+    cfg.write_text(text.replace("method = random", "method = spss").replace(
+        "k = 2", "k = 3"))
+    ran = []
+    monkeypatch.setattr(cli, "run_monte_carlo", lambda mc, threads: ran.append(mc))
+    rc = main(["--config", str(cfg), "simulate"])
+    assert (rc, ran) == (EXIT_CONFIG, [])
+    err = capsys.readouterr().err
+    assert err == "config error: need 2 <= K <= n/2, got K=3 with n=4\n"
 
 
 def test_simulate_both_splitters_two_rows(tmp_path, capsys):

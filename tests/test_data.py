@@ -103,6 +103,16 @@ def test_load_csv_missing_column(tmp_path):
         load_csv(path, schema)
 
 
+def test_load_csv_repeated_column_name(tmp_path):
+    path = _write(tmp_path, "y,t,x1,x1\n1,2,3,4\n5,6,7,8\n")
+    schema = ColumnSchema(outcome="y", treatment="t", covariates=("x1",))
+    with pytest.raises(SchemaError, match="'x1' repeated in header"):
+        load_csv(path, schema)
+    # a repeated name that is not requested is never read
+    other = _write(tmp_path, "y,t,x1,z,z\n1,2,3,4,5\n6,7,8,9,10\n", "other.csv")
+    assert load_csv(other, schema).n == 2
+
+
 def test_load_csv_bad_cell_identifies_row_and_column(tmp_path):
     path = _write(tmp_path, "y,t,x1,x2\n1,2,3,4\n5,6,abc,8\n")
     with pytest.raises(ParseError, match="line 3.*'x1'.*'abc'"):

@@ -1,7 +1,7 @@
 """Tests for score construction, cross-fitted estimation, and inference."""
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from dmlspss.errors import (
     DimensionMismatch,
     FoldTooSmall,
     InvalidAlpha,
+    InvalidConfig,
 )
 from dmlspss.learners import FittedModel, Lasso, Oracle, Ridge, SuperLearner, fit
 from dmlspss.simulate import (
@@ -64,6 +65,14 @@ def test_score_zero_at_truth():
     y = 0.5 * t
     _, _, psi = score_components(y, t, _zero_nuis(3), SCORE_PARTIALLING_OUT, 0.5)
     assert np.max(np.abs(psi)) < 1e-15
+
+
+@pytest.mark.parametrize("kind, name", [(SCORE_PARTIALLING_OUT, "ell_hat"),
+                                        (SCORE_IV_TYPE, "g_hat")])
+def test_score_rejects_outcome_nuisance_of_wrong_length(kind, name):
+    nuis = NuisanceFit(m_hat=np.zeros(5), **{name: np.zeros(3)})
+    with pytest.raises(DimensionMismatch, match=name):
+        score_components(np.ones(5), np.ones(5), nuis, kind, 0.0)
 
 
 def test_score_degenerate_treatment_residual():
@@ -366,8 +375,7 @@ def test_orthogonal_score_has_small_gateaux_derivative():
     plan = random_kfold(d.n, 2, seed=17)
     nuis = fit_nuisances_crossfit(d, plan, spec_m, spec_ell,
                                   SCORE_PARTIALLING_OUT)
-    deriv = orthogonality_diagnostic(d, plan, nuis, SCORE_PARTIALLING_OUT,
-                                     eps=1e-3)
+    deriv = orthogonality_diagnostic(d, plan, nuis, SCORE_PARTIALLING_OUT)
     assert deriv <= 5e-2
 
 
@@ -377,7 +385,7 @@ def test_iv_type_score_is_orthogonal_too():
     spec_m, spec_ell = oracle_learner_specs(cfg)
     plan = random_kfold(d.n, 2, seed=19)
     nuis = fit_nuisances_crossfit(d, plan, spec_m, spec_ell, SCORE_IV_TYPE)
-    deriv = orthogonality_diagnostic(d, plan, nuis, SCORE_IV_TYPE, eps=1e-3)
+    deriv = orthogonality_diagnostic(d, plan, nuis, SCORE_IV_TYPE)
     assert deriv <= 5e-2
 
 
@@ -396,9 +404,44 @@ def test_naive_unresidualized_score_is_not_orthogonal():
         m_hat=np.zeros(n),
         ell_hat=x[:, 0],  # decent outcome model, no treatment model
     )
-    deriv = orthogonality_diagnostic(d, plan, naive, SCORE_PARTIALLING_OUT,
-                                     eps=1e-3)
+    deriv = orthogonality_diagnostic(d, plan, naive, SCORE_PARTIALLING_OUT)
     assert deriv > 0.2
+
+
+@pytest.mark.parametrize("kind", [SCORE_PARTIALLING_OUT, SCORE_IV_TYPE])
+def test_orthogonality_slope_is_exact(kind):
+    # psi is at most quadratic in m_hat, so a central difference with a
+    # unit step is exact up to rounding
+    n = 90
+    d = _dataset(seed=22, n=n)
+    rng = np.random.default_rng(23)
+    plan = random_kfold(n, 4, seed=24)
+    nuis = NuisanceFit(m_hat=rng.normal(size=n), ell_hat=rng.normal(size=n),
+                       g_hat=rng.normal(size=n))
+    direction = rng.normal(size=n)
+
+    def mean_score(r):
+        shifted = replace(nuis, m_hat=nuis.m_hat + r * direction)
+        return plan.means(score_components(d.y, d.t, shifted, kind, 0.7)[2]).mean()
+
+    central = abs(mean_score(1.0) - mean_score(-1.0)) / 2.0
+    assert orthogonality_diagnostic(d, plan, nuis, kind, beta=0.7,
+                                    direction=direction) == pytest.approx(central, rel=1e-9)
+
+
+def test_orthogonality_diagnostic_rejects_bad_inputs():
+    d = _dataset(seed=26, n=20)
+    plan = random_kfold(20, 2, seed=27)
+    m_only = NuisanceFit(m_hat=np.zeros(20))
+    with pytest.raises(InvalidConfig, match="unknown score"):
+        orthogonality_diagnostic(d, plan, _zero_nuis(20), "bogus", beta=0.0)
+    with pytest.raises(InvalidConfig, match="ell_hat"):
+        orthogonality_diagnostic(d, plan, m_only, SCORE_PARTIALLING_OUT, beta=0.0)
+    with pytest.raises(InvalidConfig, match="g_hat"):
+        orthogonality_diagnostic(d, plan, m_only, SCORE_IV_TYPE)
+    with pytest.raises(DimensionMismatch, match="direction"):
+        orthogonality_diagnostic(d, plan, _zero_nuis(20), SCORE_PARTIALLING_OUT,
+                                 direction=np.ones(3))
 
 
 # --- representation ------------------------------------------------------------------

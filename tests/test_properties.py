@@ -5,6 +5,7 @@ command line ends with a documented exit code, never a traceback."""
 
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -320,19 +321,44 @@ def _raise_on_constant(name):
     raise AssertionError(f"output holds {name}")
 
 
+def _main_dataset(n, p, seed, scale=1.0, constant_t=False):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p)) * scale
+    t = np.ones(n) if constant_t else x[:, 0] + rng.normal(size=n)
+    return Dataset(y=0.5 * t + x.sum(axis=1) + rng.normal(size=n), t=t, x=x)
+
+
+def _data_entries(p):
+    return [(("data", "outcome"), "y"), (("data", "treatment"), "t"),
+            (("data", "covariates"), ",".join(f"x{j + 1}" for j in range(p)))]
+
+
+def _run_main(d, entries, command):
+    """Run ``main`` on ``d`` written as a CSV and ``entries`` as its config;
+    return the exit code and, on success, the JSON it wrote."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_csv(tmp / "d.csv", d)
+        (tmp / "run.ini").write_text(_ini(entries))
+        out = tmp / ("est.json" if command == "estimate" else "split")
+        rc = main(["--config", str(tmp / "run.ini"), "--out", str(out),
+                   command, str(tmp / "d.csv")])
+        if rc != 0:
+            return rc, None
+        if command == "split":
+            out = out / "split.json"
+        return rc, json.loads(out.read_text(), parse_constant=_raise_on_constant)
+
+
 @FEW
 @given(st.data(), st.integers(4, 60), st.integers(1, 3), seeds,
        st.sampled_from(["estimate", "split"]))
 def test_main_exits_with_a_code_never_a_traceback(data, n, p, seed, command):
     """Every setting is in range but at most one, which may be nan, inf or
     out of range; ``main`` returns a documented code and prints no NaN."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, p)) * data.draw(st.sampled_from([1.0, 1e-3, 1e3]))
-    constant_t = data.draw(st.integers(0, 3), label="constant t") == 0
-    t = np.ones(n) if constant_t else x[:, 0] + rng.normal(size=n)
-    d = Dataset(y=0.5 * t + x.sum(axis=1) + rng.normal(size=n), t=t, x=x)
-    entries = [(("data", "outcome"), "y"), (("data", "treatment"), "t"),
-               (("data", "covariates"), ",".join(f"x{j + 1}" for j in range(p)))]
+    d = _main_dataset(n, p, seed, data.draw(st.sampled_from([1.0, 1e-3, 1e3])),
+                      data.draw(st.integers(0, 3), label="constant t") == 0)
+    entries = _data_entries(p)
     slots = []
     for section in ("learner_m", "learner_ell"):
         fixed, more = _fuzz_learner(data, "", _FUZZ_KINDS + ("superlearner",))
@@ -350,18 +376,22 @@ def test_main_exits_with_a_code_never_a_traceback(data, n, p, seed, command):
         valid, bad = _VALUES[field] if field in _VALUES else _VALUES[kind]
         entries.append((key, data.draw(st.sampled_from(bad if i == odd else valid),
                                        label=str(key))))
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        write_csv(tmp / "d.csv", d)
-        (tmp / "run.ini").write_text(_ini(entries))
-        out = tmp / ("est.json" if command == "estimate" else "split")
-        rc = main(["--config", str(tmp / "run.ini"), "--out", str(out),
-                   command, str(tmp / "d.csv")])
-        assert rc in (0, 2, 3, 4)
-        if rc != 0:
-            return
-        if command == "split":
-            out = out / "split.json"
-        record = json.loads(out.read_text(), parse_constant=_raise_on_constant)
-    if command == "estimate":
+    rc, record = _run_main(d, entries, command)
+    assert rc in (0, 2, 3, 4)
+    if rc == 0 and command == "estimate":
         assert all(np.isfinite([record["beta"], record["se"], *record["ci"]]))
+
+
+def test_main_diverging_mlp_exits_4_with_one_line(capsys):
+    """The MLP overflow path through the same harness: drawn examples reach
+    it only rarely, since ``step_size = 1e300`` is one odd setting of many."""
+    entries = _data_entries(2) + [
+        (("learner_m", "kind"), "mlp"), (("learner_m", "step_size"), "1e300"),
+        (("learner_ell", "kind"), "ridge")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _ = _run_main(_main_dataset(40, 2, seed=1), entries, "estimate")
+    assert rc == 4
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numeric error: mlp training diverged")

@@ -273,7 +273,10 @@ def test_run_monte_carlo_rejects_single_rep():
     ({"score": "bogus"}, "score 'bogus'"),
     ({"algorithm": "dml9"}, "algorithm 'dml9'"),
     ({"reps": 1}, "reps must be >= 2"),
-], ids=["splitter", "score", "algorithm", "reps"])
+    ({"splitter": "spss", "k": 3, "n": 4}, "2 <= K <= n/2, got K=3 with n=4"),
+    ({"splitter": "spss", "k": 1}, "2 <= K <= n/2, got K=1"),
+    ({"k": 5, "n": 4}, "2 <= K <= n, got K=5 with n=4"),
+], ids=["splitter", "score", "algorithm", "reps", "spss-k", "spss-k-one", "random-k"])
 def test_mc_config_checks_its_settings_when_built(bad, match):
     with pytest.raises(InvalidConfig, match=match):
         _oracle_mc(**bad)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from dmlspss.data import Dataset, standardize
 from dmlspss.errors import DimensionMismatch, InvalidConfig, InvalidFraction
@@ -12,13 +13,15 @@ from dmlspss.support_points import (
     FoldPlan,
     SpConfig,
     _exchange_polish,
+    _objective_from_dists,
+    _peel,
     compute_support_points,
     energy_two_sample,
     random_kfold,
     random_subset,
     snap_to_rows,
-    sp_objective,
     spss_kfold,
+    spss_kfold_cloud,
     spss_split,
 )
 
@@ -73,27 +76,6 @@ def test_energy_dimension_mismatch():
         energy_two_sample(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
-# --- sp objective ----------------------------------------------------------
-
-def test_sp_objective_point_values():
-    assert sp_objective([[0.0]], [[0.0]]) == pytest.approx(0.0, abs=1e-12)
-    assert sp_objective([[0.0]], [[-1.0], [1.0]]) == pytest.approx(2.0, abs=1e-12)
-    full = [[0.0], [1.0]]
-    assert sp_objective(full, full) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_sp_objective_differs_from_energy_by_constant():
-    rng = np.random.default_rng(5)
-    full = rng.normal(size=(12, 2))
-    const = None
-    for _ in range(8):
-        cand = rng.normal(size=(5, 2))
-        diff = sp_objective(cand, full) - energy_two_sample(cand, full)
-        if const is None:
-            const = diff
-        assert diff == pytest.approx(const, abs=1e-10)
-
-
 # --- solver ----------------------------------------------------------------
 
 def test_single_point_is_one_dim_median():
@@ -123,7 +105,8 @@ def test_trace_monotone_and_below_init():
         res = compute_support_points(full, cfg)
         trace = res.objective_trace
         assert np.all(np.diff(trace) <= 1e-12)
-        assert sp_objective(res.points, full) <= trace[0] + 1e-12
+        final = _objective_from_dists(cdist(res.points, full), cdist(res.points, res.points))
+        assert final <= trace[0] + 1e-12
 
 
 def test_rejected_ascent_step_is_not_converged():
@@ -279,6 +262,35 @@ def test_spss_split_polish_stats():
     none = spss_split(d, 0.25, SpConfig(seed=4, polish_passes=0))
     assert np.array_equal(none.test_idx, stats.init_idx)
     assert (none.polish.swaps, none.polish.converged) == (0, False)
+
+
+@pytest.mark.parametrize("n, p", [(12, 1), (61, 3), (300, 5), (800, 20)])
+@pytest.mark.parametrize("passes", [0, 1, 30])
+def test_polish_energies_match_energy_two_sample(n, p, passes):
+    # the polish's O(m) energies from its row sums, against the direct
+    # formula on the rows it returns and on the seeded rows
+    d = _small_dataset(seed=n + p, n=n, p=p)
+    cloud, _ = standardize(np.hstack([d.t[:, None], d.x, d.y[:, None]]))
+    cfg = SpConfig(seed=n, polish_passes=passes)
+
+    def check(rows, init_rows, polish, pool):
+        assert polish.init_energy == pytest.approx(
+            energy_two_sample(pool[init_rows], pool), rel=1e-10)
+        assert polish.energy == pytest.approx(
+            energy_two_sample(pool[rows], pool), rel=1e-10)
+        assert polish.energy <= polish.init_energy
+
+    res = spss_split(d, 0.2, cfg)
+    check(res.test_idx, res.polish.init_idx, res.polish, cloud)
+    # the first of three SPSS folds is polished against the whole cloud,
+    # the second against the rows the first left
+    plan = spss_kfold_cloud(cloud, 3, cfg)
+    folds, stats = _peel(cloud, [len(f) for f in plan.folds], cfg.seed, passes)
+    assert all(np.array_equal(a, b) for a, b in zip(folds, plan.folds))
+    check(folds[0], stats[0].init_idx, stats[0], cloud)
+    left = np.setdiff1d(np.arange(n), folds[0])
+    check(np.searchsorted(left, folds[1]), np.searchsorted(left, stats[1].init_idx),
+          stats[1], cloud[left])
 
 
 def _mm_snap_polish_rows(cloud, m, cfg):
