@@ -9,6 +9,7 @@ are immutable after construction.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -145,6 +146,16 @@ def read_csv_matrix(path, columns=None, min_rows: int = 1) -> np.ndarray:
     than once, ParseError for ragged rows, non-numeric cells or fewer
     than ``min_rows`` data rows, and NonFinite for nan/inf literals; each
     names the file line and column.
+
+    The header is read with the ``csv`` module.  The rows are first
+    parsed by NumPy's C reader (``np.loadtxt``), every column of them;
+    its matrix is used only when it is as wide as the header, has at
+    least ``min_rows`` rows and holds finite values alone, and it then
+    equals the ``csv`` module's bit for bit, since both convert cells
+    with the interpreter's own string-to-float routine.  Any other file
+    (quoted or ragged cells, text in a column not read, ``1_0``, a
+    header alone) goes through the ``csv`` module row by row, which gives
+    the result or the error.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -161,6 +172,15 @@ def read_csv_matrix(path, columns=None, min_rows: int = 1) -> np.ndarray:
                     where = "not in" if name not in header else "repeated in"
                     raise SchemaError(f"{path}: column {name!r} {where} header {header}")
             positions = [header.index(name) for name in names]
+
+        table = _read_fast(fh, len(header), min_rows)
+        if table is not None:
+            # row-major like the matrix built below: a column-major copy
+            # would change the order of later reductions, so their last bits
+            return np.ascontiguousarray(table[:, positions])
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)  # the header, read above
 
         rows = []
         for lineno, record in enumerate(reader, start=2):
@@ -184,6 +204,25 @@ def read_csv_matrix(path, columns=None, min_rows: int = 1) -> np.ndarray:
             f"{path}: need at least {min_rows} data rows, got {len(rows)}"
         )
     return np.array(rows, dtype=float)
+
+
+def _read_fast(lines, width: int, min_rows: int) -> Optional[np.ndarray]:
+    """Every cell of the remaining ``lines``, parsed by ``np.loadtxt``, or
+    None unless that gives a finite matrix ``width`` wide with at least
+    ``min_rows`` rows.  Lines with no record (line ends alone, which the
+    ``csv`` module skips too) are passed over first, so that input with no
+    row never reaches ``np.loadtxt``, which warns on it."""
+    first = next((line for line in lines if line.strip("\r\n")), None)
+    if first is None:
+        return None
+    try:
+        table = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                           comments=None, ndmin=2)
+    except ValueError:
+        return None
+    ok = (table.shape[1] == width and table.shape[0] >= min_rows
+          and np.isfinite(table).all())
+    return table if ok else None
 
 
 def _raise_bad_cell(path, lineno: int, cells, names) -> None:

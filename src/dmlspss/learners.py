@@ -29,7 +29,6 @@ from functools import singledispatch
 from typing import Callable, Union
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DimensionMismatch,
@@ -39,7 +38,7 @@ from .errors import (
     SingularSystem,
 )
 from .data import standardize
-from .support_points import SpConfig, random_kfold, spss_kfold_cloud
+from .support_points import SpConfig, _cdist, random_kfold, spss_kfold_cloud
 
 ACT_RELU = "relu"
 ACT_TANH = "tanh"
@@ -377,7 +376,7 @@ def _fit_lasso(spec: Lasso, x, y) -> LinearModel:
 
 
 def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
-    return np.exp(-bandwidth * cdist(a, b, "sqeuclidean"))
+    return np.exp(-bandwidth * _cdist(a, b, "sqeuclidean"))
 
 
 @fit.register

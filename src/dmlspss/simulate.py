@@ -20,13 +20,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset
 from .dml import (
@@ -97,8 +97,9 @@ class ScenarioConfig:
 @dataclass(frozen=True)
 class McConfig:
     """Full recipe for one Monte Carlo cell; its choices, ``reps``, ``k``
-    against ``n`` and, when p >= n, the learners' penalties are checked
-    when it is built, before any replication runs."""
+    against ``n`` (every fold's complement keeps at least 2 rows to train
+    on) and, when p >= n, the learners' penalties are checked when it is
+    built, before any replication runs."""
 
     scenario: ScenarioConfig
     learner_m: object
@@ -123,7 +124,12 @@ class McConfig:
             raise InvalidConfig(f"unknown algorithm {self.algorithm!r}")
         if self.reps < 2:
             raise InvalidConfig(f"reps must be >= 2, got {self.reps}")
-        check_fold_count(self.scenario.n, self.k, spss=self.splitter == SPLIT_SPSS)
+        n = self.scenario.n
+        check_fold_count(n, self.k, spss=self.splitter == SPLIT_SPSS)
+        if n - -(-n // self.k) < 2:  # the largest fold's complement
+            raise InvalidConfig(
+                f"need n - ceil(n/K) >= 2 rows to train on, got K={self.k} with n={n}"
+            )
         for learner in (self.learner_m, self.learner_ell):
             nested = learner.candidates if isinstance(learner, SuperLearner) else ()
             for spec in (learner, *nested):
@@ -180,9 +186,19 @@ def ar1_covariance(rho: float, p: int) -> np.ndarray:
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
+def _expit(v: float) -> float:
+    """The logistic function as ``scipy.special.expit`` computes it,
+    1 / (1 + exp(-v)) with the C library's ``exp``, so bitwise equal to
+    it; NumPy's own vectorized ``exp`` differs in the last bit."""
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # exp(-v) above the float range
+        return 0.0
+
+
 def _truth_arrays(x: np.ndarray, cfg: ScenarioConfig):
     lin = x[:, cfg.linear_coord - 1]
-    logistic = expit(x[:, cfg.logistic_coord - 1])
+    logistic = np.array([_expit(v) for v in x[:, cfg.logistic_coord - 1].tolist()])
     g0 = logistic + 0.25 * lin
     m0 = lin + 0.25 * logistic
     return g0, m0
@@ -336,6 +352,10 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
         from concurrent.futures.process import BrokenProcessPool
 
         if "fork" in multiprocessing.get_all_start_methods():
+            # imported before the fork, so the workers inherit it; else each
+            # worker of every call imports SciPy for its first distance
+            import scipy.spatial.distance  # noqa: F401
+
             try:
                 with ProcessPoolExecutor(
                     workers, multiprocessing.get_context("fork"),

@@ -27,13 +27,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import Dataset, standardize
 from .errors import DimensionMismatch, InvalidConfig, InvalidFraction
 
 # the MM update omits point pairs closer than this, so it stays finite
 _ZERO_DIST_EPS = 1e-10
+
+
+def _cdist(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> np.ndarray:
+    """``scipy.spatial.distance.cdist``, imported on first use: loading it
+    takes longer than a random-fold ``estimate`` with linear learners,
+    which computes no distance."""
+    from scipy.spatial.distance import cdist
+
+    return cdist(a, b, metric)
+
 
 @dataclass(frozen=True)
 class SpConfig:
@@ -141,8 +150,8 @@ def energy_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     included in the denominators).  Zero exactly on identical multisets.
     """
     a, b = _check_same_dim(a, b)
-    within_b = cdist(b, b).sum() / (b.shape[0] ** 2)
-    return float(_objective_from_dists(cdist(a, b), cdist(a, a)) - within_b)
+    within_b = _cdist(b, b).sum() / (b.shape[0] ** 2)
+    return float(_objective_from_dists(_cdist(a, b), _cdist(a, a)) - within_b)
 
 
 def _objective_from_dists(d_xf: np.ndarray, d_pp: np.ndarray) -> float:
@@ -177,8 +186,8 @@ def compute_support_points(full: np.ndarray, cfg: SpConfig) -> SpResult:
 
     rng = np.random.default_rng(cfg.seed)
     pts = full[rng.choice(big_n, size=n, replace=False)].copy()
-    d_xf = cdist(pts, full)
-    d_pp = cdist(pts, pts)
+    d_xf = _cdist(pts, full)
+    d_pp = _cdist(pts, pts)
     obj = _objective_from_dists(d_xf, d_pp)
     trace = [obj]
     converged = False
@@ -209,8 +218,8 @@ def compute_support_points(full: np.ndarray, cfg: SpConfig) -> SpResult:
         )
         new_pts = pts + factor[:, None] * move
 
-        new_d_xf = cdist(new_pts, full)
-        new_d_pp = cdist(new_pts, new_pts)
+        new_d_xf = _cdist(new_pts, full)
+        new_d_pp = _cdist(new_pts, new_pts)
         new_obj = _objective_from_dists(new_d_xf, new_d_pp)
         if new_obj > obj:  # rejected ascent step: stopped, not converged
             break
@@ -242,7 +251,7 @@ def snap_to_rows(points: np.ndarray, full: np.ndarray) -> np.ndarray:
     n, big_n = points.shape[0], full.shape[0]
     if n > big_n:
         raise InvalidConfig(f"cannot snap {n} points to {big_n} rows")
-    dists = cdist(points, full)
+    dists = _cdist(points, full)
     used = np.zeros(big_n, dtype=bool)
     out = np.empty(n, dtype=int)
     for i in range(n):
@@ -266,7 +275,7 @@ def _exchange_polish(
     """
     big_n = full.shape[0]
     m = len(idx)
-    dists = cdist(full, full)
+    dists = _cdist(full, full)
     a = dists.sum(axis=1)  # distances from each row to all rows
     selected = np.zeros(big_n, dtype=bool)
     selected[idx] = True

@@ -324,6 +324,23 @@ def test_simulate_checks_every_cell_before_running(tmp_path, capsys, monkeypatch
     assert "n=1" in capsys.readouterr().err
 
 
+def test_simulate_checks_fold_complements_before_running(tmp_path, capsys, monkeypatch):
+    # n=3 in K=2 random folds leaves 1 row to train on beside the 2-row
+    # fold; that must fail as a config error before the n=300 cell runs
+    cfg = _base_config(tmp_path, tmp_path / "unused.csv", SIM_EXTRA)
+    text = cfg.read_text().replace("kind = zero", "kind = ridge\nlambda = 1.0")
+    cfg.write_text(text.replace("n_list = 60", "n_list = 300,3"))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cell ran before every cell was checked")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", no_run)
+    rc = main(["--config", str(cfg), "simulate"])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: need n - ceil(n/K) >= 2 rows to train on, got K=2 with n=3\n")
+
+
 def test_simulate_checks_regularization_before_running(tmp_path, capsys, monkeypatch):
     # the first cell (n=2000) is fine; the second (p=20 >= n=10) needs a
     # penalty, and must fail before the first one runs
@@ -651,10 +668,37 @@ def test_benchmark_estimate_config_parses(tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_out():
-    # the normal quantile comes from scipy.special.ndtri; scipy.stats alone
+    # the normal quantile is a port of scipy.special.ndtri; scipy.stats alone
     # would add about 300 modules to every command's start-up
     src = str(Path(cli.__file__).resolve().parents[1])
     code = "import sys, dmlspss.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["dmlspss", "dmlspss.cli"])
+def test_import_loads_no_scipy(module):
+    # SciPy is imported where a distance is computed, never at start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def test_random_fold_ridge_estimate_loads_no_scipy(tmp_path):
+    csv_path = tmp_path / "in.csv"
+    _make_dataset_csv(csv_path, n=40, seed=2, noiseless=False)
+    cfg = _base_config(tmp_path, csv_path).read_text().replace(
+        "kind = zero", "kind = ridge\nlambda = 0.001")
+    (tmp_path / "run.ini").write_text(cfg)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; from dmlspss.cli import main; "
+            f"rc = main(['--config', {str(tmp_path / 'run.ini')!r}, "
+            f"'--out', {str(tmp_path / 'est.json')!r}, 'estimate']); "
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0 []"

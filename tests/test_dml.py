@@ -15,6 +15,7 @@ from dmlspss.dml import (
     dml1_estimate,
     dml2_estimate,
     fit_nuisances_crossfit,
+    ndtri,
     orthogonality_diagnostic,
     score_components,
     variance_estimate,
@@ -364,6 +365,37 @@ def test_alpha_too_small_for_a_finite_quantile_is_rejected():
         confidence_interval(0.0, 1.0, 10, 1e-17)
     lo, hi = confidence_interval(0.0, 1.0, 10, 2.3e-16)
     assert np.isfinite(lo) and np.isfinite(hi)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.tobytes() == b.tobytes()
+
+
+def test_ndtri_is_bitwise_scipys():
+    from scipy.special import ndtri as scipy_ndtri
+
+    rng = np.random.default_rng(20)
+    # every alpha the tests and README use, as the 1 - alpha/2 the CI takes
+    alphas = np.array([0.05, 0.10, 0.5, 2.3e-16, 1e-17, 0.3, 0.01, 0.001])
+    q = np.concatenate([
+        rng.random(100_000),
+        10.0 ** -rng.uniform(0.0, 300.0, 20_000),  # lower tail, to 1e-300
+        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 20_000),  # upper tail, to 1 - 1e-16
+        1.0 - alphas / 2.0,
+        [5e-324, 0.5, np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0), 1.0 - 2.0**-53],
+    ])
+    assert _same_bits([ndtri(v) for v in q.tolist()], scipy_ndtri(q))
+
+
+def test_ndtri_ends_and_outside_the_unit_interval():
+    assert ndtri(0.0) == -np.inf and ndtri(1.0) == np.inf
+    for v in (-0.1, 1.1, -np.inf, np.inf, np.nan):
+        assert np.isnan(ndtri(v))
+    # the CI refuses the infinite quantile at 1 - alpha/2 == 1.0
+    assert 1.0 - 1e-17 / 2.0 == 1.0
+    with pytest.raises(InvalidAlpha, match="too small"):
+        confidence_interval(0.0, 1.0, 10, 1e-17)
 
 
 # --- orthogonality diagnostic ------------------------------------------------------

@@ -1,12 +1,14 @@
 """Property tests: SPSS and random folds partition the rows, the energy
-distance obeys its axioms, the CSV writer and reader round-trip, a
-config file either parses or fails as a configuration error, and the
-command line ends with a documented exit code, never a traceback."""
+distance obeys its axioms, the CSV writer and reader round-trip, the
+reader's np.loadtxt path and csv-module path agree, a config file
+either parses or fails as a configuration error, and the command line
+ends with a documented exit code, never a traceback."""
 
 import json
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,8 +24,9 @@ from dmlspss.cli import (
     main,
     parse_config,
 )
+from dmlspss import data as data_mod
 from dmlspss.data import ColumnSchema, Dataset, load_csv, write_csv
-from dmlspss.errors import ConfigError, NonFinite
+from dmlspss.errors import ConfigError, DmlSpssError, NonFinite, ParseError
 from dmlspss.support_points import (
     SpConfig,
     energy_two_sample,
@@ -156,6 +159,131 @@ def test_csv_non_finite_cell_raises(data, n, p, cell):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(NonFinite):
             load_csv(path, _schema(p))
+
+
+# --- CSV reader: NumPy's C parser and the csv module agree -------------------------
+
+# every spelling both parsers accept for one value
+_SPELLINGS = (repr, "{:e}".format, "{:E}".format, "{:+.17g}".format, "{:.3e}".format,
+              lambda v: f" {v!r} ")
+
+
+def _read_both(path, columns, min_rows):
+    """read_csv_matrix as it runs, and with its np.loadtxt path refused,
+    each as the matrix or the exception raised; and whether the first run
+    used np.loadtxt's matrix."""
+    took, real = [], data_mod._read_fast
+
+    def spy(*args):
+        table = real(*args)
+        took.append(table is not None)
+        return table
+
+    outcomes = []
+    for stand_in in (spy, lambda *args: None):
+        with mock.patch.object(data_mod, "_read_fast", stand_in):
+            try:
+                outcomes.append(data_mod.read_csv_matrix(path, columns, min_rows))
+            except DmlSpssError as exc:
+                outcomes.append(exc)
+    return outcomes, took == [True]
+
+
+def _assert_same(a, b):
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        assert (type(a), str(a)) == (type(b), str(b))
+    else:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _csv_texts(draw):
+    """A valid headed CSV: exponent forms, signs, padding, blank lines, LF
+    or CRLF; with the header and the columns read in a random order."""
+    width = draw(st.integers(1, 5))
+    header = [f"c{j}" for j in range(width)]
+    nl = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 6))):
+        values = draw(st.lists(st.floats(-1e300, 1e300), min_size=width, max_size=width))
+        lines += [""] * draw(st.integers(0, 1))
+        lines.append(",".join(draw(st.sampled_from(_SPELLINGS))(v) for v in values))
+    columns = draw(st.permutations(header))[: draw(st.integers(1, width))]
+    return nl.join(lines) + nl * draw(st.integers(0, 2)), columns
+
+
+@FEW
+@given(_csv_texts(), st.integers(1, 2))
+def test_csv_fast_path_equals_csv_module_bitwise(text_columns, min_rows):
+    text, columns = text_columns
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode())
+        (fast, slow), took_fast = _read_both(path, columns, min_rows)
+    if isinstance(slow, Exception):  # a single row with min_rows = 2
+        assert "data rows" in str(slow)
+    else:
+        assert took_fast
+    _assert_same(fast, slow)
+
+
+# rows that np.loadtxt refuses (or, for nan and inf, whose matrix is not
+# used); the csv module gives the answer, an error or a matrix
+_TRAPS = {
+    "extra cell": "1,2,3",
+    "trailing comma": "1,2,",
+    "short row": "1",
+    "hash in an unused column": "1,# note",
+    "quoted cell": '"1",2',
+    "whitespace-only line": "   ",
+    "underscore": "1_0,2",
+    "nan": "nan,2",
+    "inf": "1,-inf",
+}
+
+
+@pytest.mark.parametrize("trap", _TRAPS)
+@settings(max_examples=5, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+                     min_size=1, max_size=3),
+       spell=st.sampled_from(_SPELLINGS), crlf=st.booleans())
+def test_csv_trap_rows_give_the_csv_module_result(trap, rows, spell, crlf):
+    nl = "\r\n" if crlf else "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        for where in range(len(rows) + 1):  # the trap as each row in turn
+            lines = [f"{spell(a)},{spell(b)}" for a, b in rows]
+            lines.insert(where, _TRAPS[trap])
+            path.write_bytes((nl.join(["a,b", *lines]) + nl).encode())
+            (fast, slow), took_fast = _read_both(path, ["a"], 1)
+            assert not took_fast
+            _assert_same(fast, slow)
+
+
+def test_csv_without_rows_gives_the_csv_module_error(tmp_path):
+    path = tmp_path / "d.csv"
+    for text in ("a,b\n", "a,b", "a,b\r\n\r\n\n", "a,b\n\n  \n"):
+        path.write_text(text)
+        (fast, slow), took_fast = _read_both(path, None, 1)
+        assert not took_fast
+        assert isinstance(fast, ParseError)
+        _assert_same(fast, slow)
+
+
+@pytest.mark.parametrize("text, min_rows", [
+    ("a,b\n1,2,3\n4,5,6\n", 1),  # every row wider than the header
+    ("a,b,c\n1,2\n4,5\n", 1),  # ... or narrower
+    ("a,b\n1,2\n", 2),  # fewer rows than asked for
+])
+def test_csv_matrix_of_the_wrong_shape_gives_the_csv_module_error(tmp_path, text, min_rows):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    (fast, slow), took_fast = _read_both(path, ["a"], min_rows)
+    assert not took_fast
+    assert isinstance(fast, ParseError)
+    _assert_same(fast, slow)
 
 
 # --- config files -------------------------------------------------------------------

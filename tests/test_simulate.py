@@ -24,6 +24,23 @@ from dmlspss.simulate import (
 )
 
 
+# --- logistic link --------------------------------------------------------------
+
+def test_expit_is_bitwise_scipys():
+    from scipy.special import expit
+
+    rng = np.random.default_rng(21)
+    v = np.concatenate([
+        rng.standard_normal(100_000) * 4.0,
+        rng.uniform(-800.0, 800.0, 20_000),
+        # +-800 and beyond: exp(-v) overflows, or the result rounds to 0 or 1
+        [800.0, -800.0, 709.78, -709.78, 709.79, -709.79, 1e308, -1e308,
+         np.inf, -np.inf, 0.0, -0.0],
+    ])
+    mine = np.array([simulate._expit(x) for x in v.tolist()])
+    assert mine.tobytes() == expit(v).tobytes()
+
+
 # --- covariance ---------------------------------------------------------------
 
 def test_ar1_covariance_values():
@@ -217,6 +234,34 @@ def test_run_monte_carlo_without_fork_runs_serially(monkeypatch, four_cpus):
         run_monte_carlo(mc, threads=1))
 
 
+def test_run_monte_carlo_loads_scipy_before_forking():
+    # the workers inherit scipy.spatial.distance from the parent, which
+    # computes no distance itself when every replication runs in a worker
+    import multiprocessing
+    import os
+    import subprocess
+    import sys
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method")
+    code = (
+        "import sys\n"
+        "from dmlspss import simulate\n"
+        "from dmlspss.learners import Ridge\n"
+        "assert 'scipy.spatial.distance' not in sys.modules\n"
+        "simulate._available_cpus = lambda: 2\n"
+        "mc = simulate.McConfig(scenario=simulate.ScenarioConfig('s1', 3, 40),\n"
+        "    learner_m=Ridge(lam=1.0), learner_ell=Ridge(lam=1.0), reps=2,\n"
+        "    splitter='spss')\n"
+        "simulate.run_monte_carlo(mc, threads=2)\n"
+        "print('scipy.spatial.distance' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(simulate.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip() == "True"
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size and runs the
     replications in this process, so no worker is forked."""
@@ -276,7 +321,10 @@ def test_run_monte_carlo_rejects_single_rep():
     ({"splitter": "spss", "k": 3, "n": 4}, "2 <= K <= n/2, got K=3 with n=4"),
     ({"splitter": "spss", "k": 1}, "2 <= K <= n/2, got K=1"),
     ({"k": 5, "n": 4}, "2 <= K <= n, got K=5 with n=4"),
-], ids=["splitter", "score", "algorithm", "reps", "spss-k", "spss-k-one", "random-k"])
+    # n=3 in K=2 random folds: the 2-row fold leaves 1 row to train on
+    ({"k": 2, "n": 3}, "rows to train on, got K=2 with n=3"),
+], ids=["splitter", "score", "algorithm", "reps", "spss-k", "spss-k-one", "random-k",
+        "random-complement"])
 def test_mc_config_checks_its_settings_when_built(bad, match):
     with pytest.raises(InvalidConfig, match=match):
         _oracle_mc(**bad)
