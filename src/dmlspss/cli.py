@@ -65,14 +65,15 @@ from .simulate import (
     SPLIT_SPSS,
     McConfig,
     ScenarioConfig,
+    cross_fitted_estimate,
     emit_report,
     run_monte_carlo,
 )
 from .support_points import (
     SpConfig,
     energy_two_sample,
-    random_kfold,
-    spss_kfold,
+    random_kfold,  # unused here; kept as cli.random_kfold for bench/tracing.py
+    spss_kfold,  # unused here; kept as cli.spss_kfold for bench/tracing.py
     spss_split,
 )
 
@@ -289,12 +290,6 @@ def _load_dataset(cfg: RunConfig, input_csv: Optional[str]) -> Dataset:
     return load_csv(path, cfg.schema)
 
 
-def _build_plan(cfg: RunConfig, d: Dataset):
-    if cfg.split_method == SPLIT_RANDOM:
-        return random_kfold(d.n, cfg.k, cfg.seed)
-    return spss_kfold(d, cfg.k, SpConfig(seed=cfg.seed))
-
-
 def cmd_split(cfg: RunConfig, input_csv, out_dir) -> int:
     d = _load_dataset(cfg, input_csv)
     result = spss_split(d, cfg.test_fraction, SpConfig(seed=cfg.seed))
@@ -332,15 +327,7 @@ def cmd_estimate(cfg: RunConfig, input_csv, out_path) -> int:
         )
     d = _load_dataset(cfg, input_csv)
     start = time.perf_counter()
-    plan = _build_plan(cfg, d)
-    nuis = dml_mod.fit_nuisances_crossfit(
-        d, plan, cfg.learner_m, cfg.learner_ell, cfg.score
-    )
-    estimator = (
-        dml_mod.dml1_estimate if cfg.algorithm == dml_mod.ALG_DML1
-        else dml_mod.dml2_estimate
-    )
-    est = estimator(d, plan, nuis, cfg.score, alpha=cfg.alpha)
+    est = cross_fitted_estimate(d, cfg, cfg.split_method, cfg.seed)
     record = {
         "beta": est.beta,
         "se": float(est.se),

@@ -70,6 +70,10 @@ class FoldTooSmall(DataError):
     """A cross-fitting fold's complement has too few rows to train on."""
 
 
+class TooLargeForMemory(DataError):
+    """The exchange polish's N x N distance matrix exceeds physical memory."""
+
+
 # --- numerics -----------------------------------------------------------
 
 class NumericError(DmlSpssError):

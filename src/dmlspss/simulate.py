@@ -4,10 +4,13 @@ Two synthetic scenarios share the partially linear structure
 Y = T*beta0 + g(X) + U, T = m(X) + V with beta0 = 0.5 and
 AR(1)-correlated Gaussian covariates; they differ only in the
 correlation decay (0.7 vs 0.5) and in whether the disturbances U, V are
-correlated (0 vs 0.3).  The harness replicates draw -> split ->
-cross-fit -> estimate over seeded replications and aggregates bias,
-spread, mse, and coverage for one (scenario, p, n) cell, serially or in
-forked worker processes, with bitwise the same result.
+correlated (0 vs 0.3).  :func:`cross_fitted_estimate` is the one
+split -> cross-fit -> estimate routine, for ``dmlspss estimate`` and for
+every replication, so an estimate on a replication's data and split seed
+reproduces its beta bit for bit.  The harness replicates draw -> that
+routine over seeded replications and aggregates bias, spread, mse, and
+coverage for one (scenario, p, n) cell, serially or in forked worker
+processes, with bitwise the same result.
 
 Reported metrics: bias = mean(beta_hat) - beta0, se = sample standard
 deviation of beta_hat across replications, se_adjusted = se / sqrt(n),
@@ -34,6 +37,7 @@ from .dml import (
     ALG_DML2,
     SCORE_IV_TYPE,
     SCORE_PARTIALLING_OUT,
+    DmlEstimate,
     dml1_estimate,
     dml2_estimate,
     fit_nuisances_crossfit,
@@ -130,15 +134,30 @@ class McConfig:
             raise InvalidConfig(
                 f"need n - ceil(n/K) >= 2 rows to train on, got K={self.k} with n={n}"
             )
+        for spec in self._specs():
+            unpenalized = isinstance(spec, (Ridge, Lasso)) and spec.lam == 0.0
+            if unpenalized and self.scenario.p >= self.scenario.n:
+                raise InvalidConfig(
+                    f"{spec_label(spec)} with lambda=0 is not allowed when "
+                    f"p={self.scenario.p} >= n={self.scenario.n}"
+                )
+
+    def _specs(self):
+        """Both learner specs, each followed by its super-learner candidates."""
         for learner in (self.learner_m, self.learner_ell):
-            nested = learner.candidates if isinstance(learner, SuperLearner) else ()
-            for spec in (learner, *nested):
-                unpenalized = isinstance(spec, (Ridge, Lasso)) and spec.lam == 0.0
-                if unpenalized and self.scenario.p >= self.scenario.n:
-                    raise InvalidConfig(
-                        f"{spec_label(spec)} with lambda=0 is not allowed when "
-                        f"p={self.scenario.p} >= n={self.scenario.n}"
-                    )
+            yield learner
+            if isinstance(learner, SuperLearner):
+                yield from learner.candidates
+
+    @property
+    def _computes_distances(self) -> bool:
+        """Whether a replication calls ``cdist``: SPSS folds, a kernel
+        machine, or a super learner whose CV blocks are SPSS folds."""
+        return self.splitter == SPLIT_SPSS or any(
+            isinstance(spec, KernelMachine)
+            or (isinstance(spec, SuperLearner) and spec.cv_splitter == "spss")
+            for spec in self._specs()
+        )
 
 
 @dataclass(frozen=True)
@@ -272,20 +291,28 @@ def spec_label(spec) -> str:
     return type(spec).__name__.lower()
 
 
+def cross_fitted_estimate(d: Dataset, cfg, splitter: str, seed: int) -> DmlEstimate:
+    """The estimator on one dataset: K folds of ``d`` from ``splitter``
+    (SPSS or random) and ``seed``, both nuisances fitted on each fold's
+    complement, then DML1 or DML2.  ``cfg`` supplies ``learner_m``,
+    ``learner_ell``, ``k``, ``score``, ``algorithm`` and ``alpha``: a
+    :class:`McConfig` for a replication, the CLI's run config for
+    ``dmlspss estimate``.  An unknown splitter raises InvalidConfig."""
+    if splitter == SPLIT_SPSS:
+        plan = spss_kfold(d, cfg.k, SpConfig(seed=seed))
+    elif splitter == SPLIT_RANDOM:
+        plan = random_kfold(d.n, cfg.k, seed)
+    else:
+        raise InvalidConfig(f"unknown splitter {splitter!r}")
+    nuis = fit_nuisances_crossfit(d, plan, cfg.learner_m, cfg.learner_ell, cfg.score)
+    estimate = dml1_estimate if cfg.algorithm == ALG_DML1 else dml2_estimate
+    return estimate(d, plan, nuis, cfg.score, alpha=cfg.alpha)
+
+
 def _run_one_rep(mc: McConfig, rep: int):
     rep_seed = mix_seed(mc.master_seed, rep)
-    data_seed = mix_seed(rep_seed, 1)
-    split_seed = mix_seed(rep_seed, 2)
-    d, truth = draw_dataset(mc.scenario, data_seed)
-
-    if mc.splitter == SPLIT_SPSS:
-        plan = spss_kfold(d, mc.k, SpConfig(seed=split_seed))
-    else:
-        plan = random_kfold(d.n, mc.k, split_seed)
-
-    nuis = fit_nuisances_crossfit(d, plan, mc.learner_m, mc.learner_ell, mc.score)
-    estimate = dml1_estimate if mc.algorithm == ALG_DML1 else dml2_estimate
-    est = estimate(d, plan, nuis, mc.score, alpha=mc.alpha)
+    d, _ = draw_dataset(mc.scenario, mix_seed(rep_seed, 1))
+    est = cross_fitted_estimate(d, mc, mc.splitter, mix_seed(rep_seed, 2))
     lo, hi, _ = est.ci
     covered = lo <= mc.scenario.beta0 <= hi
     return est.beta, est.se, covered
@@ -319,17 +346,25 @@ def _available_cpus() -> int:
 def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
     """Replicate one cell and aggregate; bitwise independent of ``threads``.
 
-    Per-replication seeds are avalanche-mixed from (master_seed, rep), so
-    replications are independent tasks.  They run in
-    ``min(threads, reps, CPUs available)`` forked worker processes, all
-    started at once, or serially when that is 1 or without the ``fork``
-    start method: ``mc``, which may hold unpicklable ``Oracle``
-    closures, reaches them through the fork, only rep indices and result
-    tuples are pickled, and results fold in rep order.  A replication
-    that fails in a worker is run again here, so its exception is raised
-    with its type, attributes and traceback unchanged.  A worker process
-    that dies raises :class:`WorkerDied`, naming the first replication
-    without a result; that replication is not run again here.
+    Replication ``rep`` draws its data from seed
+    ``mix_seed(mix_seed(master_seed, rep), 1)`` and runs
+    :func:`cross_fitted_estimate` with split seed
+    ``mix_seed(mix_seed(master_seed, rep), 2)``, so replications are
+    independent tasks.  They run in ``min(threads, reps, CPUs available)``
+    forked worker processes, all started at once, or serially when that
+    is 1 or without the ``fork`` start method: ``mc``, which may hold
+    unpicklable ``Oracle`` closures, reaches them through the fork, only
+    rep indices and result tuples are pickled, and results fold in rep
+    order.  What the replications import is imported before the fork,
+    so the workers inherit it: NumPy's lazily loaded ``numpy.random`` and
+    ``numpy.ma`` always, SciPy's ``cdist`` only when a replication
+    computes a distance (SPSS folds, a kernel machine, or a super
+    learner with SPSS CV blocks); a cell without one never loads SciPy.
+    A replication that fails in a worker is run again here, so its
+    exception is raised with its type, attributes and traceback
+    unchanged.  A worker process that dies raises :class:`WorkerDied`,
+    naming the first replication without a result; that replication is
+    not run again here.
     """
     start = time.perf_counter()
 
@@ -352,9 +387,14 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
         from concurrent.futures.process import BrokenProcessPool
 
         if "fork" in multiprocessing.get_all_start_methods():
-            # imported before the fork, so the workers inherit it; else each
-            # worker of every call imports SciPy for its first distance
-            import scipy.spatial.distance  # noqa: F401
+            # imported before the fork, so the workers inherit them; else each
+            # worker of every call imports them again.  NumPy loads these two
+            # lazily: the data draw needs numpy.random, np.unique numpy.ma.
+            import numpy.ma  # noqa: F401
+            import numpy.random  # noqa: F401
+
+            if mc._computes_distances:
+                import scipy.spatial.distance  # noqa: F401
 
             try:
                 with ProcessPoolExecutor(

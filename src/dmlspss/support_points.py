@@ -24,12 +24,13 @@ is a pure, deterministic function of its inputs.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset, standardize
-from .errors import DimensionMismatch, InvalidConfig, InvalidFraction
+from .errors import DimensionMismatch, InvalidConfig, InvalidFraction, TooLargeForMemory
 
 # the MM update omits point pairs closer than this, so it stays finite
 _ZERO_DIST_EPS = 1e-10
@@ -42,6 +43,14 @@ def _cdist(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> np.ndarra
     from scipy.spatial.distance import cdist
 
     return cdist(a, b, metric)
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where ``sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -271,10 +280,18 @@ def _exchange_polish(
     strict improvements.  Deterministic (ascending row order,
     lowest-index ties) and monotone in the subset energy; costs one
     N x N distance matrix, whose row sums give the energy distance of
-    the seeded and of the polished rows to ``full``.
+    the seeded and of the polished rows to ``full``.  Raises
+    TooLargeForMemory, before allocating, when that matrix and its
+    N x m column copy need more bytes than the machine's physical memory.
     """
     big_n = full.shape[0]
     m = len(idx)
+    need, have = 8 * big_n * (big_n + m), _physical_memory()
+    if have is not None and need > have:
+        raise TooLargeForMemory(
+            f"the support-points polish of n={big_n} rows needs {need / 1e9:.3g} GB "
+            f"for its distances, more than the {have / 1e9:.3g} GB of physical memory"
+        )
     dists = _cdist(full, full)
     a = dists.sum(axis=1)  # distances from each row to all rows
     selected = np.zeros(big_n, dtype=bool)

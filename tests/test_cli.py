@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmlspss import cli
+from dmlspss import cli, simulate, support_points
 from dmlspss.cli import (
     EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_WORKER, main, parse_config,
 )
-from dmlspss.data import ColumnSchema
+from dmlspss.data import ColumnSchema, write_csv
 from dmlspss.errors import ConfigError, WorkerDied
 from dmlspss.learners import (
     EpsilonInsensitiveLoss,
@@ -201,6 +201,52 @@ def test_estimate_rejects_simulate_only_split_before_reading(tmp_path, capsys):
     rc = main(["--config", str(cfg), "estimate"])
     assert rc == EXIT_CONFIG
     assert "[split] method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("splitter, score, algorithm", [
+    ("spss", "partialling_out", "dml2"),
+    ("random", "iv_type", "dml1"),
+])
+def test_estimate_reproduces_a_replication_bitwise(tmp_path, capsys, splitter, score,
+                                                  algorithm):
+    # estimate and every replication run simulate.cross_fitted_estimate
+    mc = simulate.McConfig(
+        scenario=simulate.ScenarioConfig("s2", 3, 90), learner_m=Ridge(lam=0.001),
+        learner_ell=Ridge(lam=0.001), reps=2, k=3, splitter=splitter, score=score,
+        algorithm=algorithm, master_seed=11)
+    rep = 1
+    rep_seed = simulate.mix_seed(mc.master_seed, rep)
+    d, _ = simulate.draw_dataset(mc.scenario, simulate.mix_seed(rep_seed, 1))
+    write_csv(tmp_path / "rep.csv", d)
+    (tmp_path / "run.ini").write_text(
+        "[data]\noutcome = y\ntreatment = t\ncovariates = x1,x2,x3\n"
+        f"[split]\nmethod = {splitter}\nk = 3\nseed = {simulate.mix_seed(rep_seed, 2)}\n"
+        "[learner_m]\nkind = ridge\nlambda = 0.001\n"
+        "[learner_ell]\nkind = ridge\nlambda = 0.001\n"
+        f"[dml]\nalgorithm = {algorithm}\nscore = {score}\n")
+    beta, se, _ = simulate._run_one_rep(mc, rep)
+    rc = main(["--config", str(tmp_path / "run.ini"), "estimate", str(tmp_path / "rep.csv")])
+    assert rc == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["beta"].hex(), record["se"].hex()) == (beta.hex(), float(se).hex())
+
+
+@pytest.mark.parametrize("command", ["split", "estimate"])
+def test_polish_beyond_physical_memory_exits_3_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, command):
+    # 400 rows need 8 * 400 * (400 + 200) bytes for estimate's first fold
+    monkeypatch.setattr(support_points, "_physical_memory", lambda: 1_000_000)
+    csv_path = tmp_path / "in.csv"
+    _make_dataset_csv(csv_path, n=400, seed=2, noiseless=False)
+    cfg = _base_config(tmp_path, csv_path)
+    cfg.write_text(cfg.read_text().replace("method = random", "method = spss"))
+    out = tmp_path / "out"
+    rc = main(["--config", str(cfg), "--out", str(out), command])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error:")
+    assert re.search(r"n=400 rows needs [0-9.]+ GB", err)
+    assert not out.exists()
 
 
 def test_estimate_numeric_failure_exits_4(tmp_path, capsys):

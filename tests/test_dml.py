@@ -21,7 +21,9 @@ from dmlspss.dml import (
     variance_estimate,
 )
 from dmlspss.errors import (
+    DegenerateAggregate,
     DegenerateFold,
+    DegenerateJacobian,
     DimensionMismatch,
     FoldTooSmall,
     InvalidAlpha,
@@ -277,6 +279,11 @@ def test_degenerate_fold_raises():
     nuis = NuisanceFit(m_hat=d.t.copy(), ell_hat=np.zeros(2))
     with pytest.raises(DegenerateFold):
         dml1_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
+    # psi_a = -(t - m_hat)^2 is 0 everywhere: DML2 and the sandwich fail too
+    with pytest.raises(DegenerateAggregate):
+        dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
+    with pytest.raises(DegenerateJacobian):
+        variance_estimate(0.5, d, plan, nuis, SCORE_PARTIALLING_OUT)
 
 
 def test_noiseless_dgp_with_oracle_nuisances_recovers_truth():

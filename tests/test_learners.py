@@ -112,12 +112,14 @@ def test_lasso_kkt_conditions_at_convergence():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(60, 8))
     y = x @ np.array([2.0, -1.0, 0, 0, 0.5, 0, 0, 0]) + rng.normal(size=60)
+    x = np.hstack([x, np.full((60, 1), 3.0)])  # a constant column: skipped
     lam = 0.15
     model = fit(Lasso(lam=lam, max_iter=5000, tol=1e-12), x, y)
+    assert model.coef[8] == 0.0
     xc = x - x.mean(axis=0)
     resid = y - predict(model, x)
     grad = xc.T @ resid / 60
-    for j in range(8):
+    for j in range(9):
         if model.coef[j] == 0.0:
             assert abs(grad[j]) <= lam + 1e-6
         else:
@@ -288,6 +290,23 @@ def test_oracle_spec_predicts_from_function():
     assert np.allclose(out, [2.0, 4.0])
 
 
+@pytest.mark.parametrize("x, y, error, match", [
+    (np.zeros(4), np.zeros(4), DimensionMismatch, "2-d"),
+    (np.zeros((4, 2)), np.zeros(3), DimensionMismatch, "4 rows, y has 3"),
+    (np.zeros((0, 2)), np.zeros(0), InvalidSpec, "at least one training row"),
+    (np.array([[0.0, np.nan], [1.0, 2.0]]), np.zeros(2), InvalidSpec, "finite"),
+    (np.zeros((2, 2)), np.array([0.0, np.inf]), InvalidSpec, "finite"),
+], ids=["1-d-x", "rows", "no-rows", "nan-x", "inf-y"])
+def test_fit_rejects_bad_training_data(x, y, error, match):
+    with pytest.raises(error, match=match):
+        fit(Ridge(lam=1.0), x, y)
+
+
+def test_fit_rejects_an_unregistered_spec_type():
+    with pytest.raises(InvalidSpec, match="unknown learner spec"):
+        fit(object(), np.zeros((3, 1)), np.zeros(3))
+
+
 def test_predict_dimension_mismatch():
     model = fit(Ridge(lam=1.0), np.zeros((3, 2)), np.zeros(3))
     with pytest.raises(DimensionMismatch):
@@ -374,6 +393,8 @@ def test_failing_candidate_gets_infinite_risk():
     model = fit(SuperLearner(candidates=(bad, good), seed=3), x, y)
     assert np.isinf(model.report.risks[0])
     assert model.report.chosen == 1
+    with pytest.raises(InvalidSpec, match="every super learner candidate failed"):
+        fit(SuperLearner(candidates=(bad, bad), seed=3), x, y)
 
 
 def test_convex_weights_duplicated_candidates_equivalent():

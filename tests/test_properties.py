@@ -264,12 +264,13 @@ def test_csv_trap_rows_give_the_csv_module_result(trap, rows, spell, crlf):
 
 def test_csv_without_rows_gives_the_csv_module_error(tmp_path):
     path = tmp_path / "d.csv"
-    for text in ("a,b\n", "a,b", "a,b\r\n\r\n\n", "a,b\n\n  \n"):
+    for text in ("a,b\n", "a,b", "a,b\r\n\r\n\n", "a,b\n\n  \n", ""):
         path.write_text(text)
         (fast, slow), took_fast = _read_both(path, None, 1)
         assert not took_fast
         assert isinstance(fast, ParseError)
         _assert_same(fast, slow)
+    assert "empty file, expected a header row" in str(fast)  # no header either
 
 
 @pytest.mark.parametrize("text, min_rows", [

@@ -9,7 +9,7 @@ import pytest
 
 from dmlspss import simulate
 from dmlspss.errors import InvalidConfig, InvalidRho, WorkerDied
-from dmlspss.learners import Oracle, Ridge
+from dmlspss.learners import KernelMachine, Lasso, Oracle, Ridge, SuperLearner
 from dmlspss.simulate import (
     McConfig,
     ScenarioConfig,
@@ -234,9 +234,11 @@ def test_run_monte_carlo_without_fork_runs_serially(monkeypatch, four_cpus):
         run_monte_carlo(mc, threads=1))
 
 
-def test_run_monte_carlo_loads_scipy_before_forking():
-    # the workers inherit scipy.spatial.distance from the parent, which
-    # computes no distance itself when every replication runs in a worker
+def _modules_after_forked_cell(splitter, learner_m):
+    """The modules a fresh interpreter holds after a two-worker cell whose
+    replications all run in the workers: the parent draws no data and
+    computes no distance itself, so what it holds for them was imported
+    before the fork."""
     import multiprocessing
     import os
     import subprocess
@@ -245,21 +247,57 @@ def test_run_monte_carlo_loads_scipy_before_forking():
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork start method")
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "from dmlspss import simulate\n"
-        "from dmlspss.learners import Ridge\n"
-        "assert 'scipy.spatial.distance' not in sys.modules\n"
+        "from dmlspss.learners import KernelMachine, Ridge\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
         "simulate._available_cpus = lambda: 2\n"
         "mc = simulate.McConfig(scenario=simulate.ScenarioConfig('s1', 3, 40),\n"
-        "    learner_m=Ridge(lam=1.0), learner_ell=Ridge(lam=1.0), reps=2,\n"
-        "    splitter='spss')\n"
+        f"    learner_m={learner_m}, learner_ell=Ridge(lam=1.0), reps=2,\n"
+        f"    splitter={splitter!r})\n"
         "simulate.run_monte_carlo(mc, threads=2)\n"
-        "print('scipy.spatial.distance' in sys.modules)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
     src = os.path.dirname(os.path.dirname(simulate.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert out.stdout.strip() == "True"
+    return json.loads(out.stdout)
+
+
+def test_run_monte_carlo_loads_scipy_before_forking():
+    # the workers inherit scipy.spatial.distance from the parent when their
+    # replications compute distances: for SPSS folds, or for a kernel machine
+    for splitter, learner_m in [("spss", "Ridge(lam=1.0)"),
+                                ("random", "KernelMachine(bandwidth=0.5, lam=1.0)")]:
+        assert "scipy.spatial.distance" in _modules_after_forked_cell(splitter, learner_m)
+
+
+def test_run_monte_carlo_without_distances_loads_no_scipy():
+    modules = _modules_after_forked_cell("random", "Ridge(lam=1.0)")
+    assert [m for m in modules if m.startswith("scipy")] == []
+    # what NumPy loads lazily for every replication is inherited instead
+    assert {"numpy.ma", "numpy.random"} <= set(modules)
+
+
+@pytest.mark.parametrize("splitter, learner, expected", [
+    ("random", Ridge(lam=1.0), False),
+    ("spss", Ridge(lam=1.0), True),
+    ("random", KernelMachine(), True),
+    ("random", SuperLearner(candidates=(Ridge(), KernelMachine())), True),
+    ("random", SuperLearner(candidates=(Ridge(),), cv_splitter="spss"), True),
+    ("random", SuperLearner(candidates=(Ridge(), Lasso())), False),
+])
+def test_cells_that_compute_distances(splitter, learner, expected):
+    mc = McConfig(scenario=ScenarioConfig("s1", 3, 40), learner_m=Ridge(),
+                  learner_ell=learner, reps=2, splitter=splitter)
+    assert mc._computes_distances is expected
+
+
+def test_cross_fitted_estimate_rejects_an_unknown_splitter():
+    mc = _oracle_mc()
+    d, _ = draw_dataset(mc.scenario, seed=1)
+    with pytest.raises(InvalidConfig, match="unknown splitter 'both'"):
+        simulate.cross_fitted_estimate(d, mc, "both", seed=2)
 
 
 class _RecordingPool:

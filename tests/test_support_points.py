@@ -7,7 +7,13 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from dmlspss.data import Dataset, standardize
-from dmlspss.errors import DimensionMismatch, InvalidConfig, InvalidFraction
+from dmlspss import support_points
+from dmlspss.errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    InvalidFraction,
+    TooLargeForMemory,
+)
 from dmlspss.simulate import ScenarioConfig, draw_dataset, mix_seed
 from dmlspss.support_points import (
     FoldPlan,
@@ -384,6 +390,19 @@ def test_spss_kfold_rejects_bad_k():
         spss_kfold(d, 6, SpConfig(seed=0))  # K > n/2
     with pytest.raises(InvalidConfig):
         spss_kfold(d, 1, SpConfig(seed=0))
+
+
+def test_polish_beyond_physical_memory_raises_before_allocating(monkeypatch):
+    # the first of two 200-row folds of 400 rows: 8 * 400 * (400 + 200) bytes
+    d, _ = draw_dataset(ScenarioConfig(scenario="s1", p=3, n=400), seed=1)
+    expected = [f.tolist() for f in spss_kfold(d, 2, SpConfig(seed=1)).folds]
+    need = 8 * 400 * 600
+    monkeypatch.setattr(support_points, "_physical_memory", lambda: need - 1)
+    with pytest.raises(TooLargeForMemory, match=r"n=400 rows needs 0\.00192 GB"):
+        spss_kfold(d, 2, SpConfig(seed=1))
+    for probe in (need, None):  # exactly enough, or sysconf unavailable
+        monkeypatch.setattr(support_points, "_physical_memory", lambda: probe)
+        assert [f.tolist() for f in spss_kfold(d, 2, SpConfig(seed=1)).folds] == expected
 
 
 def test_random_kfold_basics():
