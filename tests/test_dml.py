@@ -537,14 +537,20 @@ def test_estimates_are_bitwise_pinned(algorithm, kind):
 
 # sha256 of the out-of-fold nuisances of a super-learner pair, computed
 # before the DML cross-fit and the super learner's CV shared one loop
+# (residual-update lasso), and with the covariance-update lasso
 CROSSFIT_PINNED = {
-    SCORE_PARTIALLING_OUT: "20155ffbdf819cc4",
-    SCORE_IV_TYPE: "ca14a3102530888a",
+    (SCORE_PARTIALLING_OUT, "residual"): "20155ffbdf819cc4",
+    (SCORE_IV_TYPE, "residual"): "ca14a3102530888a",
+    (SCORE_PARTIALLING_OUT, "shipped"): "204a74966fb33eac",
+    (SCORE_IV_TYPE, "shipped"): "26c5d6622ea1f7fc",
 }
 
 
-@pytest.mark.parametrize("kind", sorted(CROSSFIT_PINNED))
-def test_crossfit_nuisances_are_pinned(kind):
+@pytest.mark.parametrize("kind, lasso", [
+    pytest.param(kind, lasso, id=kind if lasso == "shipped" else f"{kind}-residual_lasso")
+    for kind, lasso in sorted(CROSSFIT_PINNED)
+], indirect=["lasso"])
+def test_crossfit_nuisances_are_pinned(kind, lasso):
     d, _ = draw_dataset(ScenarioConfig(scenario="s1", p=4, n=101), seed=41)
     plan = random_kfold(d.n, 3, seed=42)
     candidates = (Ridge(lam=1.0), Lasso(lam=0.05))
@@ -556,4 +562,4 @@ def test_crossfit_nuisances_are_pinned(kind):
     for v in (nuis.m_hat, nuis.ell_hat, nuis.g_hat):
         if v is not None:
             h.update(v.tobytes())
-    assert h.hexdigest()[:16] == CROSSFIT_PINNED[kind]
+    assert h.hexdigest()[:16] == CROSSFIT_PINNED[kind, lasso]

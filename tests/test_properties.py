@@ -1,8 +1,9 @@
 """Property tests: SPSS and random folds partition the rows, the energy
-distance obeys its axioms, the CSV writer and reader round-trip, the
-reader's np.loadtxt path and csv-module path agree, a config file
-either parses or fails as a configuration error, and the command line
-ends with a documented exit code, never a traceback."""
+distance obeys its axioms, the covariance-update lasso follows the
+residual-update reference sweep for sweep, the CSV writer and reader
+round-trip, the reader's np.loadtxt path and csv-module path agree, a
+config file either parses or fails as a configuration error, and the
+command line ends with a documented exit code, never a traceback."""
 
 import json
 import tempfile
@@ -26,7 +27,8 @@ from dmlspss.cli import (
 )
 from dmlspss import data as data_mod
 from dmlspss.data import ColumnSchema, Dataset, load_csv, write_csv
-from dmlspss.errors import ConfigError, DmlSpssError, NonFinite, ParseError
+from dmlspss.errors import ConfigError, DmlSpssError, NonConvergence, NonFinite, ParseError
+from dmlspss.learners import Lasso, fit
 from dmlspss.support_points import (
     SpConfig,
     energy_two_sample,
@@ -35,6 +37,8 @@ from dmlspss.support_points import (
     spss_kfold,
     spss_split,
 )
+
+from conftest import _residual_lasso
 
 FEW = settings(max_examples=30, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -118,6 +122,44 @@ def test_random_kfold_partitions_rows(data, seed):
     assert np.array_equal(np.sort(np.concatenate(plan.folds)), np.arange(n))
     sizes = [len(f) for f in plan.folds]
     assert len(sizes) == k and max(sizes) - min(sizes) <= 1
+
+
+# --- lasso --------------------------------------------------------------------------
+
+def _partial_fit(fit_lasso, spec, x, y):
+    try:
+        return fit_lasso(spec, x, y)
+    except NonConvergence as e:
+        return e.partial
+
+
+@FEW
+@given(st.data(), seeds)
+def test_covariance_lasso_follows_the_residual_reference(data, seed):
+    n = data.draw(st.integers(2, 60), label="n")
+    p = data.draw(st.integers(1, 25), label="p")
+    lam = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), label="lam")
+    shared = data.draw(st.floats(0.0, 0.9), label="shared")  # column correlation
+    constant = data.draw(st.lists(st.integers(0, p - 1), max_size=2, unique=True),
+                         label="constant columns")
+    value = data.draw(st.sampled_from([3.0, -0.5, 0.0, 0.25]), label="constant")
+    sweeps = data.draw(st.integers(1, 40), label="sweeps")
+    rng = np.random.default_rng(seed)
+    x = (np.sqrt(1 - shared) * rng.normal(size=(n, p))
+         + np.sqrt(shared) * rng.normal(size=(n, 1)))
+    y = x[:, :3] @ np.array([1.5, -1.0, 0.5])[:min(p, 3)] + rng.normal(size=n)
+    x[:, constant] = value  # exactly centred, so both lassos skip it
+    spec = Lasso(lam=lam, max_iter=sweeps, tol=1e-300)
+    ref = _partial_fit(_residual_lasso, spec, x, y)
+    got = _partial_fit(fit, spec, x, y)
+    bound = 1e-12 * (1 + np.max(np.abs(ref.coef)))
+    assert np.max(np.abs(got.coef - ref.coef)) <= bound
+    assert abs(got.intercept - ref.intercept) <= bound
+    assert np.all(got.coef[constant] == 0.0)
+    if len(constant) < p:  # some column moves in the first sweep
+        for fit_lasso in (fit, _residual_lasso):
+            with pytest.raises(NonConvergence):
+                fit_lasso(Lasso(lam=0.0, max_iter=1, tol=1e-300), x, y)
 
 
 # --- CSV round trip -----------------------------------------------------------------
