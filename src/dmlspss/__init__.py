@@ -36,9 +36,7 @@ from .learners import (
     Ridge,
     SquaredLoss,
     SuperLearner,
-    cv_risk,
     fit,
-    generalization_error,
     predict,
 )
 from .simulate import (
@@ -49,7 +47,6 @@ from .simulate import (
     draw_dataset,
     emit_report,
     mix_seed,
-    nuisance_truth,
     oracle_learner_specs,
     run_monte_carlo,
 )

@@ -39,7 +39,8 @@ class Dataset:
     """Outcome, treatment, and covariates for ``n`` observations.
 
     Invariants enforced at construction: matching lengths, n >= 2, p >= 1,
-    and all entries finite.
+    all entries finite, and ``column_names``, when given, p + 2 distinct
+    strings (outcome, treatment, covariates).
     """
 
     y: np.ndarray
@@ -65,6 +66,14 @@ class Dataset:
         for name, arr in (("y", y), ("t", t), ("x", x)):
             if not np.all(np.isfinite(arr)):
                 raise NonFinite(f"non-finite entries in {name}")
+        if self.column_names is not None:
+            names = tuple(self.column_names)
+            if (len(names) != x.shape[1] + 2 or len(set(names)) != len(names)
+                    or not all(isinstance(v, str) for v in names)):
+                raise SchemaError(
+                    f"column_names must be {x.shape[1] + 2} distinct strings "
+                    f"(outcome, treatment, {x.shape[1]} covariates), got {names}")
+            object.__setattr__(self, "column_names", names)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "x", x)

@@ -280,20 +280,26 @@ def variance_estimate(
     return _sandwich(plan, psi_a, psi_b, est_beta)
 
 
+def check_alpha(alpha: float, name: str = "alpha") -> None:
+    """Raise InvalidAlpha, naming the setting ``name``, unless
+    0 < alpha < 1 and 1 - alpha/2 < 1, so that z_{1-alpha/2} is finite."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidAlpha(f"{name}: must be in (0, 1), got {alpha!r}")
+    if not 1.0 - alpha / 2.0 < 1.0:
+        raise InvalidAlpha(
+            f"{name}: too small for a finite normal quantile, got {alpha!r}")
+
+
 def confidence_interval(
     beta: float, sigma2_hat: float, n_total: int, alpha: float
 ) -> tuple[float, float]:
     """Two-sided normal interval beta +- z_{1-alpha/2} * sqrt(sigma2/N)."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if sigma2_hat < 0:
         raise InvalidConfig(f"sigma2_hat must be >= 0, got {sigma2_hat}")
     if n_total < 1:
         raise InvalidConfig(f"n_total must be >= 1, got {n_total}")
-    z = ndtri(1.0 - alpha / 2.0)
-    if not np.isfinite(z):
-        raise InvalidAlpha(f"alpha={alpha} is too small for a finite z_(1-alpha/2)")
-    half = z * np.sqrt(sigma2_hat / n_total)
+    half = ndtri(1.0 - alpha / 2.0) * np.sqrt(sigma2_hat / n_total)
     return float(beta - half), float(beta + half)
 
 

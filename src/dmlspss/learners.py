@@ -10,11 +10,13 @@ rejected too) and raise ``InvalidSpec``, so a bad spec fails before any
 data is read.
 
 ``crossfit`` is the one out-of-fold loop (fit on each fold's complement,
-predict the fold) behind the DML nuisances, the super learner's
-candidate risks and ``cv_risk``.  ``mlp_forward``, ``mlp_loss_and_grad``
-and the SGD step share one MLP forward pass and one backpropagation; the
-epsilon-insensitive kernel dual and the super learner's simplex weights
-share one proximal-gradient loop, each with its own proximal map.
+predict the fold) behind the DML nuisances and the super learner's
+candidate risks, whose ``CvRiskReport.risks`` is the one cross-validated
+risk.  Ridge and lasso share one centring (``_centred``).
+``mlp_forward``, ``mlp_loss_and_grad`` and the SGD step share one MLP
+forward pass and one backpropagation; the epsilon-insensitive kernel
+dual and the super learner's simplex weights share one proximal-gradient
+loop, each with its own proximal map.
 
 ``fit`` dispatches on the spec type via ``functools.singledispatch``, so
 test code can register additional learner kinds without touching this
@@ -312,20 +314,24 @@ def fit(spec, x, y) -> FittedModel:
     raise InvalidSpec(f"unknown learner spec {spec!r}")
 
 
+def _centred(x, y):
+    """Column means, the centred design and its moments for the linear
+    learners: (x_mean, y_mean, xc, xc'xc, xc'(y - y_mean))."""
+    x_mean = x.mean(axis=0)
+    y_mean = y.mean()
+    xc = x - x_mean
+    return x_mean, y_mean, xc, xc.T @ xc, xc.T @ (y - y_mean)
+
+
 @fit.register
 def _fit_ridge(spec: Ridge, x, y) -> LinearModel:
     x, y = _check_xy(x, y)
     n, p = x.shape
-    x_mean = x.mean(axis=0)
-    y_mean = y.mean()
-    xc = x - x_mean
-    yc = y - y_mean
-    gram = xc.T @ xc
+    x_mean, y_mean, xc, gram, corr = _centred(x, y)
     if spec.lam == 0.0 and np.linalg.matrix_rank(xc) < p:
         raise SingularSystem("ridge with lambda=0 on a rank-deficient design")
-    coef = np.linalg.solve(gram + spec.lam * np.eye(p), xc.T @ yc)
-    intercept = y_mean - x_mean @ coef
-    return LinearModel(spec, coef, intercept, (n, p))
+    coef = np.linalg.solve(gram + spec.lam * np.eye(p), corr)
+    return LinearModel(spec, coef, y_mean - x_mean @ coef, (n, p))
 
 
 @fit.register
@@ -344,11 +350,9 @@ def _fit_lasso(spec: Lasso, x, y) -> LinearModel:
     """
     x, y = _check_xy(x, y)
     n, p = x.shape
-    x_mean = x.mean(axis=0)
-    y_mean = y.mean()
-    xc = x - x_mean
-    gram = xc.T @ xc / n
-    corr = xc.T @ (y - y_mean) / n
+    x_mean, y_mean, _, gram, corr = _centred(x, y)
+    gram /= n
+    corr /= n
     col_sq = gram.diagonal().tolist()
     active = [j for j in range(p) if col_sq[j] >= DEGENERATE_SCALE ** 2]
 
@@ -528,17 +532,6 @@ def crossfit(spec, x, y, plan) -> np.ndarray:
     return preds
 
 
-def cv_risk(spec, x, y, v_blocks: int, seed: int) -> float:
-    """Cross-validated risk: mean over blocks of the validation MSE,
-    each block's model trained on the block's complement."""
-    x, y = _check_xy(x, y)
-    n = x.shape[0]
-    if not 2 <= v_blocks <= n:
-        raise InvalidSpec(f"need 2 <= v_blocks <= n, got {v_blocks} with n={n}")
-    plan = random_kfold(n, v_blocks, seed)
-    return float(plan.means((crossfit(spec, x, y, plan) - y) ** 2).mean())
-
-
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
@@ -610,15 +603,3 @@ def _fit_super_learner(spec: SuperLearner, x, y) -> SuperLearnerModel:
     ]
     report = CvRiskReport(risks=risks, chosen=chosen, weights=weights)
     return SuperLearnerModel(spec, models, report, x.shape)
-
-
-def generalization_error(model: FittedModel, x_test, y_test) -> float:
-    """Mean squared prediction error on a held-out set."""
-    x_test = np.asarray(x_test, dtype=float)
-    y_test = np.asarray(y_test, dtype=float).reshape(-1)
-    if x_test.shape[0] != len(y_test):
-        raise DimensionMismatch(
-            f"x_test has {x_test.shape[0]} rows, y_test has {len(y_test)}"
-        )
-    resid = model.predict(x_test) - y_test
-    return float(resid @ resid / len(y_test))

@@ -38,6 +38,7 @@ from .dml import (
     SCORE_IV_TYPE,
     SCORE_PARTIALLING_OUT,
     DmlEstimate,
+    check_alpha,
     dml1_estimate,
     dml2_estimate,
     fit_nuisances_crossfit,
@@ -100,10 +101,10 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Full recipe for one Monte Carlo cell; its choices, ``reps``, ``k``
-    against ``n`` (every fold's complement keeps at least 2 rows to train
-    on) and, when p >= n, the learners' penalties are checked when it is
-    built, before any replication runs."""
+    """Full recipe for one Monte Carlo cell; its choices, ``reps``,
+    ``alpha``, ``k`` against ``n`` (every fold's complement keeps at least
+    2 rows to train on) and, when p >= n, the learners' penalties are
+    checked when it is built, before any replication runs."""
 
     scenario: ScenarioConfig
     learner_m: object
@@ -128,6 +129,7 @@ class McConfig:
             raise InvalidConfig(f"unknown algorithm {self.algorithm!r}")
         if self.reps < 2:
             raise InvalidConfig(f"reps must be >= 2, got {self.reps}")
+        check_alpha(self.alpha)
         n = self.scenario.n
         check_fold_count(n, self.k, spss=self.splitter == SPLIT_SPSS)
         if n - -(-n // self.k) < 2:  # the largest fold's complement
@@ -216,20 +218,12 @@ def _expit(v: float) -> float:
 
 
 def _truth_arrays(x: np.ndarray, cfg: ScenarioConfig):
+    """True (g0, m0) at each row of ``x``."""
     lin = x[:, cfg.linear_coord - 1]
     logistic = np.array([_expit(v) for v in x[:, cfg.logistic_coord - 1].tolist()])
     g0 = logistic + 0.25 * lin
     m0 = lin + 0.25 * logistic
     return g0, m0
-
-
-def nuisance_truth(x_row: np.ndarray, cfg: ScenarioConfig) -> tuple[float, float]:
-    """True (g0, m0) at one covariate row."""
-    x_row = np.asarray(x_row, dtype=float).reshape(1, -1)
-    if x_row.shape[1] != cfg.p:
-        raise InvalidConfig(f"x_row has {x_row.shape[1]} entries, expected {cfg.p}")
-    g0, m0 = _truth_arrays(x_row, cfg)
-    return float(g0[0]), float(m0[0])
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,25 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.x, d.x)
 
 
+@pytest.mark.parametrize("names", [
+    ("y", "t"),                      # p=2 needs four names
+    ("y", "t", "x1", "x2", "x3"),
+    ("y", "t", "x1", "x1"),
+    ("y", "t", "x1", 2),
+], ids=["short", "long", "repeated", "not-a-string"])
+def test_dataset_rejects_column_names_that_do_not_fit(names):
+    # write_csv would put this header over rows of another width
+    with pytest.raises(SchemaError, match="4 distinct strings"):
+        Dataset(y=[1.0, 2.0], t=[3.0, 4.0], x=[[1.0, 2.0], [3.0, 4.0]],
+                column_names=names)
+
+
+def test_dataset_keeps_column_names_as_a_tuple():
+    d = Dataset(y=[1.0, 2.0], t=[3.0, 4.0], x=[[1.0], [2.0]],
+                column_names=["out", "treat", "z"])
+    assert d.column_names == ("out", "treat", "z")
+
+
 def test_subset_rows_identity_and_permutation():
     d = Dataset(y=[1, 2, 3], t=[4, 5, 6], x=[[1.0], [2.0], [3.0]])
     same = subset_rows(d, [0, 1, 2])

@@ -18,14 +18,14 @@ from dmlspss.learners import (
     Ridge,
     SuperLearner,
     _simplex_least_squares,
-    cv_risk,
+    crossfit,
     fit,
-    generalization_error,
     mlp_forward,
     mlp_init_weights,
     mlp_loss_and_grad,
     predict,
 )
+from dmlspss.support_points import random_kfold
 
 
 # --- ridge -------------------------------------------------------------------
@@ -327,12 +327,18 @@ def test_predict_dimension_mismatch():
 
 # --- cross-validated risk -------------------------------------------------------
 
+def _cv_risk(spec, x, y, v_blocks, seed):
+    """A candidate's cross-validated risk as the super learner reports it."""
+    sl = SuperLearner(candidates=(spec,), v_blocks=v_blocks, seed=seed)
+    return fit(sl, x, y).report.risks[0]
+
+
 def test_cv_risk_perfect_learner_is_zero():
     rng = np.random.default_rng(14)
     x = rng.normal(size=(40, 2))
     y = 3.0 * x[:, 0]
     spec = Oracle(fn=lambda x: 3.0 * x[:, 0])
-    assert cv_risk(spec, x, y, v_blocks=5, seed=0) == pytest.approx(0.0, abs=1e-24)
+    assert _cv_risk(spec, x, y, v_blocks=5, seed=0) == pytest.approx(0.0, abs=1e-24)
 
 
 def test_cv_risk_constant_zero_learner_matches_variance():
@@ -340,7 +346,7 @@ def test_cv_risk_constant_zero_learner_matches_variance():
     x = rng.normal(size=(4000, 2))
     y = rng.normal(size=4000)  # mean 0, variance 1
     spec = Oracle(fn=lambda x: np.zeros(len(x)))
-    risk = cv_risk(spec, x, y, v_blocks=5, seed=1)
+    risk = _cv_risk(spec, x, y, v_blocks=5, seed=1)
     mc_se = np.std(y ** 2, ddof=1) / np.sqrt(len(y))
     assert abs(risk - 1.0) < 3 * mc_se + abs(np.mean(y ** 2) - 1.0)
 
@@ -349,7 +355,7 @@ def test_cv_risk_leave_one_out_runs():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(5, 2))
     y = rng.normal(size=5)
-    risk = cv_risk(Ridge(lam=1.0), x, y, v_blocks=5, seed=2)
+    risk = _cv_risk(Ridge(lam=1.0), x, y, v_blocks=5, seed=2)
     assert np.isfinite(risk)
 
 
@@ -357,8 +363,8 @@ def test_cv_risk_deterministic():
     rng = np.random.default_rng(17)
     x = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
-    a = cv_risk(Ridge(lam=0.5), x, y, v_blocks=3, seed=9)
-    b = cv_risk(Ridge(lam=0.5), x, y, v_blocks=3, seed=9)
+    a = _cv_risk(Ridge(lam=0.5), x, y, v_blocks=3, seed=9)
+    b = _cv_risk(Ridge(lam=0.5), x, y, v_blocks=3, seed=9)
     assert a == b
 
 
@@ -471,26 +477,6 @@ def test_super_learner_rejects_nesting_and_empty():
         fit(SuperLearner(candidates=(inner,)), np.zeros((5, 1)), np.zeros(5))
 
 
-# --- generalization error ---------------------------------------------------------
-
-def test_generalization_error_values():
-    model = fit(Oracle(fn=lambda x: x[:, 0]), np.zeros((2, 1)), np.zeros(2))
-    x = np.array([[1.0], [-1.0]])
-    assert generalization_error(model, x, np.array([1.0, -1.0])) == 0.0
-    zero_model = fit(Oracle(fn=lambda x: np.zeros(len(x))), np.zeros((2, 1)), np.zeros(2))
-    assert generalization_error(zero_model, x, np.array([1.0, -1.0])) == pytest.approx(1.0)
-
-
-def test_generalization_error_matches_direct_sum():
-    rng = np.random.default_rng(24)
-    x = rng.normal(size=(25, 2))
-    y = rng.normal(size=25)
-    model = fit(Ridge(lam=0.2), x, y)
-    resid = predict(model, x) - y
-    direct = sum(r * r for r in resid) / len(resid)
-    assert generalization_error(model, x, y) == pytest.approx(direct, rel=1e-12)
-
-
 def test_fits_are_repeatable_bitwise():
     rng = np.random.default_rng(25)
     x = rng.normal(size=(30, 3))
@@ -572,12 +558,19 @@ def test_super_learner_report_is_pinned(mode, cv_splitter, failing, lasso):
 
 
 def test_cv_risk_is_pinned():
+    # pinned from the former stand-alone cv_risk; the super learner's
+    # report reproduces it, and so does the definition spelled out: the
+    # mean over random blocks of each block's out-of-fold squared error
     x, y = _pinned_xy()
     specs = (Ridge(lam=0.3), Lasso(lam=0.02),
              KernelMachine(bandwidth=0.4, loss=EpsilonInsensitiveLoss(epsilon=0.05)))
-    got = [float(cv_risk(s, x, y, v_blocks=4, seed=3)).hex() for s in specs]
+    got = [float(_cv_risk(s, x, y, v_blocks=4, seed=3)).hex() for s in specs]
     assert got == ["0x1.f439e60905519p-2", "0x1.f677aeb9d6fe6p-2",
                    "0x1.96a6e54b3cd8fp-3"]
+    plan = random_kfold(len(y), 4, 3)
+    by_definition = [float(plan.means((crossfit(s, x, y, plan) - y) ** 2).mean()).hex()
+                     for s in specs]
+    assert by_definition == got
 
 
 # --- pinned MLP, SVR-dual and simplex-weight outputs -------------------------------

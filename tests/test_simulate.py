@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dmlspss import simulate
-from dmlspss.errors import InvalidConfig, InvalidRho, WorkerDied
+from dmlspss.errors import InvalidAlpha, InvalidConfig, InvalidRho, WorkerDied
 from dmlspss.learners import KernelMachine, Lasso, Oracle, Ridge, SuperLearner
 from dmlspss.simulate import (
     McConfig,
@@ -17,7 +17,6 @@ from dmlspss.simulate import (
     draw_dataset,
     emit_report,
     mix_seed,
-    nuisance_truth,
     oracle_learner_specs,
     run_monte_carlo,
     spec_label,
@@ -60,9 +59,18 @@ def test_ar1_covariance_rejects_bad_rho():
 
 # --- nuisance truth -------------------------------------------------------------
 
+def _truth(x_row, cfg):
+    """True (g0, m0) at one covariate row, from the oracle learner specs:
+    m0 = m_fn(x) and g0 = ell_fn(x) - beta0 * m0."""
+    m_spec, ell_spec = oracle_learner_specs(cfg)
+    x = np.asarray(x_row, dtype=float).reshape(1, -1)
+    m0 = m_spec.fn(x)[0]
+    return ell_spec.fn(x)[0] - cfg.beta0 * m0, m0
+
+
 def test_nuisance_truth_at_zero():
     cfg = ScenarioConfig(scenario="s1", p=5, n=10)
-    g0, m0 = nuisance_truth(np.zeros(5), cfg)
+    g0, m0 = _truth(np.zeros(5), cfg)
     assert g0 == pytest.approx(0.5)        # logistic(0) + 0.25 * 0
     assert m0 == pytest.approx(0.125)      # 0 + 0.25 * logistic(0)
 
@@ -71,7 +79,7 @@ def test_nuisance_truth_mixed_coordinates():
     cfg = ScenarioConfig(scenario="s1", p=5, n=10)
     x = np.zeros(5)
     x[cfg.linear_coord - 1] = 1.0
-    g0, m0 = nuisance_truth(x, cfg)
+    g0, m0 = _truth(x, cfg)
     assert g0 == pytest.approx(0.75)
     assert m0 == pytest.approx(1.125)
 
@@ -81,7 +89,7 @@ def test_nuisance_truth_logistic_term_bounded():
     rng = np.random.default_rng(0)
     for _ in range(50):
         x = rng.normal(size=4) * 5
-        g0, _ = nuisance_truth(x, cfg)
+        g0, _ = _truth(x, cfg)
         assert 0.0 < g0 - 0.25 * x[cfg.linear_coord - 1] < 1.0
 
 
@@ -366,6 +374,18 @@ def test_run_monte_carlo_rejects_single_rep():
 def test_mc_config_checks_its_settings_when_built(bad, match):
     with pytest.raises(InvalidConfig, match=match):
         _oracle_mc(**bad)
+
+
+@pytest.mark.parametrize("alpha, match", [
+    (1.5, r"must be in \(0, 1\), got 1.5"),
+    (0.0, r"must be in \(0, 1\), got 0.0"),
+    (float("nan"), r"must be in \(0, 1\), got nan"),
+    (1e-17, "too small for a finite normal quantile"),  # 1 - alpha/2 == 1
+], ids=["above", "zero", "nan", "tiny"])
+def test_mc_config_checks_alpha_when_built(alpha, match):
+    # the confidence interval's own rule, before any replication is drawn
+    with pytest.raises(InvalidAlpha, match=match):
+        _oracle_mc(alpha=alpha)
 
 
 def test_high_dimensional_cells_require_regularization():
