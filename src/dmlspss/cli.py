@@ -64,6 +64,7 @@ from .simulate import (
     SPLIT_SPSS,
     McConfig,
     ScenarioConfig,
+    check_super_learner_blocks,
     cross_fitted_estimate,
     emit_report,
     run_monte_carlo,
@@ -323,6 +324,7 @@ def cmd_estimate(cfg: RunConfig, input_csv, out_path) -> int:
             f"got {cfg.split_method!r}"
         )
     d = _load_dataset(cfg, input_csv)
+    check_super_learner_blocks((cfg.learner_m, cfg.learner_ell), d.n, cfg.k)
     start = time.perf_counter()
     est = cross_fitted_estimate(d, cfg, cfg.split_method, cfg.seed)
     record = {

@@ -99,12 +99,29 @@ class ScenarioConfig:
         return min(3, self.p)
 
 
+def check_super_learner_blocks(learners, n: int, k: int) -> None:
+    """Raise InvalidConfig unless every super learner in ``learners`` can
+    cut the smallest complement of K folds of n rows into its
+    ``v_blocks`` CV blocks (SPSS blocks need at least 2 rows each)."""
+    rows = n - -(-n // k)  # the largest fold's complement
+    for spec in learners:
+        if isinstance(spec, SuperLearner):
+            need = spec.v_blocks * (2 if spec.cv_splitter == "spss" else 1)
+            if rows < need:
+                raise InvalidConfig(
+                    f"{spec_label(spec)} v_blocks={spec.v_blocks} with "
+                    f"cv_splitter={spec.cv_splitter!r} needs {need} rows to train "
+                    f"on, but n={n} with K={k} leaves {rows}"
+                )
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Full recipe for one Monte Carlo cell; its choices, ``reps``,
     ``alpha``, ``k`` against ``n`` (every fold's complement keeps at least
-    2 rows to train on) and, when p >= n, the learners' penalties are
-    checked when it is built, before any replication runs."""
+    2 rows to train on), each super learner's ``v_blocks`` against the
+    smallest fold complement and, when p >= n, the learners' penalties
+    are checked when it is built, before any replication runs."""
 
     scenario: ScenarioConfig
     learner_m: object
@@ -143,6 +160,7 @@ class McConfig:
                     f"{spec_label(spec)} with lambda=0 is not allowed when "
                     f"p={self.scenario.p} >= n={self.scenario.n}"
                 )
+        check_super_learner_blocks(self._specs(), n, self.k)
 
     def _specs(self):
         """Both learner specs, each followed by its super-learner candidates."""

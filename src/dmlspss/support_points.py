@@ -13,10 +13,13 @@ The splitting operations (:func:`spss_split`, :func:`spss_kfold`) are one
 operation, :func:`_peel`: it takes parts of given sizes off the cloud in
 turn, each a seeded random row subset of the rows left, refined by a
 greedy exchange polish that strictly lowers its energy distance to them.
-The polish reports that distance before and after from the distance
-sums it keeps, so no caller computes a second N x N matrix.  They skip
-the MM solver because, at p=20, snapping its points returns the seeded
-rows, so only the polish changes the subset.
+The polish holds one N x N distance matrix (8*N^2 bytes) and N-length
+row sums; a visit of a selected row is one scaled add of its distances
+to a kept score vector and one minimum over the N rows.  It reports the energy
+distance before and after from its row sums, so no caller computes a
+second N x N matrix.  The splits skip the MM solver because, at p=20,
+snapping its points returns the seeded rows, so only the polish changes
+the subset.
 
 All randomness is confined to seeds in :class:`SpConfig`; every operation
 is a pure, deterministic function of its inputs.
@@ -34,6 +37,8 @@ from .errors import DimensionMismatch, InvalidConfig, InvalidFraction, TooLargeF
 
 # the MM update omits point pairs closer than this, so it stays finite
 _ZERO_DIST_EPS = 1e-10
+# rows per block when the polish sums each row's distances to the selected rows
+_BLOCK_ROWS = 256
 
 
 def _cdist(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> np.ndarray:
@@ -276,50 +281,86 @@ def _exchange_polish(
 ) -> tuple[np.ndarray, PolishStats]:
     """Greedy row swaps that strictly lower the subset's energy distance.
 
-    Each pass offers every selected row its best replacement and accepts
-    strict improvements.  Deterministic (ascending row order,
-    lowest-index ties) and monotone in the subset energy; costs one
-    N x N distance matrix, whose row sums give the energy distance of
-    the seeded and of the polished rows to ``full``.  Raises
-    TooLargeForMemory, before allocating, when that matrix and its
-    N x m column copy need more bytes than the machine's physical memory.
+    Each pass offers every selected row u (those selected when the pass
+    starts, ascending) its best replacement and accepts strict
+    improvements.  Swapping u for v changes the energy by
+    ``w_a*(a[v] - a[u]) - w_b*(b[v] - d[u, v] - b[u])``, where ``a`` and
+    ``b`` are the row sums of distances to all rows and to the selected
+    rows.  Apart from terms in u alone that is the score
+    ``c[v] + w_b*d[u, v]``, with ``c = w_a*a - w_b*b`` and selected rows
+    masked to +inf, so a visit is one scaled add into a reused buffer and
+    one minimum.  Only when the least score offers a swap are the rows
+    scoring within rounding slack of it ranked by the change itself
+    (lowest index on ties): the polish picks the rows that ranking every
+    row by the change would.  A swap updates ``b`` and recomputes ``c``.
+
+    Deterministic and monotone in the subset energy; costs one N x N
+    distance matrix, whose row sums give the energy distance of the
+    seeded and of the polished rows to ``full``.  Raises
+    TooLargeForMemory, before allocating, when that matrix and the block
+    of rows that sums its selected columns need more bytes than the
+    machine's physical memory.
     """
     big_n = full.shape[0]
     m = len(idx)
-    need, have = 8 * big_n * (big_n + m), _physical_memory()
+    block = min(big_n, _BLOCK_ROWS)
+    need, have = 8 * big_n * big_n + 8 * block * m, _physical_memory()
     if have is not None and need > have:
         raise TooLargeForMemory(
             f"the support-points polish of n={big_n} rows needs {need / 1e9:.3g} GB "
-            f"for its distances, more than the {have / 1e9:.3g} GB of physical memory"
+            f"for its {big_n} x {big_n} distance matrix and row sums, more than the "
+            f"{have / 1e9:.3g} GB of physical memory"
         )
     dists = _cdist(full, full)
     a = dists.sum(axis=1)  # distances from each row to all rows
     selected = np.zeros(big_n, dtype=bool)
     selected[idx] = True
-    b = dists[:, selected].sum(axis=1)  # ... and to the selected rows
+    b = np.empty(big_n)  # ... and to the selected rows, a block of rows at a time
+    for r0 in range(0, big_n, block):
+        b[r0:r0 + block] = dists[r0:r0 + block][:, selected].sum(axis=1)
     attract_w = 2.0 / (m * big_n)
     within_w = 2.0 / (m * m)
     within_full = a.sum() / (big_n * big_n)
+    # 1e-13 of the largest term either form of the change adds: far above
+    # their rounding errors (a few ulps of it), so every row the change
+    # could rank first scores within this of the least score
+    slack = 1e-13 * (attract_w * a.max() + within_w * (m + 1) * dists.max())
 
     def energy() -> float:  # energy_two_sample(full[selected], full)
         return float(attract_w * a[selected].sum() - b[selected].sum() / (m * m)
                      - within_full)
 
+    def score() -> np.ndarray:  # c, the part of a swap's change that is v's alone
+        c = attract_w * a - within_w * b
+        c[selected] = np.inf
+        return c
+
     init_energy = energy()
+    c, buf = score(), np.empty(big_n)
     passes = swaps = 0
     converged = False
     while passes < max_passes and not converged:
         passes += 1
         before = swaps
         for u in np.flatnonzero(selected):
-            delta = attract_w * (a - a[u]) - within_w * (b - dists[u] - b[u])
-            delta[selected] = np.inf
-            v = int(np.argmin(delta))
-            if delta[v] < -1e-12:
-                selected[u] = False
-                selected[v] = True
-                b += dists[v] - dists[u]
-                swaps += 1
+            du = dists[u]
+            np.multiply(du, within_w, out=buf)
+            buf += c
+            least = buf.min()  # +inf when every row is selected
+            # the least change is about least - (w_a*a[u] - w_b*b[u]); below
+            # -1e-12 + slack, rank the rows scoring within slack of it by the change
+            if least - (attract_w * a[u] - within_w * b[u]) < slack - 1e-12:
+                near = np.flatnonzero(buf <= least + slack)
+                change = attract_w * (a[near] - a[u]) - within_w * (
+                    b[near] - du[near] - b[u])
+                k = int(change.argmin())  # the lowest row on ties
+                if change[k] < -1e-12:
+                    v = near[k]
+                    selected[u] = False
+                    selected[v] = True
+                    b += dists[v] - du
+                    c = score()
+                    swaps += 1
         converged = swaps == before
     return np.flatnonzero(selected), PolishStats(
         idx, passes, swaps, converged, init_energy, energy())

@@ -1,12 +1,16 @@
 """Shared test fixtures: the residual-update lasso kept as the reference
 for ``learners._fit_lasso`` (coordinate descent by covariance updates),
-and a fixture that makes ``fit`` dispatch ``Lasso`` specs to it."""
+a fixture that makes ``fit`` dispatch ``Lasso`` specs to it, and the
+seven-operation exchange polish kept as the reference for
+``support_points._exchange_polish`` (one scaled add and one minimum per
+visit)."""
 
 import numpy as np
 import pytest
 
-from dmlspss.errors import NonConvergence
+from dmlspss.errors import NonConvergence, TooLargeForMemory
 from dmlspss.learners import Lasso, LinearModel, _check_xy, _fit_lasso, fit
+from dmlspss.support_points import PolishStats, _cdist, _physical_memory
 
 
 def _soft_threshold(z: float, gamma: float) -> float:
@@ -66,3 +70,57 @@ def lasso(request):
         yield request.param
     finally:
         fit.register(Lasso, _fit_lasso)
+
+
+def _reference_polish(
+    full: np.ndarray, idx: np.ndarray, max_passes: int
+) -> tuple[np.ndarray, PolishStats]:
+    """Greedy row swaps that strictly lower the subset's energy distance.
+
+    Each pass offers every selected row its best replacement and accepts
+    strict improvements.  Deterministic (ascending row order,
+    lowest-index ties) and monotone in the subset energy; costs one
+    N x N distance matrix, whose row sums give the energy distance of
+    the seeded and of the polished rows to ``full``.  Raises
+    TooLargeForMemory, before allocating, when that matrix and its
+    N x m column copy need more bytes than the machine's physical memory.
+    """
+    big_n = full.shape[0]
+    m = len(idx)
+    need, have = 8 * big_n * (big_n + m), _physical_memory()
+    if have is not None and need > have:
+        raise TooLargeForMemory(
+            f"the support-points polish of n={big_n} rows needs {need / 1e9:.3g} GB "
+            f"for its distances, more than the {have / 1e9:.3g} GB of physical memory"
+        )
+    dists = _cdist(full, full)
+    a = dists.sum(axis=1)  # distances from each row to all rows
+    selected = np.zeros(big_n, dtype=bool)
+    selected[idx] = True
+    b = dists[:, selected].sum(axis=1)  # ... and to the selected rows
+    attract_w = 2.0 / (m * big_n)
+    within_w = 2.0 / (m * m)
+    within_full = a.sum() / (big_n * big_n)
+
+    def energy() -> float:  # energy_two_sample(full[selected], full)
+        return float(attract_w * a[selected].sum() - b[selected].sum() / (m * m)
+                     - within_full)
+
+    init_energy = energy()
+    passes = swaps = 0
+    converged = False
+    while passes < max_passes and not converged:
+        passes += 1
+        before = swaps
+        for u in np.flatnonzero(selected):
+            delta = attract_w * (a - a[u]) - within_w * (b - dists[u] - b[u])
+            delta[selected] = np.inf
+            v = int(np.argmin(delta))
+            if delta[v] < -1e-12:
+                selected[u] = False
+                selected[v] = True
+                b += dists[v] - dists[u]
+                swaps += 1
+        converged = swaps == before
+    return np.flatnonzero(selected), PolishStats(
+        idx, passes, swaps, converged, init_energy, energy())

@@ -234,7 +234,7 @@ def test_estimate_reproduces_a_replication_bitwise(tmp_path, capsys, splitter, s
 @pytest.mark.parametrize("command", ["split", "estimate"])
 def test_polish_beyond_physical_memory_exits_3_and_writes_nothing(
         tmp_path, capsys, monkeypatch, command):
-    # 400 rows need 8 * 400 * (400 + 200) bytes for estimate's first fold
+    # 400 rows need more than 8 * 400 * 400 bytes for their distances alone
     monkeypatch.setattr(support_points, "_physical_memory", lambda: 1_000_000)
     csv_path = tmp_path / "in.csv"
     _make_dataset_csv(csv_path, n=400, seed=2, noiseless=False)
@@ -247,6 +247,26 @@ def test_polish_beyond_physical_memory_exits_3_and_writes_nothing(
     assert err.count("\n") == 1 and err.startswith("data error:")
     assert re.search(r"n=400 rows needs [0-9.]+ GB", err)
     assert not out.exists()
+
+
+def test_estimate_checks_super_learner_blocks_before_splitting(tmp_path, capsys,
+                                                               monkeypatch):
+    # 60 rows in K=2 folds leave 30 to train on; 20 SPSS blocks need 40
+    csv_path = tmp_path / "in.csv"
+    _make_dataset_csv(csv_path, n=60, seed=2, noiseless=False)
+    cfg = _base_config(tmp_path, csv_path)
+    cfg.write_text(cfg.read_text().replace("method = random", "method = spss").replace(
+        "[learner_ell]\nkind = zero", "[learner_ell]\nkind = superlearner\n"
+        "candidate.1.kind = ridge\ncandidate.1.lambda = 0.001\nv_blocks = 20\n"
+        "cv_splitter = spss"))
+    split = []
+    monkeypatch.setattr(simulate, "spss_kfold", lambda *a: split.append(a))
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "est.json"), "estimate"])
+    assert (rc, split) == (EXIT_CONFIG, [])
+    assert capsys.readouterr().err == (
+        "config error: sl(ridge) v_blocks=20 with cv_splitter='spss' needs 40 rows "
+        "to train on, but n=60 with K=2 leaves 30\n")
+    assert not (tmp_path / "est.json").exists()
 
 
 def test_estimate_numeric_failure_exits_4(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""Property tests: SPSS and random folds partition the rows, the energy
-distance obeys its axioms, the covariance-update lasso follows the
-residual-update reference sweep for sweep, the CSV writer and reader
+"""Property tests: SPSS and random folds partition the rows, the exchange
+polish picks the reference polish's rows, the energy distance obeys its
+axioms, the covariance-update lasso follows the residual-update
+reference sweep for sweep, the CSV writer and reader
 round-trip, the reader's np.loadtxt path and csv-module path agree, a
 config file either parses or fails as a configuration error, and the
 command line ends with a documented exit code, never a traceback."""
@@ -26,11 +27,12 @@ from dmlspss.cli import (
     parse_config,
 )
 from dmlspss import data as data_mod
-from dmlspss.data import ColumnSchema, Dataset, load_csv, write_csv
+from dmlspss.data import ColumnSchema, Dataset, load_csv, standardize, write_csv
 from dmlspss.errors import ConfigError, DmlSpssError, NonConvergence, NonFinite, ParseError
 from dmlspss.learners import Lasso, fit
 from dmlspss.support_points import (
     SpConfig,
+    _exchange_polish,
     energy_two_sample,
     random_kfold,
     random_subset,
@@ -38,7 +40,7 @@ from dmlspss.support_points import (
     spss_split,
 )
 
-from conftest import _residual_lasso
+from conftest import _reference_polish, _residual_lasso
 
 FEW = settings(max_examples=30, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -63,6 +65,26 @@ def test_spss_kfold_partitions_rows(data, p, seed):
     assert np.array_equal(np.sort(rows), np.arange(n))
     sizes = [len(f) for f in plan.folds]
     assert len(sizes) == k and max(sizes) - min(sizes) <= 1
+
+
+@FEW
+@given(st.data(), st.sampled_from([1, 2, 5, 20]), seeds, st.booleans())
+def test_exchange_polish_picks_the_reference_rows(data, p, seed, rounded):
+    # few rows, where one-dimensional clouds often tie exactly, or more than
+    # the 256 rows of one block of the selected-column sums
+    n = data.draw(st.one_of(st.integers(2, 40), st.integers(257, 600)), label="n")
+    m = data.draw(st.integers(1, n), label="m")  # m = n leaves nothing to swap in
+    cloud = _cloud(n, p, seed)
+    if rounded:  # a coarse grid: exact distance ties
+        cloud = np.round(cloud, 1)
+    cloud, _ = standardize(cloud)
+    idx = random_subset(n, m, seed % 1000)
+    rows, stats = _exchange_polish(cloud, idx, 30)
+    ref_rows, ref = _reference_polish(cloud, idx, 30)
+    assert np.array_equal(rows, ref_rows)
+    assert np.array_equal(stats.init_idx, ref.init_idx)
+    assert (stats.passes, stats.swaps, stats.converged) == (ref.passes, ref.swaps, ref.converged)
+    assert (stats.init_energy, stats.energy) == (ref.init_energy, ref.energy)  # bitwise
 
 
 @FEW

@@ -388,6 +388,25 @@ def test_mc_config_checks_alpha_when_built(alpha, match):
         _oracle_mc(alpha=alpha)
 
 
+@pytest.mark.parametrize("n, v_blocks, cv_splitter, fails", [
+    (40, 15, "spss", True),  # 20 rows to train on, SPSS blocks need 30
+    (40, 10, "spss", False),
+    (40, 21, "random", True),
+    (40, 20, "random", False),
+    (43, 11, "spss", True),  # the larger fold leaves 21 rows, not 22
+])
+def test_mc_config_checks_super_learner_blocks_when_built(n, v_blocks, cv_splitter, fails):
+    sl = SuperLearner(candidates=(Ridge(lam=1.0),), v_blocks=v_blocks,
+                      cv_splitter=cv_splitter)
+    cell = dict(scenario=ScenarioConfig(scenario="s1", p=3, n=n),
+                learner_m=Ridge(lam=1.0), learner_ell=sl, reps=2, k=2)
+    if fails:
+        with pytest.raises(InvalidConfig, match=f"v_blocks={v_blocks} .* needs"):
+            McConfig(**cell)
+    else:
+        McConfig(**cell)
+
+
 def test_high_dimensional_cells_require_regularization():
     cfg = ScenarioConfig(scenario="s1", p=60, n=50)
     with pytest.raises(InvalidConfig, match="lambda=0"):

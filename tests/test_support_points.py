@@ -31,6 +31,8 @@ from dmlspss.support_points import (
     spss_split,
 )
 
+from conftest import _reference_polish
+
 
 def energy_reference(a, b):
     """Direct double-summation oracle, independent of the vectorized path."""
@@ -392,13 +394,26 @@ def test_spss_kfold_rejects_bad_k():
         spss_kfold(d, 1, SpConfig(seed=0))
 
 
+def test_polish_ranks_exact_ties_by_the_energy_change():
+    # in one dimension the energy change is piecewise linear in the row
+    # swapped in, so rows on a flat stretch tie exactly: rows 0 and 4 here
+    # when row 1 is visited.  The score's rounding alone would take row 4;
+    # the change itself, as the reference computes it, takes row 0
+    cloud, _ = standardize(np.random.default_rng(8).normal(size=(6, 1)))
+    rows, stats = _exchange_polish(cloud, np.array([1, 2, 5]), 30)
+    ref_rows, ref = _reference_polish(cloud, np.array([1, 2, 5]), 30)
+    assert rows.tolist() == ref_rows.tolist() == [0, 2, 5]
+    assert (stats.swaps, stats.energy) == (ref.swaps, ref.energy) == (1, 0.05693309227431631)
+
+
 def test_polish_beyond_physical_memory_raises_before_allocating(monkeypatch):
-    # the first of two 200-row folds of 400 rows: 8 * 400 * (400 + 200) bytes
+    # the first of two 200-row folds of 400 rows: the 400 x 400 distances
+    # and a 256-row block of their 200 selected columns, 8 * (400^2 + 256 * 200) bytes
     d, _ = draw_dataset(ScenarioConfig(scenario="s1", p=3, n=400), seed=1)
     expected = [f.tolist() for f in spss_kfold(d, 2, SpConfig(seed=1)).folds]
-    need = 8 * 400 * 600
+    need = 8 * (400 * 400 + 256 * 200)
     monkeypatch.setattr(support_points, "_physical_memory", lambda: need - 1)
-    with pytest.raises(TooLargeForMemory, match=r"n=400 rows needs 0\.00192 GB"):
+    with pytest.raises(TooLargeForMemory, match=r"n=400 rows needs 0\.00169 GB"):
         spss_kfold(d, 2, SpConfig(seed=1))
     for probe in (need, None):  # exactly enough, or sysconf unavailable
         monkeypatch.setattr(support_points, "_physical_memory", lambda: probe)
