@@ -102,19 +102,23 @@ class SquaredLoss:
 
 @dataclass(frozen=True)
 class EpsilonInsensitiveLoss:
+    """SVR loss max(|r| - epsilon, 0); the dual box is 1/KernelMachine.lam."""
+
     epsilon: float = 0.1
-    c: float = 1.0
     max_iter: int = 500
 
     def __post_init__(self):
         _require_finite(self)
-        if self.epsilon < 0 or self.c <= 0 or self.max_iter < 1:
+        if self.epsilon < 0 or self.max_iter < 1:
             raise InvalidSpec(f"bad epsilon-insensitive loss {self}")
 
 
 @dataclass(frozen=True)
 class KernelMachine:
-    """RBF kernel regressor: k(x, z) = exp(-bandwidth * ||x - z||^2)."""
+    """RBF kernel regressor: k(x, z) = exp(-bandwidth * ||x - z||^2),
+    minimizing the summed loss (half the squared error, or the
+    epsilon-insensitive loss) plus (lam/2)||f||^2.  Under the latter the
+    SVR box is C = 1/lam (Smola & Scholkopf 2004)."""
 
     bandwidth: float = 1.0
     lam: float = 1.0
@@ -395,13 +399,13 @@ def _fit_kernel(spec: KernelMachine, x, y) -> KernelModel:
         dual = np.linalg.solve(gram + spec.lam * np.eye(n), y)
         return KernelModel(spec, x.copy(), dual, (n, p))
     # epsilon-insensitive SVR dual in beta = alpha - alpha*:
-    # min 0.5 b'Kb - y'b + eps*||b||_1 over the box [-C, C]^n;
+    # min 0.5 b'Kb - y'b + eps*||b||_1 over the box [-C, C]^n, C = 1/lam;
     # its prox is a soft threshold, then a clip to the box.
-    loss = spec.loss
+    loss, box = spec.loss, 1.0 / spec.lam
 
     def prox(z, lip):
         shrunk = np.sign(z) * np.maximum(np.abs(z) - loss.epsilon / lip, 0.0)
-        return np.clip(shrunk, -loss.c, loss.c)
+        return np.clip(shrunk, -box, box)
 
     beta = _proximal_gradient(gram, y, prox, np.zeros(n), 1e-12, loss.max_iter)
     return KernelModel(spec, x.copy(), beta, (n, p))

@@ -58,22 +58,31 @@ def _physical_memory():
         return None
 
 
+def _check_memory(need: int, task: str, matrices: str) -> None:
+    """Raise TooLargeForMemory when ``task`` needs more than the machine's
+    physical memory: ``need`` bytes for ``matrices``."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise TooLargeForMemory(f"{task} needs {need / 1e9:.3g} GB for {matrices}, "
+                                f"more than the {have / 1e9:.3g} GB of physical memory")
+
+
 @dataclass(frozen=True)
 class SpConfig:
     """Configuration for support-points computation and splitting.
 
-    The splitting operations read only ``seed`` (the random row subset
-    the polish starts from) and ``polish_passes`` (the bound on greedy
-    row-exchange passes; 0 keeps the seeded rows).  ``n_points``,
-    ``max_iter`` and ``tol`` configure :func:`compute_support_points`,
-    which starts from ``n_points`` seeded random rows.
+    The splitting operations read only ``seed``, the random row subset
+    the polish starts from; they bound the greedy row exchange by the
+    constant ``polish_passes = 30`` passes.  ``n_points``, ``max_iter``
+    and ``tol`` configure :func:`compute_support_points`, which starts
+    from ``n_points`` seeded random rows.
     """
 
     n_points: int = 0
     max_iter: int = 200
     tol: float = 1e-8  # relative objective change
     seed: int = 0
-    polish_passes: int = 30
+    polish_passes = 30
 
 
 @dataclass(frozen=True)
@@ -162,9 +171,14 @@ def energy_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     2 * mean cross-distance - mean within-a distance - mean within-b
     distance, with 1/(m*N), 1/m^2, 1/N^2 conventions (self-distances
     included in the denominators).  Zero exactly on identical multisets.
+    Raises TooLargeForMemory, before allocating, when its largest live
+    distance matrices need more than the machine's physical memory.
     """
     a, b = _check_same_dim(a, b)
-    within_b = _cdist(b, b).sum() / (b.shape[0] ** 2)
+    m, big_n = len(a), len(b)
+    _check_memory(8 * max(big_n * big_n, m * big_n + m * m), f"the energy distance "
+                  f"of {m} and {big_n} rows", "its largest distance matrices")
+    within_b = _cdist(b, b).sum() / (big_n ** 2)
     return float(_objective_from_dists(_cdist(a, b), _cdist(a, a)) - within_b)
 
 
@@ -304,13 +318,9 @@ def _exchange_polish(
     big_n = full.shape[0]
     m = len(idx)
     block = min(big_n, _BLOCK_ROWS)
-    need, have = 8 * big_n * big_n + 8 * block * m, _physical_memory()
-    if have is not None and need > have:
-        raise TooLargeForMemory(
-            f"the support-points polish of n={big_n} rows needs {need / 1e9:.3g} GB "
-            f"for its {big_n} x {big_n} distance matrix and row sums, more than the "
-            f"{have / 1e9:.3g} GB of physical memory"
-        )
+    _check_memory(8 * big_n * big_n + 8 * block * m,
+                  f"the support-points polish of n={big_n} rows",
+                  f"its {big_n} x {big_n} distance matrix and row sums")
     dists = _cdist(full, full)
     a = dists.sum(axis=1)  # distances from each row to all rows
     selected = np.zeros(big_n, dtype=bool)
@@ -395,8 +405,8 @@ def spss_split(d: Dataset, test_fraction: float, cfg: SpConfig) -> SplitResult:
     The joint (treatment, covariates, outcome) cloud is standardized; a
     random row subset of the requested test size, drawn from
     ``cfg.seed``, is polished by row exchange (at most
-    ``cfg.polish_passes`` passes) and becomes the test set, the rest the
-    training set.  ``result.polish`` reports the polish.  Each side must
+    ``SpConfig.polish_passes`` passes) and becomes the test set, the rest
+    the training set.  ``result.polish`` reports the polish.  Each side must
     get at least 2 rows, or ``InvalidFraction`` is raised.
     """
     n = d.n
@@ -407,7 +417,7 @@ def spss_split(d: Dataset, test_fraction: float, cfg: SpConfig) -> SplitResult:
             f"outside [2, {n - 2}]: each side needs at least 2 rows"
         )
     (test_idx, train_idx), (polish,) = _peel(
-        _joint_cloud(d), (n_test, n - n_test), cfg.seed, cfg.polish_passes
+        _joint_cloud(d), (n_test, n - n_test), cfg.seed, SpConfig.polish_passes
     )
     return SplitResult(test_idx=test_idx, train_idx=train_idx, polish=polish)
 
@@ -428,7 +438,7 @@ def spss_kfold_cloud(cloud: np.ndarray, k: int, cfg: SpConfig) -> FoldPlan:
     check_fold_count(n, k, spss=True)
     base, rem = divmod(n, k)
     sizes = [base + 1 if i < rem else base for i in range(k)]
-    folds, _ = _peel(cloud, sizes, cfg.seed, cfg.polish_passes)
+    folds, _ = _peel(cloud, sizes, cfg.seed, SpConfig.polish_passes)
     return FoldPlan(folds=tuple(folds))
 
 

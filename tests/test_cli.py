@@ -463,6 +463,36 @@ def test_energy_non_finite_cell_exits_3(tmp_path, capsys, cell):
     assert "line 3, column 'c1': non-finite value" in capsys.readouterr().err
 
 
+def test_energy_beyond_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # 5 rows against 400: the 400 x 400 within-b distances are the largest
+    rng = np.random.default_rng(5)
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    _write_csv(a_path, ["c1", "c2"], rng.normal(size=(5, 2)).tolist())
+    _write_csv(b_path, ["c1", "c2"], rng.normal(size=(400, 2)).tolist())
+    monkeypatch.setattr(support_points, "_physical_memory", lambda: 8 * 400 * 400 - 1)
+    rc = main(["energy", str(a_path), str(b_path)])
+    assert rc == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        "data error: the energy distance of 5 and 400 rows needs 0.00128 GB")
+    monkeypatch.setattr(support_points, "_physical_memory", lambda: 8 * 400 * 400)
+    assert main(["energy", str(a_path), str(b_path)]) == 0
+
+
+def test_energy_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # an allocation that fails below physical memory, as under a ulimit
+    def no_memory(a, b):
+        raise MemoryError("Unable to allocate 6.71 GiB for an array")
+
+    monkeypatch.setattr(cli, "energy_two_sample", no_memory)
+    a_path = tmp_path / "a.csv"
+    _write_csv(a_path, ["c1"], [[0.0], [1.0]])
+    assert main(["energy", str(a_path), str(a_path)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "data error: Unable to allocate 6.71 GiB for an array\n")
+
+
 # --- config parsing ----------------------------------------------------------------
 
 def test_unknown_key_rejected(tmp_path):
@@ -490,8 +520,9 @@ def test_bad_enum_rejected_at_parse_time(tmp_path):
     ("[learner_m]\nkind = ridge\nlambda = -1\n", "lambda"),
     ("[learner_m]\nkind = lasso\ntol = 0\n", "lasso"),
     ("[learner_m]\nkind = kernel\nbandwidth = 0\n", "bandwidth"),
-    ("[learner_m]\nkind = kernel\nloss = epsilon_insensitive\nc = -1\n",
-     "epsilon-insensitive"),
+    # lambda is the SVR penalty; the box C = 1/lambda has no key of its own
+    ("[learner_m]\nkind = kernel\nloss = epsilon_insensitive\nc = 1\n",
+     r"\[learner_m\] c: unknown key for EpsilonInsensitiveLoss"),
     ("[learner_m]\nkind = mlp\nhidden = 0\n", "hidden"),
     ("[learner_m]\nkind = superlearner\nv_blocks = 1\n"
      "candidate.1.kind = ridge\n", "v_blocks"),
@@ -662,9 +693,9 @@ def test_kind_only_superlearner_and_zero_use_spec_defaults(tmp_path):
     ("kind = kernel\nbandwidth = 0.5\nlambda = 2\nloss = squared\n",
      KernelMachine(bandwidth=0.5, lam=2.0, loss=SquaredLoss())),
     ("kind = kernel\nbandwidth = 0.5\nlambda = 2\nloss = Epsilon_Insensitive\n"
-     "epsilon = 0.2\nc = 3\nmax_iter = 40\n",
+     "epsilon = 0.2\nmax_iter = 40\n",
      KernelMachine(bandwidth=0.5, lam=2.0, loss=EpsilonInsensitiveLoss(
-         epsilon=0.2, c=3.0, max_iter=40))),
+         epsilon=0.2, max_iter=40))),
     ("kind = mlp\nhidden = 8, 4\nactivation = TANH\nstep_size = 0.01\n"
      "epochs = 5\nbatch = 16\nseed = 9\nl2 = 0.1\n",
      Mlp(hidden=(8, 4), activation="tanh", step_size=0.01, epochs=5, batch=16,

@@ -183,12 +183,26 @@ def test_kernel_epsilon_insensitive_fits_reasonably():
     x = np.linspace(-2, 2, 40).reshape(-1, 1)
     y = np.sin(x).ravel()
     spec = KernelMachine(
-        bandwidth=2.0, lam=1.0,
-        loss=EpsilonInsensitiveLoss(epsilon=0.01, c=10.0, max_iter=2000),
+        bandwidth=2.0, lam=0.1,
+        loss=EpsilonInsensitiveLoss(epsilon=0.01, max_iter=2000),
     )
     model = fit(spec, x, y)
     mse = np.mean((predict(model, x) - y) ** 2)
     assert mse < 0.01
+
+
+def test_svr_lambda_bounds_the_dual():
+    # lam is the SVR's penalty: its dual coefficients lie in [-1/lam, 1/lam]
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(40, 2))
+    y = 3.0 * np.sin(x[:, 0]) + rng.normal(scale=0.5, size=40)
+    duals = {}
+    for lam in (1.0, 4.0):
+        spec = KernelMachine(bandwidth=0.5, lam=lam, loss=EpsilonInsensitiveLoss())
+        duals[lam] = fit(spec, x, y).dual_coef
+        assert np.max(np.abs(duals[lam])) <= 1.0 / lam
+    assert np.max(np.abs(duals[4.0])) == 0.25  # the box binds
+    assert not np.array_equal(duals[1.0], duals[4.0])
 
 
 def test_kernel_spec_validation():
@@ -600,8 +614,8 @@ def test_mlp_loss_trace_and_predictions_are_pinned(name):
                                               (5000, "228cf2c7319e41d3")])
 def test_svr_dual_coefficients_are_pinned(max_iter, digest):
     x, y = _pinned_xy()
-    spec = KernelMachine(bandwidth=0.7, lam=1.0, loss=EpsilonInsensitiveLoss(
-        epsilon=0.1, c=0.5, max_iter=max_iter))
+    spec = KernelMachine(bandwidth=0.7, lam=2.0, loss=EpsilonInsensitiveLoss(
+        epsilon=0.1, max_iter=max_iter))
     assert _sha(fit(spec, x[:30], y[:30]).dual_coef) == digest
 
 

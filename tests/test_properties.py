@@ -429,7 +429,7 @@ _LEARNER_VALID = {  # kind -> its keys' accepted values
     "ridge": {"lambda": ["0.1", "0"]},
     "lasso": {"lambda": ["0.1"], "tol": ["1e-6"], "max_iter": ["50"]},
     "kernel": {"bandwidth": ["0.5"], "lambda": ["2"], "loss": ["epsilon_insensitive"],
-               "epsilon": ["0.1"], "c": ["2"], "max_iter": ["40"]},
+               "epsilon": ["0.1"], "max_iter": ["40"]},
     "mlp": {"hidden": ["16", "8,4"], "activation": ["relu", "TANH"],
             "step_size": ["0.01"], "epochs": ["5"], "batch": ["16"], "seed": ["3"],
             "l2": ["0.1"]},

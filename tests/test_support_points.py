@@ -260,16 +260,16 @@ def test_spss_split_polish_stats():
     stats = res.polish
     assert np.array_equal(stats.init_idx, random_subset(d.n, 10, 4))
     assert stats.swaps >= 1 and stats.converged
-    assert 2 <= stats.passes <= SpConfig().polish_passes
+    assert 2 <= stats.passes <= SpConfig.polish_passes == 30
     assert energy_two_sample(cloud[res.test_idx], cloud) < energy_two_sample(
         cloud[stats.init_idx], cloud
     )
     # one pass that swaps has not shown that no swap helps
-    one = spss_split(d, 0.25, SpConfig(seed=4, polish_passes=1)).polish
+    _, (one,) = _peel(cloud, (10, 30), 4, 1)
     assert (one.passes, one.converged) == (1, False)
-    none = spss_split(d, 0.25, SpConfig(seed=4, polish_passes=0))
-    assert np.array_equal(none.test_idx, stats.init_idx)
-    assert (none.polish.swaps, none.polish.converged) == (0, False)
+    (none_test, _), (none,) = _peel(cloud, (10, 30), 4, 0)
+    assert np.array_equal(none_test, stats.init_idx)
+    assert (none.swaps, none.converged) == (0, False)
 
 
 @pytest.mark.parametrize("n, p", [(12, 1), (61, 3), (300, 5), (800, 20)])
@@ -279,7 +279,6 @@ def test_polish_energies_match_energy_two_sample(n, p, passes):
     # formula on the rows it returns and on the seeded rows
     d = _small_dataset(seed=n + p, n=n, p=p)
     cloud, _ = standardize(np.hstack([d.t[:, None], d.x, d.y[:, None]]))
-    cfg = SpConfig(seed=n, polish_passes=passes)
 
     def check(rows, init_rows, polish, pool):
         assert polish.init_energy == pytest.approx(
@@ -288,13 +287,20 @@ def test_polish_energies_match_energy_two_sample(n, p, passes):
             energy_two_sample(pool[rows], pool), rel=1e-10)
         assert polish.energy <= polish.init_energy
 
-    res = spss_split(d, 0.2, cfg)
-    check(res.test_idx, res.polish.init_idx, res.polish, cloud)
+    # a 20% test set, as spss_split peels it, and three SPSS folds
+    n_test = int(np.floor(0.2 * n + 0.5))
+    (test, _), (split,) = _peel(cloud, (n_test, n - n_test), n, passes)
+    folds, stats = _peel(cloud, [len(f) for f in np.array_split(cloud, 3)], n, passes)
+    if passes == SpConfig.polish_passes:  # the bound the split routines use
+        res = spss_split(d, 0.2, SpConfig(seed=n))
+        assert np.array_equal(test, res.test_idx)
+        assert np.array_equal(split.init_idx, res.polish.init_idx)
+        assert replace(split, init_idx=None) == replace(res.polish, init_idx=None)
+        plan = spss_kfold_cloud(cloud, 3, SpConfig(seed=n))
+        assert all(np.array_equal(a, b) for a, b in zip(folds, plan.folds))
+    check(test, split.init_idx, split, cloud)
     # the first of three SPSS folds is polished against the whole cloud,
     # the second against the rows the first left
-    plan = spss_kfold_cloud(cloud, 3, cfg)
-    folds, stats = _peel(cloud, [len(f) for f in plan.folds], cfg.seed, passes)
-    assert all(np.array_equal(a, b) for a, b in zip(folds, plan.folds))
     check(folds[0], stats[0].init_idx, stats[0], cloud)
     left = np.setdiff1d(np.arange(n), folds[0])
     check(np.searchsorted(left, folds[1]), np.searchsorted(left, stats[1].init_idx),
