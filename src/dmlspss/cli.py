@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -64,7 +63,6 @@ from .simulate import (
     SPLIT_SPSS,
     McConfig,
     ScenarioConfig,
-    check_super_learner_blocks,
     cross_fitted_estimate,
     emit_report,
     run_monte_carlo,
@@ -324,7 +322,6 @@ def cmd_estimate(cfg: RunConfig, input_csv, out_path) -> int:
             f"got {cfg.split_method!r}"
         )
     d = _load_dataset(cfg, input_csv)
-    check_super_learner_blocks((cfg.learner_m, cfg.learner_ell), d.n, cfg.k)
     start = time.perf_counter()
     est = cross_fitted_estimate(d, cfg, cfg.split_method, cfg.seed)
     record = {
@@ -426,11 +423,8 @@ def main(argv=None) -> int:
         if args.command == "energy":
             return cmd_energy(args.a, args.b)
         cfg = parse_config(args.config) if args.config else RunConfig()
-        threads = args.threads
-        if threads is None:
-            env = os.environ.get("DMLSPSS_THREADS")
-            threads = _parse(env, int, "DMLSPSS_THREADS") if env else cfg.threads
-        cfg = replace(cfg, threads=threads)
+        if args.threads is not None:
+            cfg = replace(cfg, threads=args.threads)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed, master_seed=args.seed)
         if args.command == "split":

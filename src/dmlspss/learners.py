@@ -567,7 +567,8 @@ def _fit_super_learner(spec: SuperLearner, x, y) -> SuperLearnerModel:
     to the lowest index).  Convex-weights mode solves the simplex-
     constrained least squares of y on out-of-fold candidate predictions
     and blends full-data refits.  A candidate whose fit raises is assigned
-    infinite risk instead of aborting the ensemble.
+    infinite risk instead of aborting the ensemble; if none is left, the
+    first candidate exception is raised again, tagged in place (same class).
     """
     x, y = _check_xy(x, y)
     n = x.shape[0]
@@ -582,15 +583,21 @@ def _fit_super_learner(spec: SuperLearner, x, y) -> SuperLearnerModel:
     n_cand = len(spec.candidates)
     risks = np.full(n_cand, np.inf)
     oof = [None] * n_cand
+    failures = []
     for i, cand in enumerate(spec.candidates):
         try:
             oof[i] = crossfit(cand, x, y, plan)
-        except (DmlSpssError, np.linalg.LinAlgError):
+        except (DmlSpssError, np.linalg.LinAlgError) as exc:
+            failures.append(exc)
             continue
         risks[i] = plan.means((oof[i] - y) ** 2).mean()
 
     if not np.any(np.isfinite(risks)):
-        raise InvalidSpec("every super learner candidate failed to fit")
+        if not failures:  # every candidate fitted, none to a finite risk
+            raise InvalidSpec("every super learner candidate failed to fit")
+        first = failures[0]
+        first.args = (f"every super learner candidate failed to fit; the first: {first}",)
+        raise first
 
     chosen = int(np.argmin(risks))
     weights = np.zeros(n_cand)

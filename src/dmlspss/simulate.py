@@ -99,12 +99,40 @@ class ScenarioConfig:
         return min(3, self.p)
 
 
-def check_super_learner_blocks(learners, n: int, k: int) -> None:
-    """Raise InvalidConfig unless every super learner in ``learners`` can
-    cut the smallest complement of K folds of n rows into its
-    ``v_blocks`` CV blocks (SPSS blocks need at least 2 rows each)."""
+def _learner_specs(cfg):
+    """Both learner specs of ``cfg``, each followed by its super-learner
+    candidates."""
+    for learner in (cfg.learner_m, cfg.learner_ell):
+        yield learner
+        if isinstance(learner, SuperLearner):
+            yield from learner.candidates
+
+
+def check_run(cfg, splitter: str, n: int, p: int) -> None:
+    """Raise InvalidConfig unless :func:`cross_fitted_estimate` can run
+    ``cfg`` with ``splitter`` folds on n rows of p covariates: known
+    choices, ``alpha`` in (0, 1), K against n (every fold complement keeps
+    2 rows, and each super learner's CV blocks, 2 rows each when SPSS),
+    and, when p >= n, a penalty on every ridge and lasso."""
+    if splitter not in (SPLIT_SPSS, SPLIT_RANDOM):
+        raise InvalidConfig(f"unknown splitter {splitter!r}")
+    if cfg.score not in (SCORE_PARTIALLING_OUT, SCORE_IV_TYPE):
+        raise InvalidConfig(f"unknown score {cfg.score!r}")
+    if cfg.algorithm not in (ALG_DML1, ALG_DML2):
+        raise InvalidConfig(f"unknown algorithm {cfg.algorithm!r}")
+    check_alpha(cfg.alpha)
+    k = cfg.k
+    check_fold_count(n, k, spss=splitter == SPLIT_SPSS)
     rows = n - -(-n // k)  # the largest fold's complement
-    for spec in learners:
+    if rows < 2:
+        raise InvalidConfig(
+            f"need n - ceil(n/K) >= 2 rows to train on, got K={k} with n={n}"
+        )
+    for spec in _learner_specs(cfg):
+        if isinstance(spec, (Ridge, Lasso)) and spec.lam == 0.0 and p >= n:
+            raise InvalidConfig(
+                f"{spec_label(spec)} with lambda=0 is not allowed when p={p} >= n={n}"
+            )
         if isinstance(spec, SuperLearner):
             need = spec.v_blocks * (2 if spec.cv_splitter == "spss" else 1)
             if rows < need:
@@ -117,11 +145,9 @@ def check_super_learner_blocks(learners, n: int, k: int) -> None:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Full recipe for one Monte Carlo cell; its choices, ``reps``,
-    ``alpha``, ``k`` against ``n`` (every fold's complement keeps at least
-    2 rows to train on), each super learner's ``v_blocks`` against the
-    smallest fold complement and, when p >= n, the learners' penalties
-    are checked when it is built, before any replication runs."""
+    """Full recipe for one Monte Carlo cell; ``reps`` and, by
+    :func:`check_run`, every setting against the cell's n and p are
+    checked when it is built, before any replication runs."""
 
     scenario: ScenarioConfig
     learner_m: object
@@ -138,36 +164,9 @@ class McConfig:
     sp_tol: float = 1e-7
 
     def __post_init__(self):
-        if self.splitter not in (SPLIT_SPSS, SPLIT_RANDOM):
-            raise InvalidConfig(f"unknown splitter {self.splitter!r}")
-        if self.score not in (SCORE_PARTIALLING_OUT, SCORE_IV_TYPE):
-            raise InvalidConfig(f"unknown score {self.score!r}")
-        if self.algorithm not in (ALG_DML1, ALG_DML2):
-            raise InvalidConfig(f"unknown algorithm {self.algorithm!r}")
         if self.reps < 2:
             raise InvalidConfig(f"reps must be >= 2, got {self.reps}")
-        check_alpha(self.alpha)
-        n = self.scenario.n
-        check_fold_count(n, self.k, spss=self.splitter == SPLIT_SPSS)
-        if n - -(-n // self.k) < 2:  # the largest fold's complement
-            raise InvalidConfig(
-                f"need n - ceil(n/K) >= 2 rows to train on, got K={self.k} with n={n}"
-            )
-        for spec in self._specs():
-            unpenalized = isinstance(spec, (Ridge, Lasso)) and spec.lam == 0.0
-            if unpenalized and self.scenario.p >= self.scenario.n:
-                raise InvalidConfig(
-                    f"{spec_label(spec)} with lambda=0 is not allowed when "
-                    f"p={self.scenario.p} >= n={self.scenario.n}"
-                )
-        check_super_learner_blocks(self._specs(), n, self.k)
-
-    def _specs(self):
-        """Both learner specs, each followed by its super-learner candidates."""
-        for learner in (self.learner_m, self.learner_ell):
-            yield learner
-            if isinstance(learner, SuperLearner):
-                yield from learner.candidates
+        check_run(self, self.splitter, self.scenario.n, self.scenario.p)
 
     @property
     def _computes_distances(self) -> bool:
@@ -176,7 +175,7 @@ class McConfig:
         return self.splitter == SPLIT_SPSS or any(
             isinstance(spec, KernelMachine)
             or (isinstance(spec, SuperLearner) and spec.cv_splitter == "spss")
-            for spec in self._specs()
+            for spec in _learner_specs(self)
         )
 
 
@@ -309,13 +308,13 @@ def cross_fitted_estimate(d: Dataset, cfg, splitter: str, seed: int) -> DmlEstim
     complement, then DML1 or DML2.  ``cfg`` supplies ``learner_m``,
     ``learner_ell``, ``k``, ``score``, ``algorithm`` and ``alpha``: a
     :class:`McConfig` for a replication, the CLI's run config for
-    ``dmlspss estimate``.  An unknown splitter raises InvalidConfig."""
+    ``dmlspss estimate``.  :func:`check_run` checks them against ``d``
+    before the split."""
+    check_run(cfg, splitter, d.n, d.p)
     if splitter == SPLIT_SPSS:
         plan = spss_kfold(d, cfg.k, SpConfig(seed=seed))
-    elif splitter == SPLIT_RANDOM:
-        plan = random_kfold(d.n, cfg.k, seed)
     else:
-        raise InvalidConfig(f"unknown splitter {splitter!r}")
+        plan = random_kfold(d.n, cfg.k, seed)
     nuis = fit_nuisances_crossfit(d, plan, cfg.learner_m, cfg.learner_ell, cfg.score)
     estimate = dml1_estimate if cfg.algorithm == ALG_DML1 else dml2_estimate
     return estimate(d, plan, nuis, cfg.score, alpha=cfg.alpha)

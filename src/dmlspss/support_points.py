@@ -7,17 +7,19 @@ minimizer of a separable convex surrogate (quadratic majorant for the
 attraction term, tangent plane for the concave repulsion term), which
 guarantees a non-increasing objective.  :func:`snap_to_rows` projects
 points onto distinct data rows.  :func:`energy_two_sample` is that
-criterion minus the within-data mean, so both come from one formula.
+criterion minus the within-data mean; it sums its distances
+``_BLOCK_ROWS`` rows at a time, so it holds no N x N matrix.
 
 The splitting operations (:func:`spss_split`, :func:`spss_kfold`) are one
 operation, :func:`_peel`: it takes parts of given sizes off the cloud in
 turn, each a seeded random row subset of the rows left, refined by a
 greedy exchange polish that strictly lowers its energy distance to them.
 The polish holds one N x N distance matrix (8*N^2 bytes) and N-length
-row sums; a visit of a selected row is one scaled add of its distances
-to a kept score vector and one minimum over the N rows.  It reports the energy
-distance before and after from its row sums, so no caller computes a
-second N x N matrix.  The splits skip the MM solver because, at p=20,
+row sums, built by the row add that updates them on a swap; a visit of
+a selected row is one scaled add of its distances to a kept score
+vector and one minimum over the N rows.  It reports the energy distance
+before and after from its row sums, so no caller computes a second
+N x N matrix.  The splits skip the MM solver because, at p=20,
 snapping its points returns the seeded rows, so only the polish changes
 the subset.
 
@@ -37,7 +39,7 @@ from .errors import DimensionMismatch, InvalidConfig, InvalidFraction, TooLargeF
 
 # the MM update omits point pairs closer than this, so it stays finite
 _ZERO_DIST_EPS = 1e-10
-# rows per block when the polish sums each row's distances to the selected rows
+# rows per block when the energy distance sums a set of distances
 _BLOCK_ROWS = 256
 
 
@@ -56,15 +58,6 @@ def _physical_memory():
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return None
-
-
-def _check_memory(need: int, task: str, matrices: str) -> None:
-    """Raise TooLargeForMemory when ``task`` needs more than the machine's
-    physical memory: ``need`` bytes for ``matrices``."""
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise TooLargeForMemory(f"{task} needs {need / 1e9:.3g} GB for {matrices}, "
-                                f"more than the {have / 1e9:.3g} GB of physical memory")
 
 
 @dataclass(frozen=True)
@@ -171,15 +164,19 @@ def energy_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     2 * mean cross-distance - mean within-a distance - mean within-b
     distance, with 1/(m*N), 1/m^2, 1/N^2 conventions (self-distances
     included in the denominators).  Zero exactly on identical multisets.
-    Raises TooLargeForMemory, before allocating, when its largest live
-    distance matrices need more than the machine's physical memory.
+    Each sum adds whole distance blocks of ``_BLOCK_ROWS`` rows, so it
+    needs O(``_BLOCK_ROWS`` * N) memory, not an N x N matrix.
     """
     a, b = _check_same_dim(a, b)
     m, big_n = len(a), len(b)
-    _check_memory(8 * max(big_n * big_n, m * big_n + m * m), f"the energy distance "
-                  f"of {m} and {big_n} rows", "its largest distance matrices")
-    within_b = _cdist(b, b).sum() / (big_n ** 2)
-    return float(_objective_from_dists(_cdist(a, b), _cdist(a, a)) - within_b)
+    return float(_dist_sum(a, b) * 2.0 / (m * big_n) - _dist_sum(a, a) / (m * m)
+                 - _dist_sum(b, b) / (big_n ** 2))
+
+
+def _dist_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """The sum of the distances from each row of ``a`` to each row of ``b``."""
+    return sum(_cdist(a[r:r + _BLOCK_ROWS], b).sum()
+               for r in range(0, len(a), _BLOCK_ROWS))
 
 
 def _objective_from_dists(d_xf: np.ndarray, d_pp: np.ndarray) -> float:
@@ -306,28 +303,29 @@ def _exchange_polish(
     one minimum.  Only when the least score offers a swap are the rows
     scoring within rounding slack of it ranked by the change itself
     (lowest index on ties): the polish picks the rows that ranking every
-    row by the change would.  A swap updates ``b`` and recomputes ``c``.
+    row by the change would.  ``b`` adds up the selected rows of distances
+    in ascending order, as a swap updates it; a swap recomputes ``c``.
 
     Deterministic and monotone in the subset energy; costs one N x N
     distance matrix, whose row sums give the energy distance of the
     seeded and of the polished rows to ``full``.  Raises
-    TooLargeForMemory, before allocating, when that matrix and the block
-    of rows that sums its selected columns need more bytes than the
-    machine's physical memory.
+    TooLargeForMemory, before allocating, when that matrix's 8*N^2 bytes
+    exceed the machine's physical memory.
     """
     big_n = full.shape[0]
     m = len(idx)
-    block = min(big_n, _BLOCK_ROWS)
-    _check_memory(8 * big_n * big_n + 8 * block * m,
-                  f"the support-points polish of n={big_n} rows",
-                  f"its {big_n} x {big_n} distance matrix and row sums")
+    need, have = 8 * big_n * big_n, _physical_memory()
+    if have is not None and need > have:
+        raise TooLargeForMemory(f"the support-points polish of n={big_n} rows needs "
+                                f"{need / 1e9:.3g} GB for its distance matrix, more "
+                                f"than the {have / 1e9:.3g} GB of physical memory")
     dists = _cdist(full, full)
     a = dists.sum(axis=1)  # distances from each row to all rows
     selected = np.zeros(big_n, dtype=bool)
     selected[idx] = True
-    b = np.empty(big_n)  # ... and to the selected rows, a block of rows at a time
-    for r0 in range(0, big_n, block):
-        b[r0:r0 + block] = dists[r0:r0 + block][:, selected].sum(axis=1)
+    b = np.zeros(big_n)  # ... and to the selected rows (dists is symmetric)
+    for j in np.flatnonzero(selected):
+        b += dists[j]
     attract_w = 2.0 / (m * big_n)
     within_w = 2.0 / (m * m)
     within_full = a.sum() / (big_n * big_n)

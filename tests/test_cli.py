@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,37 @@ def test_polish_beyond_physical_memory_exits_3_and_writes_nothing(
     assert not out.exists()
 
 
+def test_estimate_on_three_rows_exits_2_before_splitting(tmp_path, capsys, monkeypatch):
+    # random K=2 on 3 rows leaves a 1-row fold complement, as simulate rejects
+    split = []
+    monkeypatch.setattr(simulate, "random_kfold", lambda *a: split.append(a))
+    csv_path = tmp_path / "in.csv"
+    _make_dataset_csv(csv_path, n=3, seed=2, noiseless=False)
+    rc = main(["--config", str(_base_config(tmp_path, csv_path)), "estimate"])
+    assert (rc, split) == (EXIT_CONFIG, [])
+    assert ("need n - ceil(n/K) >= 2 rows to train on, got K=2 with n=3"
+            in capsys.readouterr().err)
+
+
+def test_estimate_with_unpenalized_ridge_and_p_at_least_n_exits_2_before_splitting(
+        tmp_path, capsys, monkeypatch):
+    split = []
+    monkeypatch.setattr(simulate, "spss_kfold", lambda *a: split.append(a))
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(6, 8))  # y, t and six covariates
+    csv_path = tmp_path / "in.csv"
+    _write_csv(csv_path, ["y", "t", *(f"x{j}" for j in range(1, 7))], rows.tolist())
+    cfg = _base_config(tmp_path, csv_path).read_text().replace(
+        "method = random", "method = spss").replace(
+        "covariates = x1,x2", "covariates = x1,x2,x3,x4,x5,x6").replace(
+        "[learner_m]\nkind = zero", "[learner_m]\nkind = ridge\nlambda = 0")
+    (tmp_path / "run.ini").write_text(cfg)
+    rc = main(["--config", str(tmp_path / "run.ini"), "estimate"])
+    assert (rc, split) == (EXIT_CONFIG, [])
+    assert ("ridge with lambda=0 is not allowed when p=6 >= n=6"
+            in capsys.readouterr().err)
+
+
 def test_estimate_checks_super_learner_blocks_before_splitting(tmp_path, capsys,
                                                                monkeypatch):
     # 60 rows in K=2 folds leave 30 to train on; 20 SPSS blocks need 40
@@ -305,6 +337,21 @@ def test_diverging_mlp_exits_4_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("numeric error: mlp training diverged")
+
+
+def test_super_learner_of_a_diverging_mlp_exits_4(tmp_path, capsys):
+    # the candidate's own error class, as for the bare MLP above
+    csv_path = tmp_path / "in.csv"
+    _make_dataset_csv(csv_path, n=40, seed=1, noiseless=False)
+    cfg = _base_config(tmp_path, csv_path).read_text().replace(
+        "kind = zero", "kind = superlearner\ncandidate.1.kind = mlp\n"
+        "candidate.1.step_size = 1e300", 1)
+    cfg_path = tmp_path / "diverge.ini"
+    cfg_path.write_text(cfg)
+    assert main(["--config", str(cfg_path), "estimate"]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric error: every super learner candidate failed to fit; "
+        "the first: mlp training diverged (non-finite loss)\n")
 
 # --- simulate ------------------------------------------------------------------
 
@@ -463,21 +510,25 @@ def test_energy_non_finite_cell_exits_3(tmp_path, capsys, cell):
     assert "line 3, column 'c1': non-finite value" in capsys.readouterr().err
 
 
-def test_energy_beyond_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
-    # 5 rows against 400: the 400 x 400 within-b distances are the largest
+def test_energy_holds_no_n_by_n_matrix_and_checks_no_memory(tmp_path, capsys,
+                                                           monkeypatch):
+    # 5 rows against 4,000: the 4000 x 4000 within-b distances alone would
+    # be 8 * 4000^2 bytes; a block of rows at a time needs far less, and
+    # no physical-memory check stands in the way
     rng = np.random.default_rng(5)
     a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
     _write_csv(a_path, ["c1", "c2"], rng.normal(size=(5, 2)).tolist())
-    _write_csv(b_path, ["c1", "c2"], rng.normal(size=(400, 2)).tolist())
-    monkeypatch.setattr(support_points, "_physical_memory", lambda: 8 * 400 * 400 - 1)
-    rc = main(["energy", str(a_path), str(b_path)])
-    assert rc == EXIT_DATA
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith(
-        "data error: the energy distance of 5 and 400 rows needs 0.00128 GB")
-    monkeypatch.setattr(support_points, "_physical_memory", lambda: 8 * 400 * 400)
-    assert main(["energy", str(a_path), str(b_path)]) == 0
+    _write_csv(b_path, ["c1", "c2"], rng.normal(size=(4000, 2)).tolist())
+    monkeypatch.setattr(support_points, "_physical_memory", lambda: 1)
+    tracemalloc.start()
+    try:
+        rc = main(["energy", str(a_path), str(b_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert np.isfinite(float(capsys.readouterr().out))
+    assert peak < 8 * 4000 * 4000 / 4
 
 
 def test_energy_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
@@ -604,22 +655,13 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
-def test_bad_threads_env_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DMLSPSS_THREADS", "abc")
-    cfg = _base_config(tmp_path, tmp_path / "unused.csv", SIM_EXTRA)
-    rc = main(["--config", str(cfg), "simulate"])
-    assert rc == EXIT_CONFIG
-    assert "DMLSPSS_THREADS" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_zero_threads_exit_code(tmp_path, capsys, monkeypatch, source):
-    cfg = _base_config(tmp_path, tmp_path / "unused.csv", SIM_EXTRA)
+@pytest.mark.parametrize("source", ["flag", "ini"])
+def test_zero_threads_exit_code(tmp_path, capsys, source):
+    extra = SIM_EXTRA + ("\n[runtime]\nthreads = 0\n" if source == "ini" else "")
+    cfg = _base_config(tmp_path, tmp_path / "unused.csv", extra)
     argv = ["--config", str(cfg), "simulate"]
     if source == "flag":
         argv = ["--threads", "0", *argv]
-    else:
-        monkeypatch.setenv("DMLSPSS_THREADS", "0")
     assert main(argv) == EXIT_CONFIG
     assert "threads: must be >= 1, got 0" in capsys.readouterr().err
 

@@ -425,8 +425,11 @@ def test_failing_candidate_gets_infinite_risk():
     model = fit(SuperLearner(candidates=(bad, good), seed=3), x, y)
     assert np.isinf(model.report.risks[0])
     assert model.report.chosen == 1
-    with pytest.raises(InvalidSpec, match="every super learner candidate failed"):
+    with pytest.raises(SingularSystem, match="every super learner candidate failed"):
         fit(SuperLearner(candidates=(bad, bad), seed=3), x, y)
+    nan = Oracle(fn=lambda q: np.full(len(q), np.nan))  # fits, to no finite risk
+    with pytest.raises(InvalidSpec, match="every super learner candidate failed"):
+        fit(SuperLearner(candidates=(nan,), seed=3), x, y)
 
 
 def test_convex_weights_duplicated_candidates_equivalent():

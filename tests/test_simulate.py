@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -306,6 +307,15 @@ def test_cross_fitted_estimate_rejects_an_unknown_splitter():
     d, _ = draw_dataset(mc.scenario, seed=1)
     with pytest.raises(InvalidConfig, match="unknown splitter 'both'"):
         simulate.cross_fitted_estimate(d, mc, "both", seed=2)
+
+
+def test_cross_fitted_estimate_rejects_an_unknown_algorithm():
+    # a library caller's config that no McConfig or RunConfig checked
+    mc = _oracle_mc()
+    cfg = SimpleNamespace(**{**vars(mc), "algorithm": "dml3"})
+    d, _ = draw_dataset(mc.scenario, seed=1)
+    with pytest.raises(InvalidConfig, match="unknown algorithm 'dml3'"):
+        simulate.cross_fitted_estimate(d, cfg, "random", seed=2)
 
 
 class _RecordingPool:

@@ -412,14 +412,28 @@ def test_polish_ranks_exact_ties_by_the_energy_change():
     assert (stats.swaps, stats.energy) == (ref.swaps, ref.energy) == (1, 0.05693309227431631)
 
 
+def test_polish_ranks_like_the_reference_when_one_row_is_left_over():
+    # n = 1 (mod 256) on tied one-column data: unless the row sums add the
+    # selected rows in the reference's order at every n, other rows win ties
+    for n in (257, 513):
+        cloud, _ = standardize(np.round(np.random.default_rng(0).normal(size=(n, 1)), 1))
+        idx = random_subset(n, 58, 0)
+        rows, stats = _exchange_polish(cloud, idx, 30)
+        ref_rows, ref = _reference_polish(cloud, idx, 30)
+        assert rows.tolist() == ref_rows.tolist()
+        assert (stats.passes, stats.swaps, stats.converged) == (
+            ref.passes, ref.swaps, ref.converged)
+        assert (stats.init_energy, stats.energy) == (ref.init_energy, ref.energy)
+
+
 def test_polish_beyond_physical_memory_raises_before_allocating(monkeypatch):
-    # the first of two 200-row folds of 400 rows: the 400 x 400 distances
-    # and a 256-row block of their 200 selected columns, 8 * (400^2 + 256 * 200) bytes
+    # the first of two 200-row folds of 400 rows: the 400 x 400 distances,
+    # 8 * 400^2 bytes
     d, _ = draw_dataset(ScenarioConfig(scenario="s1", p=3, n=400), seed=1)
     expected = [f.tolist() for f in spss_kfold(d, 2, SpConfig(seed=1)).folds]
-    need = 8 * (400 * 400 + 256 * 200)
+    need = 8 * 400 * 400
     monkeypatch.setattr(support_points, "_physical_memory", lambda: need - 1)
-    with pytest.raises(TooLargeForMemory, match=r"n=400 rows needs 0\.00169 GB"):
+    with pytest.raises(TooLargeForMemory, match=r"n=400 rows needs 0\.00128 GB"):
         spss_kfold(d, 2, SpConfig(seed=1))
     for probe in (need, None):  # exactly enough, or sysconf unavailable
         monkeypatch.setattr(support_points, "_physical_memory", lambda: probe)
@@ -450,3 +464,12 @@ def test_energy_two_sample_is_pinned():
            for m, n in ((1, 1), (5, 9), (17, 4), (30, 30))]
     assert got == ["0x1.25671849bc33bp+1", "0x1.5ecf3a3dc86e8p-1",
                    "0x1.fe90f7a89664cp-2", "0x1.205201b246bb0p-2"]
+
+
+@pytest.mark.parametrize("m, n", [(257, 3), (5, 600), (700, 300)])
+def test_energy_in_row_blocks_matches_the_full_matrices(m, n):
+    # above 256 rows the sums run a block of rows at a time
+    rng = np.random.default_rng(m + n)
+    a, b = rng.normal(size=(m, 4)), rng.normal(size=(n, 4)) + 0.3
+    full = 2 * cdist(a, b).mean() - cdist(a, a).mean() - cdist(b, b).mean()
+    assert energy_two_sample(a, b) == pytest.approx(full, rel=1e-12, abs=0)
