@@ -37,7 +37,6 @@ from .learners import (
     SquaredLoss,
     SuperLearner,
     fit,
-    predict,
 )
 from .simulate import (
     McConfig,

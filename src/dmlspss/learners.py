@@ -14,13 +14,14 @@ predict the fold) behind the DML nuisances and the super learner's
 candidate risks, whose ``CvRiskReport.risks`` is the one cross-validated
 risk.  Ridge and lasso share one centring (``_centred``).
 ``mlp_forward``, ``mlp_loss_and_grad`` and the SGD step share one MLP
-forward pass and one backpropagation; the epsilon-insensitive kernel
-dual and the super learner's simplex weights share one proximal-gradient
-loop, each with its own proximal map.
+forward pass and one backpropagation (an MLP fit checks its loss once,
+after the last epoch); the epsilon-insensitive kernel dual and the super
+learner's simplex weights share one proximal-gradient loop, each with
+its own proximal map.
 
 ``fit`` dispatches on the spec type via ``functools.singledispatch``, so
 test code can register additional learner kinds without touching this
-module.
+module; ``model.predict(x)`` is the one route to a prediction.
 """
 
 from __future__ import annotations
@@ -233,11 +234,6 @@ class FittedModel:
         raise NotImplementedError
 
 
-def predict(model: FittedModel, x: np.ndarray) -> np.ndarray:
-    """Evaluate a fitted model on new rows (p must match training)."""
-    return model.predict(x)
-
-
 class LinearModel(FittedModel):
     def __init__(self, spec, coef, intercept, dims):
         self.spec = spec
@@ -262,11 +258,10 @@ class KernelModel(FittedModel):
 
 
 class MlpModel(FittedModel):
-    def __init__(self, spec, weights, dims, loss_trace):
+    def __init__(self, spec, weights, dims):
         self.spec = spec
         self.weights = weights
         self.training_dims = dims
-        self.loss_trace = loss_trace
 
     def _predict(self, x):
         return mlp_forward(self.weights, x, self.spec.activation)
@@ -490,14 +485,14 @@ def mlp_loss_and_grad(weights: list, x: np.ndarray, y: np.ndarray,
 def _fit_mlp(spec: Mlp, x, y) -> MlpModel:
     """Mini-batch SGD on the squared loss; fully determined by spec.seed.
 
-    A diverging fit raises NonConvergence, with no numpy overflow warning."""
+    The loss is checked once, after the last epoch: a non-finite one raises
+    NonConvergence (final weights as partial), with no numpy overflow warning."""
     x, y = _check_xy(x, y)
     n, p = x.shape
     rng = np.random.default_rng(spec.seed)
     weights = mlp_init_weights(p, spec.hidden, spec.seed + 1)
     act, deriv = _activation(spec.activation)
 
-    loss_trace = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(spec.epochs):
             order = rng.permutation(n)
@@ -508,14 +503,11 @@ def _fit_mlp(spec: Mlp, x, y) -> MlpModel:
                 for (w, b), (gw, gb) in zip(weights, grads):
                     w -= spec.step_size * gw
                     b -= spec.step_size * gb
-            epoch_loss = _mlp_loss(_forward(weights, x, act)[-1] - y, weights, spec.l2)
-            if not np.isfinite(epoch_loss):
-                raise NonConvergence(
-                    "mlp training diverged (non-finite loss)",
-                    partial=MlpModel(spec, weights, (n, p), np.array(loss_trace)),
-                )
-            loss_trace.append(epoch_loss)
-    return MlpModel(spec, weights, (n, p), np.array(loss_trace))
+        loss = _mlp_loss(_forward(weights, x, act)[-1] - y, weights, spec.l2)
+    model = MlpModel(spec, weights, (n, p))
+    if not np.isfinite(loss):
+        raise NonConvergence("mlp training diverged (non-finite loss)", partial=model)
+    return model
 
 
 @fit.register
@@ -566,9 +558,10 @@ def _fit_super_learner(spec: SuperLearner, x, y) -> SuperLearnerModel:
     Selector mode refits the minimum-risk candidate on all data (ties go
     to the lowest index).  Convex-weights mode solves the simplex-
     constrained least squares of y on out-of-fold candidate predictions
-    and blends full-data refits.  A candidate whose fit raises is assigned
-    infinite risk instead of aborting the ensemble; if none is left, the
-    first candidate exception is raised again, tagged in place (same class).
+    and blends full-data refits.  A candidate whose fit raises, or whose
+    risk is not finite, keeps infinite risk and is neither chosen nor
+    weighted; if none is left, the first candidate exception is raised
+    again, tagged in place (same class).
     """
     x, y = _check_xy(x, y)
     n = x.shape[0]
@@ -582,17 +575,20 @@ def _fit_super_learner(spec: SuperLearner, x, y) -> SuperLearnerModel:
 
     n_cand = len(spec.candidates)
     risks = np.full(n_cand, np.inf)
-    oof = [None] * n_cand
+    ranked = {}  # candidate index -> out-of-fold predictions, finite risks only
     failures = []
     for i, cand in enumerate(spec.candidates):
         try:
-            oof[i] = crossfit(cand, x, y, plan)
+            oof = crossfit(cand, x, y, plan)
         except (DmlSpssError, np.linalg.LinAlgError) as exc:
             failures.append(exc)
             continue
-        risks[i] = plan.means((oof[i] - y) ** 2).mean()
+        risk = plan.means((oof - y) ** 2).mean()
+        if np.isfinite(risk):
+            risks[i] = risk
+            ranked[i] = oof
 
-    if not np.any(np.isfinite(risks)):
+    if not ranked:
         if not failures:  # every candidate fitted, none to a finite risk
             raise InvalidSpec("every super learner candidate failed to fit")
         first = failures[0]
@@ -604,9 +600,8 @@ def _fit_super_learner(spec: SuperLearner, x, y) -> SuperLearnerModel:
     if spec.mode == MODE_SELECTOR:
         weights[chosen] = 1.0
     else:
-        valid = [i for i in range(n_cand) if oof[i] is not None]
-        p_mat = np.column_stack([oof[i] for i in valid])
-        weights[valid] = _simplex_least_squares(p_mat, y)
+        weights[list(ranked)] = _simplex_least_squares(
+            np.column_stack(list(ranked.values())), y)
 
     models = [
         fit(spec.candidates[i], x, y) if weights[i] != 0.0 else None

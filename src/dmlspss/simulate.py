@@ -113,7 +113,8 @@ def check_run(cfg, splitter: str, n: int, p: int) -> None:
     ``cfg`` with ``splitter`` folds on n rows of p covariates: known
     choices, ``alpha`` in (0, 1), K against n (every fold complement keeps
     2 rows, and each super learner's CV blocks, 2 rows each when SPSS),
-    and, when p >= n, a penalty on every ridge and lasso."""
+    and a penalty on every ridge and lasso when p >= n (on a nuisance
+    ridge, when p >= the n - ceil(n/K) rows a fold trains on)."""
     if splitter not in (SPLIT_SPSS, SPLIT_RANDOM):
         raise InvalidConfig(f"unknown splitter {splitter!r}")
     if cfg.score not in (SCORE_PARTIALLING_OUT, SCORE_IV_TYPE):
@@ -141,6 +142,10 @@ def check_run(cfg, splitter: str, n: int, p: int) -> None:
                     f"cv_splitter={spec.cv_splitter!r} needs {need} rows to train "
                     f"on, but n={n} with K={k} leaves {rows}"
                 )
+    for spec in (cfg.learner_m, cfg.learner_ell):
+        if isinstance(spec, Ridge) and spec.lam == 0.0 and p >= rows:
+            raise InvalidConfig(f"{spec_label(spec)} with lambda=0 is not allowed when "
+                                f"p={p} >= the {rows} rows a fold trains on (n={n}, K={k})")
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,28 @@
 """Shared test fixtures: the residual-update lasso kept as the reference
 for ``learners._fit_lasso`` (coordinate descent by covariance updates),
-a fixture that makes ``fit`` dispatch ``Lasso`` specs to it, and the
+a fixture that makes ``fit`` dispatch ``Lasso`` specs to it, the
 seven-operation exchange polish kept as the reference for
 ``support_points._exchange_polish`` (one scaled add and one minimum per
-visit)."""
+visit), and the MLP fit that checks its loss after every epoch, kept as
+the reference for ``learners._fit_mlp`` (one check, after the last)."""
 
 import numpy as np
 import pytest
 
 from dmlspss.errors import NonConvergence, TooLargeForMemory
-from dmlspss.learners import Lasso, LinearModel, _check_xy, _fit_lasso, fit
+from dmlspss.learners import (
+    Lasso,
+    LinearModel,
+    MlpModel,
+    _activation,
+    _backprop,
+    _check_xy,
+    _fit_lasso,
+    _forward,
+    _mlp_loss,
+    fit,
+    mlp_init_weights,
+)
 from dmlspss.support_points import PolishStats, _cdist, _physical_memory
 
 
@@ -124,3 +137,32 @@ def _reference_polish(
         converged = swaps == before
     return np.flatnonzero(selected), PolishStats(
         idx, passes, swaps, converged, init_energy, energy())
+
+
+def _reference_mlp(spec, x, y) -> MlpModel:
+    """Mini-batch SGD on the squared loss; fully determined by spec.seed.
+
+    After every epoch, the loss over all rows; the first that is not
+    finite raises NonConvergence, carrying that epoch's weights."""
+    x, y = _check_xy(x, y)
+    n, p = x.shape
+    rng = np.random.default_rng(spec.seed)
+    weights = mlp_init_weights(p, spec.hidden, spec.seed + 1)
+    act, deriv = _activation(spec.activation)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(spec.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, spec.batch):
+                batch = order[start:start + spec.batch]
+                outs = _forward(weights, x[batch], act)
+                grads = _backprop(weights, outs, outs[-1] - y[batch], spec.l2, deriv)
+                for (w, b), (gw, gb) in zip(weights, grads):
+                    w -= spec.step_size * gw
+                    b -= spec.step_size * gb
+            epoch_loss = _mlp_loss(_forward(weights, x, act)[-1] - y, weights, spec.l2)
+            if not np.isfinite(epoch_loss):
+                raise NonConvergence(
+                    "mlp training diverged (non-finite loss)",
+                    partial=MlpModel(spec, weights, (n, p)),
+                )
+    return MlpModel(spec, weights, (n, p))

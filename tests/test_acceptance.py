@@ -27,7 +27,6 @@ from dmlspss.learners import (
     fit,
     mlp_init_weights,
     mlp_loss_and_grad,
-    predict,
 )
 from dmlspss.simulate import (
     McConfig,
@@ -360,7 +359,7 @@ def test_criterion_09_learner_oracles():
     # lasso KKT and threshold
     lam = 0.12
     lasso = fit(Lasso(lam=lam, max_iter=5000, tol=1e-12), x, y)
-    resid = y - predict(lasso, x)
+    resid = y - lasso.predict(x)
     grad = xc.T @ resid / len(y)
     kkt_ok = all(
         abs(grad[j]) <= lam + 1e-6 if lasso.coef[j] == 0.0
@@ -378,7 +377,7 @@ def test_criterion_09_learner_oracles():
     alpha = np.linalg.solve(gram + klam * np.eye(len(y)), y)
     xq = rng.normal(size=(7, 5))
     kq = np.exp(-bw * ((xq[:, None, :] - x[None, :, :]) ** 2).sum(-1))
-    kernel_ok = np.max(np.abs(predict(kmodel, xq) - kq @ alpha)) < 1e-8
+    kernel_ok = np.max(np.abs(kmodel.predict(xq) - kq @ alpha)) < 1e-8
 
     # mlp gradients vs central differences
     wts = mlp_init_weights(3, (4,), seed=5)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -281,6 +282,28 @@ def test_estimate_with_unpenalized_ridge_and_p_at_least_n_exits_2_before_splitti
             in capsys.readouterr().err)
 
 
+def test_estimate_with_unpenalized_ridge_and_p_at_least_fold_rows_exits_2_before_splitting(
+        tmp_path, capsys, monkeypatch):
+    # p=20 < n=30, but K=2 folds train on 15 rows: the centred design is
+    # rank-deficient on every fold complement
+    split = []
+    monkeypatch.setattr(simulate, "spss_kfold", lambda *a: split.append(a))
+    rows = np.random.default_rng(5).normal(size=(30, 22))  # y, t and 20 covariates
+    csv_path = tmp_path / "in.csv"
+    covariates = [f"x{j}" for j in range(1, 21)]
+    _write_csv(csv_path, ["y", "t", *covariates], rows.tolist())
+    cfg = _base_config(tmp_path, csv_path).read_text().replace(
+        "method = random", "method = spss").replace(
+        "covariates = x1,x2", "covariates = " + ",".join(covariates)).replace(
+        "[learner_ell]\nkind = zero", "[learner_ell]\nkind = ridge\nlambda = 0")
+    (tmp_path / "run.ini").write_text(cfg)
+    rc = main(["--config", str(tmp_path / "run.ini"), "estimate"])
+    assert (rc, split) == (EXIT_CONFIG, [])
+    assert capsys.readouterr().err == (
+        "config error: ridge with lambda=0 is not allowed when p=20 >= the 15 rows "
+        "a fold trains on (n=30, K=2)\n")
+
+
 def test_estimate_checks_super_learner_blocks_before_splitting(tmp_path, capsys,
                                                                monkeypatch):
     # 60 rows in K=2 folds leave 30 to train on; 20 SPSS blocks need 40
@@ -374,6 +397,22 @@ def test_simulate_single_cell(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2  # header + one row
     assert lines[0].startswith("scenario,p,n,method,splitter")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_out_file_holds_the_stdout_bytes(tmp_path, capsys, monkeypatch, fmt):
+    cfg = _base_config(tmp_path, tmp_path / "unused.csv", SIM_EXTRA)
+    cfg.write_text(cfg.read_text().replace("kind = zero", "kind = ridge\nlambda = 1.0"))
+    run = cli.run_monte_carlo  # with its wall time fixed, two runs match
+    monkeypatch.setattr(cli, "run_monte_carlo", lambda mc, threads: dataclasses.replace(
+        run(mc, threads=threads), wall_time_s=0.0))
+    out = tmp_path / "sim.out"
+    assert main(["--config", str(cfg), "--format", fmt, "simulate"]) == 0
+    printed = capsys.readouterr().out
+    assert main(["--config", str(cfg), "--format", fmt, "--out", str(out),
+                 "simulate"]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
 
 
 def test_simulate_checks_k_of_every_cell_before_running_any(tmp_path, capsys,

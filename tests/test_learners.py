@@ -23,9 +23,10 @@ from dmlspss.learners import (
     mlp_forward,
     mlp_init_weights,
     mlp_loss_and_grad,
-    predict,
 )
 from dmlspss.support_points import random_kfold
+
+from conftest import _reference_mlp
 
 
 # --- ridge -------------------------------------------------------------------
@@ -50,7 +51,7 @@ def test_ridge_matches_normal_equations_oracle():
     yc = y - y.mean()
     expected = np.linalg.solve(xc.T @ xc + lam * np.eye(4), xc.T @ yc)
     assert np.max(np.abs(model.coef - expected)) < 1e-10
-    fitted = predict(model, x)
+    fitted = model.predict(x)
     assert np.max(np.abs(fitted - (xc @ expected + y.mean()))) < 1e-10
 
 
@@ -117,7 +118,7 @@ def test_lasso_kkt_conditions_at_convergence():
     model = fit(Lasso(lam=lam, max_iter=5000, tol=1e-12), x, y)
     assert model.coef[8] == 0.0
     xc = x - x.mean(axis=0)
-    resid = y - predict(model, x)
+    resid = y - model.predict(x)
     grad = xc.T @ resid / 60
     for j in range(9):
         if model.coef[j] == 0.0:
@@ -153,7 +154,7 @@ def test_lasso_nonconvergence_carries_partial_state():
 def test_kernel_single_point_dual_solve():
     model = fit(KernelMachine(bandwidth=1.0, lam=1.0),
                 np.array([[0.0]]), np.array([3.0]))
-    pred = predict(model, np.array([[0.0]]))
+    pred = model.predict(np.array([[0.0]]))
     assert pred[0] == pytest.approx(1.5, abs=1e-12)  # 3 / (k(0) + 1)
 
 
@@ -162,7 +163,7 @@ def test_kernel_interpolates_as_lambda_vanishes():
     x = rng.normal(size=(12, 2))
     y = rng.normal(size=12)
     model = fit(KernelMachine(bandwidth=0.5, lam=1e-10), x, y)
-    assert np.max(np.abs(predict(model, x) - y)) < 1e-4
+    assert np.max(np.abs(model.predict(x) - y)) < 1e-4
 
 
 def test_kernel_matches_direct_dual_solve():
@@ -175,7 +176,7 @@ def test_kernel_matches_direct_dual_solve():
     alpha = np.linalg.solve(gram + lam * np.eye(20), y)
     xq = rng.normal(size=(5, 3))
     kq = np.exp(-bw * ((xq[:, None, :] - x[None, :, :]) ** 2).sum(-1))
-    assert np.max(np.abs(predict(model, xq) - kq @ alpha)) < 1e-8
+    assert np.max(np.abs(model.predict(xq) - kq @ alpha)) < 1e-8
 
 
 def test_kernel_epsilon_insensitive_fits_reasonably():
@@ -187,7 +188,7 @@ def test_kernel_epsilon_insensitive_fits_reasonably():
         loss=EpsilonInsensitiveLoss(epsilon=0.01, max_iter=2000),
     )
     model = fit(spec, x, y)
-    mse = np.mean((predict(model, x) - y) ** 2)
+    mse = np.mean((model.predict(x) - y) ** 2)
     assert mse < 0.01
 
 
@@ -281,7 +282,10 @@ def test_mlp_training_reduces_loss():
     y = np.tanh(x[:, 0]) - 0.5 * x[:, 1]
     spec = Mlp(hidden=(16,), step_size=0.05, epochs=100, batch=20, seed=2)
     model = fit(spec, x, y)
-    assert model.loss_trace[-1] < model.loss_trace[0]
+    start = mlp_init_weights(2, spec.hidden, spec.seed + 1)  # the fit's first weights
+    before, _ = mlp_loss_and_grad(start, x, y, spec.l2, spec.activation)
+    after, _ = mlp_loss_and_grad(model.weights, x, y, spec.l2, spec.activation)
+    assert after < 0.5 * before
 
 
 def test_mlp_divergence_raises_nonconvergence():
@@ -312,7 +316,7 @@ def test_mlp_functions_reject_unknown_activation(call):
 def test_oracle_spec_predicts_from_function():
     spec = Oracle(fn=lambda x: x[:, 0] * 2.0)
     model = fit(spec, np.ones((3, 2)), np.zeros(3))
-    out = predict(model, np.array([[1.0, 0.0], [2.0, 0.0]]))
+    out = model.predict(np.array([[1.0, 0.0], [2.0, 0.0]]))
     assert np.allclose(out, [2.0, 4.0])
 
 
@@ -336,7 +340,7 @@ def test_fit_rejects_an_unregistered_spec_type():
 def test_predict_dimension_mismatch():
     model = fit(Ridge(lam=1.0), np.zeros((3, 2)), np.zeros(3))
     with pytest.raises(DimensionMismatch):
-        predict(model, np.zeros((2, 3)))
+        model.predict(np.zeros((2, 3)))
 
 
 # --- cross-validated risk -------------------------------------------------------
@@ -394,7 +398,7 @@ def test_selector_picks_dominant_candidate():
     assert model.report.chosen == 0
     assert model.report.risks[0] <= model.report.risks.min()
     assert np.allclose(model.report.weights, [1.0, 0.0])
-    assert np.max(np.abs(predict(model, x) - y)) < 1e-12
+    assert np.max(np.abs(model.predict(x) - y)) < 1e-12
 
 
 def test_selector_tie_goes_to_lowest_index():
@@ -413,7 +417,7 @@ def test_single_candidate_behaves_like_that_candidate():
     solo = fit(SuperLearner(candidates=(Ridge(lam=0.5),), seed=2), x, y)
     direct = fit(Ridge(lam=0.5), x, y)
     xq = rng.normal(size=(6, 3))
-    assert np.max(np.abs(predict(solo, xq) - predict(direct, xq))) < 1e-12
+    assert np.max(np.abs(solo.predict(xq) - direct.predict(xq))) < 1e-12
 
 
 def test_failing_candidate_gets_infinite_risk():
@@ -432,6 +436,22 @@ def test_failing_candidate_gets_infinite_risk():
         fit(SuperLearner(candidates=(nan,), seed=3), x, y)
 
 
+@pytest.mark.parametrize("mode", ["selector", "convex_weights"])
+def test_candidate_with_non_finite_risk_is_not_ranked(mode):
+    # the NaN candidate fits, but to a NaN risk: it keeps risk inf and
+    # neither wins the choice nor takes a weight
+    rng = np.random.default_rng(27)
+    x = rng.normal(size=(40, 2))
+    y = x[:, 0] + rng.normal(size=40) * 0.5
+    nan = Oracle(fn=lambda q: np.full(len(q), np.nan))
+    spec = SuperLearner(candidates=(Ridge(lam=1.0), nan), v_blocks=2, mode=mode)
+    model = fit(spec, x, y)
+    assert np.isfinite(model.report.risks[0]) and model.report.risks[1] == np.inf
+    assert model.report.chosen == 0
+    assert model.report.weights.tolist() == [1.0, 0.0]
+    assert np.array_equal(model.predict(x), fit(Ridge(lam=1.0), x, y).predict(x))
+
+
 def test_convex_weights_duplicated_candidates_equivalent():
     rng = np.random.default_rng(22)
     x = rng.normal(size=(50, 2))
@@ -443,7 +463,7 @@ def test_convex_weights_duplicated_candidates_equivalent():
     )
     single = fit(ridge, x, y)
     xq = rng.normal(size=(8, 2))
-    assert np.max(np.abs(predict(blended, xq) - predict(single, xq))) < 1e-8
+    assert np.max(np.abs(blended.predict(xq) - single.predict(xq))) < 1e-8
     w = blended.report.weights
     assert np.all(w >= -1e-12)
     assert w.sum() == pytest.approx(1.0, abs=1e-10)
@@ -591,25 +611,77 @@ def test_cv_risk_is_pinned():
 
 
 # --- pinned MLP, SVR-dual and simplex-weight outputs -------------------------------
-# computed before the MLP paths shared one forward pass and backprop, and
-# the SVR dual and the simplex weights shared one proximal-gradient loop
+# the SVR dual and simplex-weight pins were computed before those shared
+# one proximal-gradient loop; the MLP pins hash the weights and the
+# predictions, computed while the fit still checked its loss every epoch
 
 MLP_PINNED = {
     "tanh_two_layers_l2": (Mlp(hidden=(6, 5), activation="tanh", step_size=0.02,
-                               epochs=12, batch=8, seed=4, l2=0.3), "f9a2fd9ab82966ec"),
+                               epochs=12, batch=8, seed=4, l2=0.3), "652c586b38b02c5b"),
     "no_hidden_l2": (Mlp(hidden=(), step_size=0.05, epochs=10, batch=16, seed=1,
-                         l2=0.2), "65ae8c038de058d7"),
+                         l2=0.2), "d513ff8fc9e570c5"),
     "relu_two_layers": (Mlp(hidden=(7, 3), step_size=0.01, epochs=8, batch=10,
-                            seed=9), "ad104a8dc04f52b6"),
+                            seed=9), "fd2d6cf9d7f804ce"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MLP_PINNED))
-def test_mlp_loss_trace_and_predictions_are_pinned(name):
+def test_mlp_weights_and_predictions_are_pinned(name):
     x, y = _pinned_xy()
     spec, digest = MLP_PINNED[name]
     model = fit(spec, x, y)
-    assert _sha(model.loss_trace, model.predict(x[:9])) == digest
+    layers = [a for layer in model.weights for a in layer]
+    assert _sha(*layers, model.predict(x[:9])) == digest
+
+
+# step sizes from stable to a first-batch overflow
+MLP_GRID = [
+    Mlp(hidden=hidden, activation=activation, step_size=step, epochs=epochs,
+        batch=16, seed=3, l2=l2)
+    for activation in ("relu", "tanh")
+    for hidden in ((), (8,), (6, 5))
+    for l2 in (0.0, 0.3)
+    for epochs in (1, 5)
+    for step in (0.01, 0.5, 1e6, 1e300)
+]
+
+
+def test_mlp_matches_the_per_epoch_reference():
+    # the reference checks the loss after every epoch, the fit after the
+    # last one: same weights, or the same NonConvergence
+    x, y = _pinned_xy()
+    raised = 0
+    for spec in MLP_GRID:
+        try:
+            got = fit(spec, x, y)
+        except NonConvergence as exc:
+            with pytest.raises(NonConvergence) as ref:
+                _reference_mlp(spec, x, y)
+            assert str(ref.value) == str(exc), spec
+            raised += 1
+            continue
+        want = _reference_mlp(spec, x, y)
+        for (gw, gb), (ww, wb) in zip(got.weights, want.weights):
+            assert np.array_equal(gw, ww) and np.array_equal(gb, wb), spec
+    assert 0 < raised < len(MLP_GRID)
+
+
+def test_mlp_fit_runs_one_full_data_forward_pass(monkeypatch):
+    # 61 rows in batches of 16 make 4 batches an epoch; 5 epochs make 20
+    # batch passes, then one pass over all rows for the loss
+    from dmlspss import learners
+    x, y = _pinned_xy()
+    calls = []
+    forward = learners._forward
+
+    def counted(weights, xs, act):
+        calls.append(len(xs))
+        return forward(weights, xs, act)
+
+    monkeypatch.setattr(learners, "_forward", counted)
+    fit(Mlp(hidden=(4,), epochs=5, batch=16, seed=1), x, y)
+    assert len(calls) == 5 * 4 + 1
+    assert calls.count(61) == 1 and calls[-1] == 61
 
 
 # max_iter=7 stops before convergence; 5000 converges after 243 steps

@@ -309,6 +309,21 @@ def test_cross_fitted_estimate_rejects_an_unknown_splitter():
         simulate.cross_fitted_estimate(d, mc, "both", seed=2)
 
 
+@pytest.mark.parametrize("learner_m", [
+    Lasso(lam=0.0),
+    SuperLearner(candidates=(Ridge(lam=0.0), Ridge(lam=1.0)), v_blocks=2),
+], ids=["lasso", "sl-candidate"])
+def test_check_run_applies_the_fold_rows_rule_to_nuisance_ridge_only(learner_m):
+    # n=30 in K=2 folds trains on 15 rows, fewer than p=20: a lasso and a
+    # super-learner candidate keep the p >= n rule, a nuisance ridge does not
+    cfg = SimpleNamespace(learner_m=learner_m, learner_ell=Ridge(lam=1.0), k=2,
+                          score="partialling_out", algorithm="dml2", alpha=0.05)
+    simulate.check_run(cfg, "spss", 30, 20)
+    cfg.learner_ell = Ridge(lam=0.0)
+    with pytest.raises(InvalidConfig, match="p=20 >= the 15 rows a fold trains on"):
+        simulate.check_run(cfg, "spss", 30, 20)
+
+
 def test_cross_fitted_estimate_rejects_an_unknown_algorithm():
     # a library caller's config that no McConfig or RunConfig checked
     mc = _oracle_mc()
