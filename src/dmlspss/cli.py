@@ -250,8 +250,8 @@ def parse_config(path) -> RunConfig:
     """Read and validate a config file; unknown sections/keys are errors."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8-sig")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}")
     if not read:
         raise ConfigError(f"config file not found: {path}")

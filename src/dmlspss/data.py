@@ -150,11 +150,12 @@ def read_csv_matrix(path, columns=None, min_rows: int = 1) -> np.ndarray:
     """Read the named columns of a headed numeric CSV as a float matrix.
 
     ``columns`` gives the header names to read, in result order; None
-    reads every column in file order.  Blank lines are skipped.  Raises
-    SchemaError for a column missing from the header or named in it more
-    than once, ParseError for ragged rows, non-numeric cells or fewer
-    than ``min_rows`` data rows, and NonFinite for nan/inf literals; each
-    names the file line and column.
+    reads every column in file order.  The file is read as UTF-8, past a
+    leading BOM if any; blank lines are skipped.  Raises SchemaError for
+    a column missing from the header or named in it more than once,
+    ParseError for a byte that is not UTF-8, ragged rows, non-numeric
+    cells or fewer than ``min_rows`` data rows, and NonFinite for nan/inf
+    literals; each names the file, and the line and column where it can.
 
     The header is read with the ``csv`` module.  The rows are first
     parsed by NumPy's C reader (``np.loadtxt``), every column of them;
@@ -166,47 +167,51 @@ def read_csv_matrix(path, columns=None, min_rows: int = 1) -> np.ndarray:
     header alone) goes through the ``csv`` module row by row, which gives
     the result or the error.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, expected a header row")
-        if columns is None:
-            names, positions = header, list(range(len(header)))
-        else:
-            names = tuple(columns)
-            for name in names:
-                if header.count(name) != 1:
-                    where = "not in" if name not in header else "repeated in"
-                    raise SchemaError(f"{path}: column {name!r} {where} header {header}")
-            positions = [header.index(name) for name in names]
-
-        table = _read_fast(fh, len(header), min_rows)
-        if table is not None:
-            # row-major like the matrix built below: a column-major copy
-            # would change the order of later reductions, so their last bits
-            return np.ascontiguousarray(table[:, positions])
-        fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)  # the header, read above
-
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise ParseError(
-                    f"{path}: line {lineno} has {len(record)} cells, "
-                    f"header has {len(header)}"
-                )
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
             try:
-                parsed = [float(record[j]) for j in positions]
-            except ValueError:
-                parsed = None
-            if parsed is None or not all(map(math.isfinite, parsed)):
-                _raise_bad_cell(path, lineno, [record[j] for j in positions], names)
-            rows.append(parsed)
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise ParseError(f"{path}: empty file, expected a header row")
+            if columns is None:
+                names, positions = header, list(range(len(header)))
+            else:
+                names = tuple(columns)
+                for name in names:
+                    if header.count(name) != 1:
+                        where = "not in" if name not in header else "repeated in"
+                        raise SchemaError(
+                            f"{path}: column {name!r} {where} header {header}")
+                positions = [header.index(name) for name in names]
+
+            table = _read_fast(fh, len(header), min_rows)
+            if table is not None:
+                # row-major like the matrix built below: a column-major copy
+                # would change the order of later reductions, so their last bits
+                return np.ascontiguousarray(table[:, positions])
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)  # the header, read above
+
+            rows = []
+            for lineno, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                if len(record) != len(header):
+                    raise ParseError(
+                        f"{path}: line {lineno} has {len(record)} cells, "
+                        f"header has {len(header)}"
+                    )
+                try:
+                    parsed = [float(record[j]) for j in positions]
+                except ValueError:
+                    parsed = None
+                if parsed is None or not all(map(math.isfinite, parsed)):
+                    _raise_bad_cell(path, lineno, [record[j] for j in positions], names)
+                rows.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
     if len(rows) < min_rows:
         raise ParseError(
@@ -274,14 +279,10 @@ def write_csv(path, d: Dataset) -> None:
         "t",
         *[f"x{j + 1}" for j in range(d.p)],
     )
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for i in range(d.n):
-            writer.writerow(
-                [repr(float(d.y[i])), repr(float(d.t[i])),
-                 *[repr(float(v)) for v in d.x[i]]]
-            )
+        writer.writerows(row.tolist() for row in np.column_stack([d.y, d.t, d.x]))
 
 
 def subset_rows(d: Dataset, idx) -> Dataset:
@@ -292,7 +293,7 @@ def subset_rows(d: Dataset, idx) -> Dataset:
     idx = np.asarray(idx, dtype=int).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= d.n):
         raise IndexOutOfRange(f"indices must lie in [0, {d.n}), got {idx}")
-    if len(np.unique(idx)) != len(idx):
+    if (np.diff(np.sort(idx)) == 0).any():
         raise DuplicateIndex("duplicate row indices in subset")
     return Dataset(
         y=d.y[idx], t=d.t[idx], x=d.x[idx], column_names=d.column_names

@@ -372,10 +372,10 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
     unpicklable ``Oracle`` closures, reaches them through the fork, only
     rep indices and result tuples are pickled, and results fold in rep
     order.  What the replications import is imported before the fork,
-    so the workers inherit it: NumPy's lazily loaded ``numpy.random`` and
-    ``numpy.ma`` always, SciPy's ``cdist`` only when a replication
-    computes a distance (SPSS folds, a kernel machine, or a super
-    learner with SPSS CV blocks); a cell without one never loads SciPy.
+    so the workers inherit it: NumPy's lazily loaded ``numpy.random``
+    always, SciPy's ``cdist`` (which loads ``numpy.ma`` too) only when a
+    replication computes a distance (SPSS folds, a kernel machine, or a
+    super learner with SPSS CV blocks); a cell without one loads neither.
     A replication that fails in a worker is run again here, so its
     exception is raised with its type, attributes and traceback
     unchanged.  A worker process that dies raises :class:`WorkerDied`,
@@ -404,9 +404,8 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
 
         if "fork" in multiprocessing.get_all_start_methods():
             # imported before the fork, so the workers inherit them; else each
-            # worker of every call imports them again.  NumPy loads these two
-            # lazily: the data draw needs numpy.random, np.unique numpy.ma.
-            import numpy.ma  # noqa: F401
+            # worker of every call imports them again.  NumPy loads
+            # numpy.random lazily, and the data draw needs it.
             import numpy.random  # noqa: F401
 
             if mc._computes_distances:

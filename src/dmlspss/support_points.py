@@ -113,20 +113,20 @@ class SplitResult:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """A partition of row indices {0..n-1} into K folds of near-equal size."""
+    """A partition of rows {0..n-1} into K non-empty folds of near-equal size."""
 
     folds: tuple
 
     def __post_init__(self):
         folds = tuple(np.asarray(f, dtype=int) for f in self.folds)
         object.__setattr__(self, "folds", folds)
-        if len(folds) < 1:
-            raise InvalidConfig("fold plan needs at least one fold")
-        all_idx = np.concatenate(folds)
-        n = len(all_idx)
-        if len(np.unique(all_idx)) != n or all_idx.min() != 0 or all_idx.max() != n - 1:
-            raise InvalidConfig("folds must partition 0..n-1 without overlap")
         sizes = [len(f) for f in folds]
+        if not sizes or min(sizes) == 0:
+            raise InvalidConfig(
+                f"fold plan needs one or more folds, none empty, got sizes {sizes}")
+        all_idx = np.concatenate(folds)
+        if not np.array_equal(np.sort(all_idx), np.arange(len(all_idx))):
+            raise InvalidConfig("folds must partition 0..n-1 without overlap")
         if max(sizes) - min(sizes) > 1:
             raise InvalidConfig(f"fold sizes may differ by at most 1, got {sizes}")
 
@@ -386,7 +386,7 @@ def _peel(cloud: np.ndarray, sizes, seed: int, passes: int) -> tuple[list, list]
         local, polish = _exchange_polish(cloud[remaining], init, passes)
         parts.append(remaining[local])
         stats.append(replace(polish, init_idx=remaining[init]))
-        remaining = np.setdiff1d(remaining, parts[-1])
+        remaining = np.delete(remaining, local)
     parts.append(remaining)
     return parts, stats
 

@@ -183,6 +183,35 @@ def test_estimate_missing_column_exits_3(tmp_path, capsys):
     assert "'t'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL],
+                         ids=["numpy-reader", "csv-reader"])
+def test_bom_headed_csv_and_config_load(tmp_path, capsys, quoting):
+    # Excel's "CSV UTF-8" and Notepad start a file with a byte order mark
+    csv_path = tmp_path / "in.csv"
+    with open(csv_path, "w", newline="", encoding="utf-8-sig") as fh:
+        csv.writer(fh, quoting=quoting).writerows([["y", "t", "x1", "x2"], *[
+            [0.5 * i, i, i % 3, i % 5] for i in range(20)]])
+    cfg = _base_config(tmp_path, csv_path)
+    cfg.write_text(cfg.read_text(), encoding="utf-8-sig")
+    assert main(["--config", str(cfg), "estimate"]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["beta"] - 0.5) < 1e-6
+
+
+@pytest.mark.parametrize("command", ["estimate", "split"])
+@pytest.mark.parametrize("rows_before", [0, 3000])
+def test_latin1_csv_exits_3(tmp_path, capsys, command, rows_before):
+    # the byte is read with the header, or after NumPy's reader has started
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_bytes(b"y,t,x1,x2\n" + b"1,2,3,4\n" * rows_before
+                         + b"5,6,7,8\n1,2,3,\xe9\n")
+    cfg = _base_config(tmp_path, csv_path)
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"), command])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {csv_path}: 'utf-8' codec can't decode byte 0xe9")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["estimate", "split"])
 def test_repeated_header_name_exits_3(tmp_path, capsys, command):
     csv_path = tmp_path / "in.csv"
@@ -689,6 +718,14 @@ def test_negative_seed_flag_exits_2_before_reading(tmp_path, capsys, command):
     assert "[split] seed: must be >= 0, got -3" in capsys.readouterr().err
 
 
+def test_latin1_config_exits_2(tmp_path, capsys):
+    cfg = _base_config(tmp_path, tmp_path / "unused.csv")
+    cfg.write_bytes(b"; r\xe9sum\xe9 of the run\n" + cfg.read_bytes())
+    assert main(["--config", str(cfg), "estimate"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_missing_config_file_exit_code(tmp_path, capsys):
     rc = main(["--config", str(tmp_path / "nope.ini"), "estimate"])
     assert rc == EXIT_CONFIG
@@ -876,7 +913,8 @@ def test_random_fold_ridge_estimate_loads_no_scipy(tmp_path):
     code = ("import sys; from dmlspss.cli import main; "
             f"rc = main(['--config', {str(tmp_path / 'run.ini')!r}, "
             f"'--out', {str(tmp_path / 'est.json')!r}, 'estimate']); "
-            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')), "
+            "'numpy.ma' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "0 []"
+    assert out.stdout.strip() == "0 [] False"

@@ -455,6 +455,10 @@ def test_fold_plan_validation():
         FoldPlan(folds=(np.array([0, 1]), np.array([1, 2])))  # overlap
     with pytest.raises(InvalidConfig):
         FoldPlan(folds=(np.array([0, 1, 2, 3]), np.array([4,])))  # spread > 1
+    with pytest.raises(InvalidConfig, match="none empty"):
+        FoldPlan(folds=([0], []))  # an empty fold
+    with pytest.raises(InvalidConfig, match="none empty"):
+        FoldPlan(folds=([],))  # no rows at all
 
 
 def test_energy_two_sample_is_pinned():
