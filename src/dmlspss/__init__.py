@@ -24,7 +24,6 @@ from .dml import (
     fit_nuisances_crossfit,
     orthogonality_diagnostic,
     score_components,
-    variance_estimate,
 )
 from .learners import (
     CvRiskReport,

@@ -9,7 +9,7 @@ randomness flows from seeds in the config (or the --seed override).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure, 5 a simulate worker process died.  Diagnostics go to stderr,
-results to stdout or --out.
+results to stdout or --out, which is checked before any data is read.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -286,6 +287,22 @@ def _load_dataset(cfg: RunConfig, input_csv: Optional[str]) -> Dataset:
     return load_csv(path, cfg.schema)
 
 
+def _check_out(path: Optional[str], directory: bool) -> None:
+    """Raise DataError, before any work, unless ``--out`` can be written: for
+    ``split`` a directory, or a new path whose deepest existing part is a
+    writable directory; else a file in an existing writable directory."""
+    if path is None:
+        return
+    out = Path(path)
+    if directory:
+        base = next(p for p in (out, *out.parents) if p.exists())
+        if not (base.is_dir() and os.access(base, os.W_OK)):
+            raise DataError(f"--out {path}: expected a writable directory or a new "
+                            "path in one")
+    elif out.is_dir() or not out.parent.is_dir() or not os.access(out.parent, os.W_OK):
+        raise DataError(f"--out {path}: expected a file in an existing writable directory")
+
+
 def cmd_split(cfg: RunConfig, input_csv, out_dir) -> int:
     d = _load_dataset(cfg, input_csv)
     result = spss_split(d, cfg.test_fraction, SpConfig(seed=cfg.seed))
@@ -427,6 +444,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, threads=args.threads)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed, master_seed=args.seed)
+        _check_out(args.out, directory=args.command == "split")
         if args.command == "split":
             return cmd_split(cfg, args.input, args.out)
         if args.command == "estimate":

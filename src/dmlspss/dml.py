@@ -11,9 +11,10 @@ fold means (``FoldPlan.means``).  Scores are
 linear in beta, psi = psi_a*beta + psi_b, so every solve is a ratio of
 means (one routine for DML1, DML2 and the IV-type preliminary beta).
 The variance estimator is the sandwich mean(psi^2) / j_hat^2 with j_hat
-the pooled mean of psi_a.  Scores are quadratic in m_hat, so the
-orthogonality diagnostic is their exact derivative along a direction,
-not a finite difference.
+the pooled mean of psi_a, from the scores the solve used; every
+:class:`DmlEstimate` carries ``sigma_hat``, ``j_hat`` and ``ci``.
+Scores are quadratic in m_hat, so the orthogonality diagnostic is their
+exact derivative along a direction, not a finite difference.
 """
 
 from __future__ import annotations
@@ -192,16 +193,6 @@ def _solve(plan: FoldPlan, psi_a: np.ndarray, psi_b: np.ndarray, algorithm: str)
     return float(-means_b.mean() / pooled_a), None
 
 
-def _sandwich(plan: FoldPlan, psi_a, psi_b, beta: float) -> tuple[float, float]:
-    """(sigma2_hat, j_hat) at ``beta`` from the score components."""
-    j_hat = plan.means(psi_a).mean()
-    if abs(j_hat) <= DEGENERACY_EPS:
-        raise DegenerateJacobian("pooled mean psi_a ~ 0")
-    psi = psi_a * beta + psi_b
-    sigma2_hat = float(plan.means(psi ** 2).mean() / j_hat ** 2)
-    return sigma2_hat, float(j_hat)
-
-
 def fit_nuisances_crossfit(
     d: Dataset, plan: FoldPlan, spec_m, spec_ell, kind: str
 ) -> NuisanceFit:
@@ -252,7 +243,11 @@ def _estimate(d, plan, nuis, kind, algorithm, alpha) -> DmlEstimate:
     """Evaluate the scores once; solve, then attach the sandwich inference."""
     psi_a, psi_b, _ = score_components(d.y, d.t, nuis, kind, beta=0.0)
     beta, per_fold = _solve(plan, psi_a, psi_b, algorithm)
-    sigma2_hat, j_hat = _sandwich(plan, psi_a, psi_b, beta)
+    j_hat = plan.means(psi_a).mean()
+    if abs(j_hat) <= DEGENERACY_EPS:  # DML1 only: DML2's solve checks it first
+        raise DegenerateJacobian("pooled mean psi_a ~ 0")
+    psi = psi_a * beta + psi_b
+    sigma2_hat = float(plan.means(psi ** 2).mean() / j_hat ** 2)
     lo, hi = confidence_interval(beta, sigma2_hat, d.n, alpha)
     return DmlEstimate(
         beta=beta,
@@ -262,22 +257,9 @@ def _estimate(d, plan, nuis, kind, algorithm, alpha) -> DmlEstimate:
         algorithm=algorithm,
         score=kind,
         ci=(lo, hi, alpha),
-        j_hat=j_hat,
+        j_hat=float(j_hat),
         per_fold_beta=per_fold,
     )
-
-
-def variance_estimate(
-    est_beta: float, d: Dataset, plan: FoldPlan, nuis: NuisanceFit,
-    kind: str,
-) -> tuple[float, float]:
-    """Sandwich variance at the reported beta.
-
-    sigma2_hat = (1/K) sum_k mean_k(psi^2) / j_hat^2 with
-    j_hat = (1/K) sum_k mean_k(psi_a); scalar-parameter case.
-    """
-    psi_a, psi_b, _ = score_components(d.y, d.t, nuis, kind, beta=0.0)
-    return _sandwich(plan, psi_a, psi_b, est_beta)
 
 
 def check_alpha(alpha: float, name: str = "alpha") -> None:

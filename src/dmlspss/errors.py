@@ -71,7 +71,7 @@ class FoldTooSmall(DataError):
 
 
 class TooLargeForMemory(DataError):
-    """The exchange polish's N x N distance matrix exceeds physical memory."""
+    """The polish's distances or a kernel fit's Gram matrix exceed physical memory."""
 
 
 # --- numerics -----------------------------------------------------------

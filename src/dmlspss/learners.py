@@ -13,11 +13,13 @@ data is read.
 predict the fold) behind the DML nuisances and the super learner's
 candidate risks, whose ``CvRiskReport.risks`` is the one cross-validated
 risk.  Ridge and lasso share one centring (``_centred``).
-``mlp_forward``, ``mlp_loss_and_grad`` and the SGD step share one MLP
-forward pass and one backpropagation (an MLP fit checks its loss once,
-after the last epoch); the epsilon-insensitive kernel dual and the super
-learner's simplex weights share one proximal-gradient loop, each with
-its own proximal map.
+An MLP's predictions, ``mlp_loss_and_grad`` and the SGD step share one
+forward pass (``_forward``) and one backpropagation (an MLP fit checks
+its loss once, after the last epoch); the epsilon-insensitive kernel
+dual and the super learner's simplex weights share one proximal-gradient
+loop, each with its own proximal map.  A kernel fit holds one n x n Gram
+matrix and checks first that it, with the copy LAPACK works on, fits in
+physical memory.
 
 ``fit`` dispatches on the spec type via ``functools.singledispatch``, so
 test code can register additional learner kinds without touching this
@@ -41,7 +43,7 @@ from .errors import (
     SingularSystem,
 )
 from .data import DEGENERATE_SCALE, standardize
-from .support_points import SpConfig, _cdist, random_kfold, spss_kfold_cloud
+from .support_points import SpConfig, _cdist, _check_memory, random_kfold, spss_kfold_cloud
 
 ACT_RELU = "relu"
 ACT_TANH = "tanh"
@@ -264,7 +266,7 @@ class MlpModel(FittedModel):
         self.training_dims = dims
 
     def _predict(self, x):
-        return mlp_forward(self.weights, x, self.spec.activation)
+        return _forward(self.weights, x, _activation(self.spec.activation)[0])[-1]
 
 
 class OracleModel(FittedModel):
@@ -381,17 +383,21 @@ def _fit_lasso(spec: Lasso, x, y) -> LinearModel:
 
 
 def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
-    return np.exp(-bandwidth * _cdist(a, b, "sqeuclidean"))
+    k = _cdist(a, b, "sqeuclidean")  # scaled and exponentiated in place
+    return np.exp(np.multiply(k, -bandwidth, out=k), out=k)
 
 
 @fit.register
 def _fit_kernel(spec: KernelMachine, x, y) -> KernelModel:
     x, y = _check_xy(x, y)
     n, p = x.shape
+    _check_memory(2 * 8 * n * n, f"the kernel machine's fit on n={n} rows",
+                  "its Gram matrix and the copy LAPACK works on")
     gram = _rbf_kernel(x, x, spec.bandwidth)
     if isinstance(spec.loss, SquaredLoss):
         # kernel ridge dual solve: alpha = (K + lam*I)^-1 y
-        dual = np.linalg.solve(gram + spec.lam * np.eye(n), y)
+        gram.flat[:: n + 1] += spec.lam
+        dual = np.linalg.solve(gram, y)
         return KernelModel(spec, x.copy(), dual, (n, p))
     # epsilon-insensitive SVR dual in beta = alpha - alpha*:
     # min 0.5 b'Kb - y'b + eps*||b||_1 over the box [-C, C]^n, C = 1/lam;
@@ -455,10 +461,6 @@ def _backprop(weights: list, outs: list, resid: np.ndarray, l2: float, deriv) ->
         if layer:
             delta = (delta @ w.T) * deriv(outs[layer])
     return grads
-
-
-def mlp_forward(weights: list, x: np.ndarray, activation: str) -> np.ndarray:
-    return _forward(weights, x, _activation(activation)[0])[-1]
 
 
 def _mlp_loss(resid: np.ndarray, weights: list, l2: float) -> float:

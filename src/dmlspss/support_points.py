@@ -60,6 +60,15 @@ def _physical_memory():
         return None
 
 
+def _check_memory(need: int, who: str, what: str) -> None:
+    """Raise TooLargeForMemory when ``who`` needs ``need`` bytes for
+    ``what``, more than the machine's physical memory."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise TooLargeForMemory(f"{who} needs {need / 1e9:.3g} GB for {what}, more "
+                                f"than the {have / 1e9:.3g} GB of physical memory")
+
+
 @dataclass(frozen=True)
 class SpConfig:
     """Configuration for support-points computation and splitting.
@@ -314,11 +323,8 @@ def _exchange_polish(
     """
     big_n = full.shape[0]
     m = len(idx)
-    need, have = 8 * big_n * big_n, _physical_memory()
-    if have is not None and need > have:
-        raise TooLargeForMemory(f"the support-points polish of n={big_n} rows needs "
-                                f"{need / 1e9:.3g} GB for its distance matrix, more "
-                                f"than the {have / 1e9:.3g} GB of physical memory")
+    _check_memory(8 * big_n * big_n, f"the support-points polish of n={big_n} rows",
+                  "its distance matrix")
     dists = _cdist(full, full)
     a = dists.sum(axis=1)  # distances from each row to all rows
     selected = np.zeros(big_n, dtype=bool)

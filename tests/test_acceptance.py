@@ -13,10 +13,8 @@ from dmlspss.data import Dataset, standardize
 from dmlspss.dml import (
     SCORE_PARTIALLING_OUT,
     NuisanceFit,
-    confidence_interval,
     dml1_estimate,
     dml2_estimate,
-    variance_estimate,
 )
 from dmlspss.learners import (
     Lasso,
@@ -312,8 +310,7 @@ def test_criterion_08_variance_and_ci():
         plan = random_kfold(n, int(rng.integers(2, 5)), seed=int(rng.integers(100)))
         nuis = _random_nuis(plan, rng)
         est = dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
-        sigma2, j_hat = variance_estimate(est.beta, d, plan, nuis,
-                                          SCORE_PARTIALLING_OUT)
+        sigma2, j_hat = est.sigma_hat ** 2, est.j_hat
         from dmlspss.dml import score_components
         psi = score_components(d.y, d.t, nuis, SCORE_PARTIALLING_OUT, est.beta)[2]
         mean_sq = np.mean([(psi[f] ** 2).mean() for f in plan.folds])
@@ -323,9 +320,8 @@ def test_criterion_08_variance_and_ci():
     plan = FoldPlan(folds=(np.arange(2),))
     nuis = NuisanceFit(m_hat=np.zeros(2), ell_hat=np.zeros(2))
     est = dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
-    sigma2, _ = variance_estimate(est.beta, d, plan, nuis,
-                                  SCORE_PARTIALLING_OUT)
-    lo, hi = confidence_interval(est.beta, sigma2, 2, 0.05)
+    sigma2 = est.sigma_hat ** 2
+    lo, hi, _ = est.ci
     worked_ok = (
         abs(est.beta - 2.4) < 1e-12
         and abs(sigma2 - 0.0256) < 1e-12

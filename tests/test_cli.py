@@ -280,6 +280,66 @@ def test_polish_beyond_physical_memory_exits_3_and_writes_nothing(
     assert not out.exists()
 
 
+def test_kernel_fit_beyond_physical_memory_exits_3_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    # random K=2 folds of 400 rows: a kernel fit on a 200-row fold complement
+    # needs 2 * 8 * 200^2 bytes for its Gram matrix and LAPACK's copy
+    monkeypatch.setattr(support_points, "_physical_memory", lambda: 2 * 8 * 200 * 200 - 1)
+    csv_path = tmp_path / "in.csv"
+    _make_dataset_csv(csv_path, n=400, seed=2, noiseless=False)
+    cfg = _base_config(tmp_path, csv_path)
+    cfg.write_text(cfg.read_text().replace("kind = zero", "kind = kernel"))
+    out = tmp_path / "est.json"
+    rc = main(["--config", str(cfg), "--out", str(out), "estimate"])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error:")
+    assert "kernel machine's fit on n=200 rows needs 0.00064 GB" in err
+    assert not out.exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work ran before --out was checked")
+
+
+@pytest.mark.parametrize("case", ["missing directory", "a directory", "unwritable"])
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_bad_out_file_exits_3_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                               case):
+    monkeypatch.setattr(cli, "load_csv", _no_work)
+    monkeypatch.setattr(cli, "run_monte_carlo", _no_work)
+    csv_path = tmp_path / "in.csv"
+    _make_dataset_csv(csv_path, n=40, seed=2, noiseless=False)
+    cfg = _base_config(tmp_path, csv_path, SIM_EXTRA)
+    out = {"missing directory": tmp_path / "missing" / "out.txt",
+           "a directory": tmp_path, "unwritable": tmp_path / "out.txt"}[case]
+    if case == "unwritable":  # a permission bit would not stop root
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+    before = sorted(tmp_path.iterdir())
+    rc = main(["--config", str(cfg), "--out", str(out), command])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: --out {out}: expected a file in an existing writable directory\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["the file", "a path under it"])
+def test_split_out_naming_a_file_exits_3_before_any_work(tmp_path, capsys, monkeypatch,
+                                                         under):
+    monkeypatch.setattr(cli, "load_csv", _no_work)
+    csv_path = tmp_path / "in.csv"
+    _make_dataset_csv(csv_path, n=40, seed=2, noiseless=False)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "split" if under else taken
+    rc = main(["--config", str(_base_config(tmp_path, csv_path)), "--out", str(out),
+               "split"])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: --out {out}: expected a writable directory or a new path in one\n")
+    assert taken.read_text() == "kept\n"
+
+
 def test_estimate_on_three_rows_exits_2_before_splitting(tmp_path, capsys, monkeypatch):
     # random K=2 on 3 rows leaves a 1-row fold complement, as simulate rejects
     split = []
@@ -894,10 +954,11 @@ def test_cli_import_leaves_scipy_stats_out():
 
 @pytest.mark.parametrize("module", ["dmlspss", "dmlspss.cli"])
 def test_import_loads_no_scipy(module):
-    # SciPy is imported where a distance is computed, never at start-up
+    # SciPy is imported where a distance is computed, never at start-up; nor
+    # is the process pool, which simulate imports when it runs two workers
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    code = (f"import sys, {module}; print(sorted(m for m in sys.modules if "
+            "m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"

@@ -18,7 +18,6 @@ from dmlspss.dml import (
     ndtri,
     orthogonality_diagnostic,
     score_components,
-    variance_estimate,
 )
 from dmlspss.errors import (
     DegenerateAggregate,
@@ -279,11 +278,22 @@ def test_degenerate_fold_raises():
     nuis = NuisanceFit(m_hat=d.t.copy(), ell_hat=np.zeros(2))
     with pytest.raises(DegenerateFold):
         dml1_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
-    # psi_a = -(t - m_hat)^2 is 0 everywhere: DML2 and the sandwich fail too
+    # psi_a = -(t - m_hat)^2 is 0 everywhere: DML2 fails too
     with pytest.raises(DegenerateAggregate):
         dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
-    with pytest.raises(DegenerateJacobian):
-        variance_estimate(0.5, d, plan, nuis, SCORE_PARTIALLING_OUT)
+
+
+def test_degenerate_jacobian_raises_under_dml1_with_the_iv_type_score():
+    # IV-type psi_a = -t * (t - m_hat): +1 on fold 0 and -1 on fold 1, so
+    # each fold solves but the pooled mean, the sandwich's j_hat, is 0.
+    # DML2 stops at the same pooled mean, and partialling-out psi_a <= 0.
+    d = Dataset(y=[1.0, 2.0], t=[1.0, 1.0], x=[[0.0], [0.0]])
+    plan = FoldPlan(folds=(np.array([0]), np.array([1])))
+    nuis = NuisanceFit(m_hat=np.array([2.0, 0.0]), g_hat=np.zeros(2))
+    with pytest.raises(DegenerateJacobian, match="pooled mean psi_a ~ 0"):
+        dml1_estimate(d, plan, nuis, SCORE_IV_TYPE)
+    with pytest.raises(DegenerateAggregate):
+        dml2_estimate(d, plan, nuis, SCORE_IV_TYPE)
 
 
 def test_noiseless_dgp_with_oracle_nuisances_recovers_truth():
@@ -306,11 +316,9 @@ def test_variance_worked_example():
     nuis = _zero_nuis(2)
     est = dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
     assert est.beta == pytest.approx(2.4, abs=1e-12)
-    sigma2, j_hat = variance_estimate(est.beta, d, plan, nuis,
-                                      SCORE_PARTIALLING_OUT)
-    assert j_hat == pytest.approx(-2.5, abs=1e-12)
-    assert sigma2 == pytest.approx(0.0256, abs=1e-12)
-    lo, hi = confidence_interval(est.beta, sigma2, 2, 0.05)
+    assert est.j_hat == pytest.approx(-2.5, abs=1e-12)
+    assert est.sigma_hat ** 2 == pytest.approx(0.0256, abs=1e-12)
+    lo, hi, _ = est.ci
     assert lo == pytest.approx(2.17825, abs=1e-5)
     assert hi == pytest.approx(2.62175, abs=1e-5)
 
@@ -321,17 +329,17 @@ def test_variance_zero_when_score_vanishes():
     d = Dataset(y=y, t=t, x=np.zeros((4, 1)))
     plan = _single_fold_plan(4)
     nuis = _zero_nuis(4)
-    sigma2, _ = variance_estimate(0.5, d, plan, nuis, SCORE_PARTIALLING_OUT)
-    assert sigma2 == pytest.approx(0.0, abs=1e-30)
+    est = dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
+    assert est.beta == 0.5
+    assert est.sigma_hat ** 2 == pytest.approx(0.0, abs=1e-30)
 
 
 def test_variance_matches_independent_reimplementation():
     d = _dataset(seed=13, n=30)
     plan = random_kfold(d.n, 3, seed=14)
     nuis = _random_nuis(plan, np.random.default_rng(15))
-    beta = dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT).beta
-    sigma2, j_hat = variance_estimate(beta, d, plan, nuis,
-                                      SCORE_PARTIALLING_OUT)
+    est = dml2_estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
+    beta, sigma2, j_hat = est.beta, est.sigma_hat ** 2, est.j_hat
 
     # direct restatement of the sandwich formula, scalar case
     mean_sq_terms, mean_a_terms = [], []

@@ -1,13 +1,18 @@
 """Tests for the regression learners and the super learner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from dmlspss import learners, support_points
 from dmlspss.errors import (
     DimensionMismatch,
     InvalidSpec,
     NonConvergence,
     SingularSystem,
+    TooLargeForMemory,
 )
 from dmlspss.learners import (
     EpsilonInsensitiveLoss,
@@ -16,11 +21,11 @@ from dmlspss.learners import (
     Mlp,
     Oracle,
     Ridge,
+    SquaredLoss,
     SuperLearner,
     _simplex_least_squares,
     crossfit,
     fit,
-    mlp_forward,
     mlp_init_weights,
     mlp_loss_and_grad,
 )
@@ -179,6 +184,62 @@ def test_kernel_matches_direct_dual_solve():
     assert np.max(np.abs(model.predict(xq) - kq @ alpha)) < 1e-8
 
 
+def test_kernel_squared_loss_dual_is_the_direct_solve_bitwise():
+    # the Gram matrix and its ridge diagonal are built in place, with the
+    # same operations as exp(-bw * D) and gram + lam * I
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(257, 4))
+    y = rng.normal(size=257)
+    bw, lam = 0.3, 0.7
+    gram = np.exp(-bw * cdist(x, x, "sqeuclidean"))
+    expected = np.linalg.solve(gram + lam * np.eye(257), y)
+    model = fit(KernelMachine(bandwidth=bw, lam=lam), x, y)
+    assert model.dual_coef.tobytes() == expected.tobytes()
+    xq = rng.normal(size=(7, 4))
+    kq = np.exp(-bw * cdist(xq, x, "sqeuclidean"))
+    assert model.predict(xq).tobytes() == (kq @ expected).tobytes()
+
+
+@pytest.mark.parametrize("loss", [SquaredLoss(), EpsilonInsensitiveLoss(max_iter=5)],
+                         ids=["squared", "epsilon_insensitive"])
+def test_kernel_fit_beyond_physical_memory_raises_before_allocating(monkeypatch, loss):
+    # 300 rows: the Gram matrix and LAPACK's copy of it, 2 * 8 * 300^2 bytes
+    rng = np.random.default_rng(11)
+    x, y = rng.normal(size=(300, 3)), rng.normal(size=300)
+    spec = KernelMachine(loss=loss)
+    expected = fit(spec, x, y).dual_coef
+    need = 2 * 8 * 300 * 300
+
+    def no_distances(*args):
+        raise AssertionError("an n x n array was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(support_points, "_physical_memory", lambda: need - 1)
+        m.setattr(learners, "_cdist", no_distances)
+        with pytest.raises(TooLargeForMemory,
+                           match=r"kernel machine's fit on n=300 rows needs 0\.00144 GB"):
+            fit(spec, x, y)
+    for probe in (need, None):  # exactly enough, or sysconf unavailable
+        monkeypatch.setattr(support_points, "_physical_memory", lambda: probe)
+        assert fit(spec, x, y).dual_coef.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("loss", [SquaredLoss(), EpsilonInsensitiveLoss(max_iter=5)],
+                         ids=["squared", "epsilon_insensitive"])
+def test_kernel_fit_holds_one_n_by_n_array(loss):
+    n = 600
+    rng = np.random.default_rng(12)
+    x, y = rng.normal(size=(n, 5)), rng.normal(size=n)
+    fit(KernelMachine(loss=loss), x[:5], y[:5])  # SciPy's import is not the fit's
+    tracemalloc.start()
+    try:
+        fit(KernelMachine(loss=loss), x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * n * n
+
+
 def test_kernel_epsilon_insensitive_fits_reasonably():
     rng = np.random.default_rng(8)
     x = np.linspace(-2, 2, 40).reshape(-1, 1)
@@ -302,7 +363,7 @@ def test_mlp_divergence_raises_nonconvergence():
 
 
 @pytest.mark.parametrize("call", [
-    lambda w, x, y: mlp_forward(w, x, "sigmoid"),
+    lambda w, x, y: Mlp(activation="sigmoid"),
     lambda w, x, y: mlp_loss_and_grad(w, x, y, 0.0, "sigmoid"),
 ])
 def test_mlp_functions_reject_unknown_activation(call):
