@@ -1,11 +1,13 @@
 """Command-line entry point: split, estimate, simulate, energy.
 
 Configuration is an INI file parsed straight into a frozen RunConfig,
-which checks every setting when built.  The run settings come from the
-key table ``_RUN_KEYS``; a ``[learner_m]``/``[learner_ell]`` section's
-keys are the fields of the chosen spec class (``lambda`` for ``lam``),
-parsed like their defaults.  Unknown sections or keys are errors.  All
-randomness flows from seeds in the config (or the --seed override).
+which checks every setting when built.  Each run setting is declared
+once, as a RunConfig field carrying its INI key, value kind and allowed
+values (``_setting``), and the key table ``_RUN_KEYS`` is read off those
+fields.  A ``[learner_m]``/``[learner_ell]`` section's keys are the
+fields of the chosen spec class (``lambda`` for ``lam``), parsed like
+their defaults.  Unknown sections or keys are errors.  All randomness
+flows from seeds in the config (or the --seed override).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure, 5 a simulate worker process died.  Diagnostics go to stderr,
@@ -21,6 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from dataclasses import field as dataclass_field
 from pathlib import Path
 from typing import Optional
 
@@ -62,6 +65,7 @@ from .simulate import (
     SCENARIO_2,
     SPLIT_RANDOM,
     SPLIT_SPSS,
+    SPLITTERS,
     McConfig,
     ScenarioConfig,
     cross_fitted_estimate,
@@ -82,66 +86,49 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_WORKER = 5
 
-_CHOICES = {  # RunConfig field -> its allowed values
-    "split_method": [SPLIT_SPSS, SPLIT_RANDOM, "both"],
-    "algorithm": [dml_mod.ALG_DML1, dml_mod.ALG_DML2],
-    "score": [dml_mod.SCORE_PARTIALLING_OUT, dml_mod.SCORE_IV_TYPE],
-}
 
-# (section, key) -> (RunConfig field, value kind); see _parse for the kinds.
-# The [learner_m] and [learner_ell] sections are built by _learner instead.
-_RUN_KEYS = {
-    ("data", "path"): ("data_path", str),
-    ("data", "outcome"): ("outcome", str),
-    ("data", "treatment"): ("treatment", str),
-    ("data", "covariates"): ("covariates", (str,)),
-    ("split", "method"): ("split_method", str.lower),
-    ("split", "test_fraction"): ("test_fraction", float),
-    ("split", "k"): ("k", int),
-    ("split", "seed"): ("seed", int),
-    ("dml", "algorithm"): ("algorithm", str.lower),
-    ("dml", "score"): ("score", str.lower),
-    ("dml", "alpha"): ("alpha", float),
-    ("simulate", "scenario"): ("sim_scenarios", (str.lower,)),
-    ("simulate", "p_list"): ("p_list", (int,)),
-    ("simulate", "n_list"): ("n_list", (int,)),
-    ("simulate", "reps"): ("reps", int),
-    ("simulate", "master_seed"): ("master_seed", int),
-    ("runtime", "threads"): ("threads", int),
-}
-_KEY_OF = {field: f"[{section}] {key}"
-           for (section, key), (field, _) in _RUN_KEYS.items()}
+def _setting(section: str, key: str, kind, default, choices=None):
+    """A RunConfig field read from the INI key ``[section] key`` as ``kind``
+    (see _parse) and, when ``choices`` is given, allowed only those values."""
+    return dataclass_field(default=default, metadata={
+        "ini": (section, key), "kind": kind, "choices": choices})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated, typed view of a parsed config file; ``__post_init__``
-    checks every setting, and ``schema`` is built from the column names."""
+    checks every setting, and ``schema`` is built from the column names.
+    Each field but the learner specs declares its INI key with _setting."""
 
-    data_path: Optional[str] = None
-    outcome: Optional[str] = None
-    treatment: Optional[str] = None
-    covariates: Optional[tuple] = None
-    split_method: str = SPLIT_SPSS
-    test_fraction: float = 0.2
-    k: int = 2
-    seed: int = 0
+    data_path: Optional[str] = _setting("data", "path", str, None)
+    outcome: Optional[str] = _setting("data", "outcome", str, None)
+    treatment: Optional[str] = _setting("data", "treatment", str, None)
+    covariates: Optional[tuple] = _setting("data", "covariates", (str,), None)
+    split_method: str = _setting("split", "method", str.lower, SPLIT_SPSS,
+                                 (*SPLITTERS, "both"))
+    test_fraction: float = _setting("split", "test_fraction", float, 0.2)
+    k: int = _setting("split", "k", int, 2)
+    seed: int = _setting("split", "seed", int, 0)
     learner_m: Optional[object] = None
     learner_ell: Optional[object] = None
-    algorithm: str = dml_mod.ALG_DML2
-    score: str = dml_mod.SCORE_PARTIALLING_OUT
-    alpha: float = 0.05
-    sim_scenarios: tuple = ()
-    p_list: tuple = ()
-    n_list: tuple = ()
-    reps: int = 100
-    master_seed: int = 0
-    threads: int = 1
+    algorithm: str = _setting("dml", "algorithm", str.lower, dml_mod.ALG_DML2,
+                              dml_mod.ALGORITHMS)
+    score: str = _setting("dml", "score", str.lower, dml_mod.SCORE_PARTIALLING_OUT,
+                          dml_mod.SCORES)
+    alpha: float = _setting("dml", "alpha", float, 0.05)
+    sim_scenarios: tuple = _setting("simulate", "scenario", (str.lower,), ())
+    p_list: tuple = _setting("simulate", "p_list", (int,), ())
+    n_list: tuple = _setting("simulate", "n_list", (int,), ())
+    reps: int = _setting("simulate", "reps", int, 100)
+    master_seed: int = _setting("simulate", "master_seed", int, 0)
+    threads: int = _setting("runtime", "threads", int, 1)
 
     def __post_init__(self):
-        for field, allowed in _CHOICES.items():
-            self._require(getattr(self, field) in allowed, field,
-                          f"expected one of {allowed}")
+        for f in fields(self):
+            allowed = f.metadata.get("choices")
+            if allowed is not None:
+                self._require(getattr(self, f.name) in allowed, f.name,
+                              f"expected one of {list(allowed)}")
         self._require(set(self.sim_scenarios) <= {SCENARIO_1, SCENARIO_2},
                       "sim_scenarios", f"expected {SCENARIO_1} or {SCENARIO_2}")
         dml_mod.check_alpha(self.alpha, _KEY_OF["alpha"])
@@ -166,6 +153,13 @@ class RunConfig:
         if None in (self.outcome, self.treatment, self.covariates):
             return None
         return ColumnSchema(self.outcome, self.treatment, self.covariates)
+
+
+# (section, key) -> (RunConfig field, value kind), from the declarations
+# above; the [learner_m] and [learner_ell] sections are built by _learner.
+_RUN_KEYS = {f.metadata["ini"]: (f.name, f.metadata["kind"])
+             for f in fields(RunConfig) if f.metadata}
+_KEY_OF = {name: "[%s] %s" % key for key, (name, _) in _RUN_KEYS.items()}
 
 
 def _parse(raw: str, kind, where: str):
@@ -331,9 +325,7 @@ def cmd_split(cfg: RunConfig, input_csv, out_dir) -> int:
 
 
 def cmd_estimate(cfg: RunConfig, input_csv, out_path) -> int:
-    if cfg.learner_m is None or cfg.learner_ell is None:
-        raise ConfigError("estimate needs [learner_m] and [learner_ell] sections")
-    if cfg.split_method not in (SPLIT_SPSS, SPLIT_RANDOM):
+    if cfg.split_method not in SPLITTERS:
         raise ConfigError(
             f"[split] method: estimate needs {SPLIT_SPSS} or {SPLIT_RANDOM}, "
             f"got {cfg.split_method!r}"
@@ -363,14 +355,9 @@ def cmd_estimate(cfg: RunConfig, input_csv, out_path) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, out_path, fmt: str) -> int:
-    if cfg.learner_m is None or cfg.learner_ell is None:
-        raise ConfigError("simulate needs [learner_m] and [learner_ell] sections")
     if not (cfg.sim_scenarios and cfg.p_list and cfg.n_list):
         raise ConfigError("[simulate] scenario, p_list, and n_list are required")
-    splitters = (
-        (SPLIT_SPSS, SPLIT_RANDOM) if cfg.split_method == "both"
-        else (cfg.split_method,)
-    )
+    splitters = SPLITTERS if cfg.split_method == "both" else (cfg.split_method,)
     # build (and so check) every cell before running the first
     cells = [
         McConfig(
@@ -447,6 +434,9 @@ def main(argv=None) -> int:
         _check_out(args.out, directory=args.command == "split")
         if args.command == "split":
             return cmd_split(cfg, args.input, args.out)
+        if cfg.learner_m is None or cfg.learner_ell is None:
+            raise ConfigError(
+                f"{args.command} needs [learner_m] and [learner_ell] sections")
         if args.command == "estimate":
             return cmd_estimate(cfg, args.input, args.out)
         return cmd_simulate(cfg, args.out, args.format)

@@ -288,9 +288,13 @@ def write_csv(path, d: Dataset) -> None:
 def subset_rows(d: Dataset, idx) -> Dataset:
     """Select rows by index, preserving the given order.
 
-    Raises IndexOutOfRange or DuplicateIndex on bad index lists.
+    Raises IndexOutOfRange or DuplicateIndex on bad index lists, and
+    IndexOutOfRange on non-integer (float or boolean) ones.
     """
-    idx = np.asarray(idx, dtype=int).reshape(-1)
+    idx = np.asarray(idx)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise IndexOutOfRange(f"indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(int, copy=False).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= d.n):
         raise IndexOutOfRange(f"indices must lie in [0, {d.n}), got {idx}")
     if (np.diff(np.sort(idx)) == 0).any():

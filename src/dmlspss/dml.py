@@ -34,6 +34,7 @@ from .errors import (
     FoldTooSmall,
     InvalidAlpha,
     InvalidConfig,
+    NumericError,
 )
 from .learners import crossfit
 from .learners import fit  # unused here; kept as dml.fit for bench/tracing.py
@@ -43,6 +44,8 @@ SCORE_PARTIALLING_OUT = "partialling_out"
 SCORE_IV_TYPE = "iv_type"
 ALG_DML1 = "dml1"
 ALG_DML2 = "dml2"
+SCORES = (SCORE_PARTIALLING_OUT, SCORE_IV_TYPE)
+ALGORITHMS = (ALG_DML1, ALG_DML2)
 
 DEGENERACY_EPS = 1e-12
 
@@ -204,7 +207,7 @@ def fit_nuisances_crossfit(
     nuisances first, a preliminary pooled beta from them, then
     g_hat = ell_hat - beta_prelim * m_hat.
     """
-    if kind not in (SCORE_PARTIALLING_OUT, SCORE_IV_TYPE):
+    if kind not in SCORES:
         raise InvalidConfig(f"unknown score kind {kind!r}")
     if plan.n_total != d.n:
         raise DimensionMismatch(f"plan covers {plan.n_total} rows, data has {d.n}")
@@ -240,7 +243,9 @@ def dml2_estimate(
 
 
 def _estimate(d, plan, nuis, kind, algorithm, alpha) -> DmlEstimate:
-    """Evaluate the scores once; solve, then attach the sandwich inference."""
+    """Evaluate the scores once; solve, then attach the sandwich inference.
+    Raises NumericError if beta or sigma^2 is not finite (say, the data or
+    a nuisance fit overflowed)."""
     psi_a, psi_b, _ = score_components(d.y, d.t, nuis, kind, beta=0.0)
     beta, per_fold = _solve(plan, psi_a, psi_b, algorithm)
     j_hat = plan.means(psi_a).mean()
@@ -248,6 +253,9 @@ def _estimate(d, plan, nuis, kind, algorithm, alpha) -> DmlEstimate:
         raise DegenerateJacobian("pooled mean psi_a ~ 0")
     psi = psi_a * beta + psi_b
     sigma2_hat = float(plan.means(psi ** 2).mean() / j_hat ** 2)
+    for name, value in (("beta", beta), ("sigma^2", sigma2_hat)):
+        if not math.isfinite(value):
+            raise NumericError(f"{algorithm} estimate: {name} is {value!r}, not finite")
     lo, hi = confidence_interval(beta, sigma2_hat, d.n, alpha)
     return DmlEstimate(
         beta=beta,

@@ -347,7 +347,8 @@ def _fit_lasso(spec: Lasso, x, y) -> LinearModel:
     (centred mean square below ``DEGENERATE_SCALE**2``, the test
     ``standardize`` uses) keeps coefficient 0.  Raises NonConvergence,
     carrying the partial model, if the sweep-to-sweep coefficient change
-    has not dropped below tol within max_iter sweeps.
+    has not dropped below tol within max_iter sweeps, or if a coefficient
+    is not finite (a NaN change would otherwise pass for no change).
     """
     x, y = _check_xy(x, y)
     n, p = x.shape
@@ -375,6 +376,8 @@ def _fit_lasso(spec: Lasso, x, y) -> LinearModel:
     coef = np.array(coef)
     intercept = y_mean - x_mean @ coef
     model = LinearModel(spec, coef, intercept, (n, p))
+    if not np.isfinite(coef).all():
+        raise NonConvergence("lasso diverged (non-finite coefficients)", partial=model)
     if not converged:
         raise NonConvergence(
             f"lasso did not converge in {spec.max_iter} sweeps", partial=model
@@ -561,9 +564,9 @@ def _fit_super_learner(spec: SuperLearner, x, y) -> SuperLearnerModel:
     to the lowest index).  Convex-weights mode solves the simplex-
     constrained least squares of y on out-of-fold candidate predictions
     and blends full-data refits.  A candidate whose fit raises, or whose
-    risk is not finite, keeps infinite risk and is neither chosen nor
-    weighted; if none is left, the first candidate exception is raised
-    again, tagged in place (same class).
+    risk is not finite (a NonConvergence naming it), fails: it keeps
+    infinite risk and is neither chosen nor weighted.  If every candidate
+    fails, the first failure is raised again, tagged in place (same class).
     """
     x, y = _check_xy(x, y)
     n = x.shape[0]
@@ -582,17 +585,17 @@ def _fit_super_learner(spec: SuperLearner, x, y) -> SuperLearnerModel:
     for i, cand in enumerate(spec.candidates):
         try:
             oof = crossfit(cand, x, y, plan)
+            risk = plan.means((oof - y) ** 2).mean()
+            if not np.isfinite(risk):
+                raise NonConvergence(f"candidate {i} ({type(cand).__name__}) has CV "
+                                     f"risk {risk}")
         except (DmlSpssError, np.linalg.LinAlgError) as exc:
             failures.append(exc)
             continue
-        risk = plan.means((oof - y) ** 2).mean()
-        if np.isfinite(risk):
-            risks[i] = risk
-            ranked[i] = oof
+        risks[i] = risk
+        ranked[i] = oof
 
     if not ranked:
-        if not failures:  # every candidate fitted, none to a finite risk
-            raise InvalidSpec("every super learner candidate failed to fit")
         first = failures[0]
         first.args = (f"every super learner candidate failed to fit; the first: {first}",)
         raise first

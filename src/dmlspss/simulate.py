@@ -35,8 +35,9 @@ from .data import Dataset
 from .dml import (
     ALG_DML1,
     ALG_DML2,
-    SCORE_IV_TYPE,
+    ALGORITHMS,
     SCORE_PARTIALLING_OUT,
+    SCORES,
     DmlEstimate,
     check_alpha,
     dml1_estimate,
@@ -57,6 +58,7 @@ SCENARIO_1 = "s1"
 SCENARIO_2 = "s2"
 SPLIT_SPSS = "spss"
 SPLIT_RANDOM = "random"
+SPLITTERS = (SPLIT_SPSS, SPLIT_RANDOM)
 
 _MASK64 = (1 << 64) - 1
 _SCENARIO_PARAMS = {SCENARIO_1: (0.7, 0.0), SCENARIO_2: (0.5, 0.3)}  # (rho, uv_corr)
@@ -115,11 +117,11 @@ def check_run(cfg, splitter: str, n: int, p: int) -> None:
     2 rows, and each super learner's CV blocks, 2 rows each when SPSS),
     and a penalty on every ridge and lasso when p >= n (on a nuisance
     ridge, when p >= the n - ceil(n/K) rows a fold trains on)."""
-    if splitter not in (SPLIT_SPSS, SPLIT_RANDOM):
+    if splitter not in SPLITTERS:
         raise InvalidConfig(f"unknown splitter {splitter!r}")
-    if cfg.score not in (SCORE_PARTIALLING_OUT, SCORE_IV_TYPE):
+    if cfg.score not in SCORES:
         raise InvalidConfig(f"unknown score {cfg.score!r}")
-    if cfg.algorithm not in (ALG_DML1, ALG_DML2):
+    if cfg.algorithm not in ALGORITHMS:
         raise InvalidConfig(f"unknown algorithm {cfg.algorithm!r}")
     check_alpha(cfg.alpha)
     k = cfg.k

@@ -17,7 +17,7 @@ from dmlspss import cli, simulate, support_points
 from dmlspss.cli import (
     EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_WORKER, main, parse_config,
 )
-from dmlspss.data import ColumnSchema, write_csv
+from dmlspss.data import ColumnSchema, Dataset, write_csv
 from dmlspss.errors import ConfigError, WorkerDied
 from dmlspss.learners import (
     EpsilonInsensitiveLoss,
@@ -323,6 +323,20 @@ def test_bad_out_file_exits_3_before_any_work(tmp_path, capsys, monkeypatch, com
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_missing_learner_section_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                         command):
+    monkeypatch.setattr(cli, "load_csv", _no_work)
+    monkeypatch.setattr(cli, "run_monte_carlo", _no_work)
+    csv_path = tmp_path / "in.csv"
+    _make_dataset_csv(csv_path, n=40, seed=2, noiseless=False)
+    cfg = _base_config(tmp_path, csv_path, SIM_EXTRA)
+    cfg.write_text(cfg.read_text().replace("[learner_ell]\nkind = zero\n", ""))
+    assert main(["--config", str(cfg), command]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {command} needs [learner_m] and [learner_ell] sections\n")
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["the file", "a path under it"])
 def test_split_out_naming_a_file_exits_3_before_any_work(tmp_path, capsys, monkeypatch,
                                                          under):
@@ -464,6 +478,37 @@ def test_super_learner_of_a_diverging_mlp_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "numeric error: every super learner candidate failed to fit; "
         "the first: mlp training diverged (non-finite loss)\n")
+
+
+@pytest.mark.parametrize("kind, column, error", [
+    ("lasso", "x1", "lasso diverged (non-finite coefficients)"),
+    ("ridge", "t", "dml2 estimate: sigma^2 is nan, not finite"),
+], ids=["lasso, x1 scaled", "ridge, t scaled"])
+def test_overflowing_data_exits_4_and_writes_nothing(tmp_path, kind, column, error):
+    # a column scaled by 1e200 overflows when squared; the run must fail
+    # rather than write NaN, which strict JSON parsers reject.  A subprocess,
+    # so that NumPy's overflow warnings stay warnings.
+    d, _ = simulate.draw_dataset(simulate.ScenarioConfig("s1", 3, 60), seed=1)
+    scaled = {"y": d.y, "t": d.t, "x": d.x.copy()}
+    if column == "t":
+        scaled["t"] = d.t * 1e200
+    else:
+        scaled["x"][:, 0] *= 1e200
+    write_csv(tmp_path / "big.csv", Dataset(**scaled))
+    (tmp_path / "run.ini").write_text(
+        "[data]\noutcome = y\ntreatment = t\ncovariates = x1,x2,x3\n\n"
+        "[split]\nmethod = random\nk = 2\nseed = 1\n\n"
+        f"[learner_m]\nkind = {kind}\nlambda = 0.01\n\n"
+        f"[learner_ell]\nkind = {kind}\nlambda = 0.01\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = tmp_path / "big.json"
+    run = subprocess.run(
+        [sys.executable, "-m", "dmlspss.cli", "--config", str(tmp_path / "run.ini"),
+         "--out", str(out), "estimate", str(tmp_path / "big.csv")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == EXIT_NUMERIC
+    assert run.stderr.splitlines()[-1] == f"numeric error: {error}"
+    assert not out.exists()
 
 # --- simulate ------------------------------------------------------------------
 
@@ -673,6 +718,16 @@ def test_energy_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
 
 
 # --- config parsing ----------------------------------------------------------------
+
+def test_each_run_setting_declares_one_ini_key():
+    declared = {f.name: f.metadata.get("ini") for f in dataclasses.fields(cli.RunConfig)}
+    undeclared = {name for name, key in declared.items() if key is None}
+    assert undeclared == {"learner_m", "learner_ell"}
+    keys = [key for key in declared.values() if key is not None]
+    assert len(set(keys)) == len(keys)
+    assert {key: name for key, (name, _) in cli._RUN_KEYS.items()} == {
+        key: name for name, key in declared.items() if key is not None}
+
 
 def test_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "bad.ini"

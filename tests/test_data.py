@@ -181,6 +181,13 @@ def test_subset_rows_errors():
         subset_rows(d, [0, 0])
     with pytest.raises(IndexOutOfRange):
         subset_rows(d, [0, 3])
+    # floats and booleans are not truncated or read as 0 and 1
+    with pytest.raises(IndexOutOfRange, match="got dtype float64"):
+        subset_rows(d, [0.9, 1.7])
+    with pytest.raises(IndexOutOfRange, match="got dtype bool"):
+        subset_rows(d, [True, False, True])
+    with pytest.raises(ValueError, match="need at least 2 observations"):
+        subset_rows(d, [])
 
 
 def test_subset_rows_complement_partition():

@@ -27,6 +27,7 @@ from dmlspss.errors import (
     FoldTooSmall,
     InvalidAlpha,
     InvalidConfig,
+    NumericError,
 )
 from dmlspss.learners import FittedModel, Lasso, Oracle, Ridge, SuperLearner, fit
 from dmlspss.simulate import (
@@ -294,6 +295,20 @@ def test_degenerate_jacobian_raises_under_dml1_with_the_iv_type_score():
         dml1_estimate(d, plan, nuis, SCORE_IV_TYPE)
     with pytest.raises(DegenerateAggregate):
         dml2_estimate(d, plan, nuis, SCORE_IV_TYPE)
+
+
+@pytest.mark.parametrize("estimate", [dml1_estimate, dml2_estimate])
+@pytest.mark.parametrize("kind, name", [(SCORE_PARTIALLING_OUT, "ell_hat"),
+                                        (SCORE_IV_TYPE, "g_hat")])
+def test_non_finite_estimate_is_a_numeric_error(estimate, kind, name):
+    # one NaN nuisance prediction makes beta NaN; NaN arithmetic warns of nothing
+    d = _dataset()
+    plan = random_kfold(d.n, 2, 0)
+    outcome = np.zeros(d.n)
+    outcome[3] = np.nan
+    nuis = NuisanceFit(m_hat=np.zeros(d.n), **{name: outcome})
+    with pytest.raises(NumericError, match="beta is nan, not finite"):
+        estimate(d, plan, nuis, kind)
 
 
 def test_noiseless_dgp_with_oracle_nuisances_recovers_truth():

@@ -154,6 +154,18 @@ def test_lasso_nonconvergence_carries_partial_state():
     assert excinfo.value.partial.coef.shape == (5,)
 
 
+def test_lasso_with_non_finite_coefficients_does_not_converge():
+    # x1's square overflows, so its coefficient is NaN; a NaN change must
+    # not pass for no change
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(60, 3)) * np.array([1e200, 1.0, 1.0])
+    y = x[:, 1] + rng.normal(size=60)
+    with np.errstate(all="ignore"), pytest.raises(
+            NonConvergence, match="non-finite coefficients") as excinfo:
+        fit(Lasso(), x, y)
+    assert not np.isfinite(excinfo.value.partial.coef).all()
+
+
 # --- kernel machine ----------------------------------------------------------
 
 def test_kernel_single_point_dual_solve():
@@ -493,8 +505,23 @@ def test_failing_candidate_gets_infinite_risk():
     with pytest.raises(SingularSystem, match="every super learner candidate failed"):
         fit(SuperLearner(candidates=(bad, bad), seed=3), x, y)
     nan = Oracle(fn=lambda q: np.full(len(q), np.nan))  # fits, to no finite risk
-    with pytest.raises(InvalidSpec, match="every super learner candidate failed"):
+    with pytest.raises(NonConvergence, match=r"every super learner candidate failed "
+                       r"to fit; the first: candidate 0 \(Oracle\) has CV risk nan"):
         fit(SuperLearner(candidates=(nan,), seed=3), x, y)
+
+
+@pytest.mark.parametrize("candidates", [(Ridge(),), (Ridge(), KernelMachine())],
+                         ids=["ridge", "ridge and kernel"])
+def test_every_candidate_overflowing_is_a_numeric_error(candidates):
+    # a valid spec on data too large to square: a numeric failure, not a
+    # configuration error
+    rng = np.random.default_rng(28)
+    x = rng.normal(size=(30, 2))
+    y = (x[:, 0] + rng.normal(size=30)) * 1e200
+    with np.errstate(all="ignore"), pytest.raises(
+            NonConvergence, match=r"failed to fit; the first: candidate 0 \(Ridge\) "
+            "has CV risk inf"):
+        fit(SuperLearner(candidates=candidates, v_blocks=3), x, y)
 
 
 @pytest.mark.parametrize("mode", ["selector", "convex_weights"])

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from dmlspss import simulate
-from dmlspss.errors import InvalidAlpha, InvalidConfig, InvalidRho, WorkerDied
+from dmlspss.errors import (
+    InvalidAlpha, InvalidConfig, InvalidRho, NumericError, WorkerDied,
+)
 from dmlspss.learners import KernelMachine, Lasso, Oracle, Ridge, SuperLearner
 from dmlspss.simulate import (
     McConfig,
@@ -475,6 +477,16 @@ def test_run_monte_carlo_reports_failing_rep():
     mc = McConfig(scenario=cfg, learner_m=bad, learner_ell=bad,
                   reps=3, splitter="random", master_seed=1)
     with pytest.raises(Exception, match="replication 0"):
+        run_monte_carlo(mc)
+
+
+def test_replication_with_a_nan_estimate_raises_instead_of_reporting_nan():
+    cfg = ScenarioConfig(scenario="s1", p=4, n=50)
+    nan = Oracle(fn=lambda x: np.full(len(x), np.nan))
+    mc = McConfig(scenario=cfg, learner_m=Oracle(fn=lambda x: np.zeros(len(x))),
+                  learner_ell=nan, reps=3, splitter="random", master_seed=1)
+    with pytest.raises(NumericError, match=f"^replication 0 \\(seed {mix_seed(1, 0)}\\): "
+                       "dml2 estimate: beta is nan"):
         run_monte_carlo(mc)
 
 
