@@ -3,15 +3,19 @@
 Configuration is an INI file parsed straight into a frozen RunConfig,
 which checks every setting when built.  Each run setting is declared
 once, as a RunConfig field carrying its INI key, value kind and allowed
-values (``_setting``), and the key table ``_RUN_KEYS`` is read off those
-fields.  A ``[learner_m]``/``[learner_ell]`` section's keys are the
-fields of the chosen spec class (``lambda`` for ``lam``), parsed like
-their defaults.  Unknown sections or keys are errors.  All randomness
-flows from seeds in the config (or the --seed override).
+values (``_setting``; a list setting's values bound each element), and
+the key table ``_RUN_KEYS`` is read off those fields.  ``simulate``
+gives each Monte Carlo cell every McConfig field that RunConfig declares
+too, so ``estimate`` and each cell read a setting under one name.  A
+``[learner_m]``/``[learner_ell]`` section's keys are the fields of the
+chosen spec class (``lambda`` for ``lam``), parsed like their defaults.
+Unknown sections or keys are errors.  All randomness flows from seeds
+in the config (or the --seed override).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure, 5 a simulate worker process died.  Diagnostics go to stderr,
-results to stdout or --out, which is checked before any data is read.
+results (of every command) to stdout or --out, which is checked before
+any data is read.
 """
 
 from __future__ import annotations
@@ -61,9 +65,7 @@ from .learners import (
     SuperLearner,
 )
 from .simulate import (
-    SCENARIO_1,
-    SCENARIO_2,
-    SPLIT_RANDOM,
+    SCENARIOS,
     SPLIT_SPSS,
     SPLITTERS,
     McConfig,
@@ -104,8 +106,8 @@ class RunConfig:
     outcome: Optional[str] = _setting("data", "outcome", str, None)
     treatment: Optional[str] = _setting("data", "treatment", str, None)
     covariates: Optional[tuple] = _setting("data", "covariates", (str,), None)
-    split_method: str = _setting("split", "method", str.lower, SPLIT_SPSS,
-                                 (*SPLITTERS, "both"))
+    splitter: str = _setting("split", "method", str.lower, SPLIT_SPSS,
+                             (*SPLITTERS, "both"))
     test_fraction: float = _setting("split", "test_fraction", float, 0.2)
     k: int = _setting("split", "k", int, 2)
     seed: int = _setting("split", "seed", int, 0)
@@ -116,7 +118,7 @@ class RunConfig:
     score: str = _setting("dml", "score", str.lower, dml_mod.SCORE_PARTIALLING_OUT,
                           dml_mod.SCORES)
     alpha: float = _setting("dml", "alpha", float, 0.05)
-    sim_scenarios: tuple = _setting("simulate", "scenario", (str.lower,), ())
+    sim_scenarios: tuple = _setting("simulate", "scenario", (str.lower,), (), SCENARIOS)
     p_list: tuple = _setting("simulate", "p_list", (int,), ())
     n_list: tuple = _setting("simulate", "n_list", (int,), ())
     reps: int = _setting("simulate", "reps", int, 100)
@@ -126,11 +128,11 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             allowed = f.metadata.get("choices")
-            if allowed is not None:
-                self._require(getattr(self, f.name) in allowed, f.name,
+            if allowed is not None:  # each element, for a list setting
+                value = getattr(self, f.name)
+                values = value if isinstance(f.metadata["kind"], tuple) else (value,)
+                self._require(set(values) <= set(allowed), f.name,
                               f"expected one of {list(allowed)}")
-        self._require(set(self.sim_scenarios) <= {SCENARIO_1, SCENARIO_2},
-                      "sim_scenarios", f"expected {SCENARIO_1} or {SCENARIO_2}")
         dml_mod.check_alpha(self.alpha, _KEY_OF["alpha"])
         self._require(self.k >= 2, "k", "must be >= 2")
         self._require(0.0 < self.test_fraction < 1.0, "test_fraction",
@@ -160,6 +162,7 @@ class RunConfig:
 _RUN_KEYS = {f.metadata["ini"]: (f.name, f.metadata["kind"])
              for f in fields(RunConfig) if f.metadata}
 _KEY_OF = {name: "[%s] %s" % key for key, (name, _) in _RUN_KEYS.items()}
+_RUN_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def _parse(raw: str, kind, where: str):
@@ -297,6 +300,14 @@ def _check_out(path: Optional[str], directory: bool) -> None:
         raise DataError(f"--out {path}: expected a file in an existing writable directory")
 
 
+def _write(text: str, out_path) -> None:
+    """Write ``text`` and a newline to ``out_path``, or to stdout."""
+    if out_path:
+        Path(out_path).write_text(text + "\n")
+    else:
+        print(text)
+
+
 def cmd_split(cfg: RunConfig, input_csv, out_dir) -> int:
     d = _load_dataset(cfg, input_csv)
     result = spss_split(d, cfg.test_fraction, SpConfig(seed=cfg.seed))
@@ -325,14 +336,14 @@ def cmd_split(cfg: RunConfig, input_csv, out_dir) -> int:
 
 
 def cmd_estimate(cfg: RunConfig, input_csv, out_path) -> int:
-    if cfg.split_method not in SPLITTERS:
+    if cfg.splitter not in SPLITTERS:
         raise ConfigError(
-            f"[split] method: estimate needs {SPLIT_SPSS} or {SPLIT_RANDOM}, "
-            f"got {cfg.split_method!r}"
+            f"[split] method: estimate needs {' or '.join(SPLITTERS)}, "
+            f"got {cfg.splitter!r}"
         )
     d = _load_dataset(cfg, input_csv)
     start = time.perf_counter()
-    est = cross_fitted_estimate(d, cfg, cfg.split_method, cfg.seed)
+    est = cross_fitted_estimate(d, cfg, cfg.seed)
     record = {
         "beta": est.beta,
         "se": float(est.se),
@@ -341,42 +352,26 @@ def cmd_estimate(cfg: RunConfig, input_csv, out_path) -> int:
         "K": est.k,
         "algorithm": est.algorithm,
         "score": est.score,
-        "splitter": cfg.split_method,
+        "splitter": cfg.splitter,
         "seed": cfg.seed,
         "n": est.n_total,
         "wall_time_s": time.perf_counter() - start,
     }
-    text = json.dumps(record, indent=2)
-    if out_path:
-        Path(out_path).write_text(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(record, indent=2), out_path)
     return EXIT_OK
 
 
 def cmd_simulate(cfg: RunConfig, out_path, fmt: str) -> int:
     if not (cfg.sim_scenarios and cfg.p_list and cfg.n_list):
         raise ConfigError("[simulate] scenario, p_list, and n_list are required")
-    splitters = SPLITTERS if cfg.split_method == "both" else (cfg.split_method,)
-    # build (and so check) every cell before running the first
-    cells = [
-        McConfig(
-            scenario=ScenarioConfig(scenario=scen, p=p, n=n),
-            learner_m=cfg.learner_m,
-            learner_ell=cfg.learner_ell,
-            reps=cfg.reps,
-            k=cfg.k,
-            splitter=splitter,
-            score=cfg.score,
-            algorithm=cfg.algorithm,
-            master_seed=cfg.master_seed,
-            alpha=cfg.alpha,
-        )
-        for scen in cfg.sim_scenarios
-        for p in cfg.p_list
-        for n in cfg.n_list
-        for splitter in splitters
-    ]
+    splitters = SPLITTERS if cfg.splitter == "both" else (cfg.splitter,)
+    # a cell takes each McConfig field that RunConfig declares; all are checked first
+    shared = {f.name: getattr(cfg, f.name) for f in fields(McConfig)
+              if f.name in _RUN_FIELDS}
+    cells = [McConfig(**{**shared, "scenario": ScenarioConfig(scen, p, n),
+                         "splitter": splitter})
+             for scen in cfg.sim_scenarios for p in cfg.p_list for n in cfg.n_list
+             for splitter in splitters]
     rows = [run_monte_carlo(mc, threads=cfg.threads) for mc in cells]
     payload = emit_report(rows, fmt)
     if out_path:
@@ -386,10 +381,10 @@ def cmd_simulate(cfg: RunConfig, out_path, fmt: str) -> int:
     return EXIT_OK
 
 
-def cmd_energy(a_csv, b_csv) -> int:
+def cmd_energy(a_csv, b_csv, out_path) -> int:
     a = read_csv_matrix(a_csv)
     b = read_csv_matrix(b_csv)
-    print(repr(energy_two_sample(a, b)))
+    _write(repr(energy_two_sample(a, b)), out_path)
     return EXIT_OK
 
 
@@ -425,7 +420,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "energy":
-            return cmd_energy(args.a, args.b)
+            _check_out(args.out, directory=False)
+            return cmd_energy(args.a, args.b, args.out)
         cfg = parse_config(args.config) if args.config else RunConfig()
         if args.threads is not None:
             cfg = replace(cfg, threads=args.threads)

@@ -40,10 +40,12 @@ from .errors import (
     DmlSpssError,
     InvalidSpec,
     NonConvergence,
+    NumericError,
     SingularSystem,
 )
 from .data import DEGENERATE_SCALE, standardize
-from .support_points import SpConfig, _cdist, _check_memory, random_kfold, spss_kfold_cloud
+from .support_points import (SPLIT_RANDOM, SPLIT_SPSS, SPLITTERS, SpConfig, _cdist,
+                             _check_memory, random_kfold, spss_kfold_cloud)
 
 ACT_RELU = "relu"
 ACT_TANH = "tanh"
@@ -162,7 +164,7 @@ class SuperLearner:
     v_blocks: int = 5
     mode: str = MODE_SELECTOR
     seed: int = 0
-    cv_splitter: str = "random"  # "spss" peels blocks by support points
+    cv_splitter: str = SPLIT_RANDOM  # SPLIT_SPSS peels blocks by support points
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(self.candidates))
@@ -176,7 +178,7 @@ class SuperLearner:
             raise InvalidSpec(f"super learner seed must be >= 0, got {self.seed}")
         if self.mode not in (MODE_SELECTOR, MODE_CONVEX_WEIGHTS):
             raise InvalidSpec(f"unknown super learner mode {self.mode!r}")
-        if self.cv_splitter not in ("random", "spss"):
+        if self.cv_splitter not in SPLITTERS:
             raise InvalidSpec(f"unknown cv splitter {self.cv_splitter!r}")
 
 
@@ -329,6 +331,8 @@ def _fit_ridge(spec: Ridge, x, y) -> LinearModel:
     x, y = _check_xy(x, y)
     n, p = x.shape
     x_mean, y_mean, xc, gram, corr = _centred(x, y)
+    if not (np.isfinite(gram).all() and np.isfinite(corr).all()):
+        raise NumericError("ridge: the centred design's moments x'x, x'y overflow")
     if spec.lam == 0.0 and np.linalg.matrix_rank(xc) < p:
         raise SingularSystem("ridge with lambda=0 on a rank-deficient design")
     coef = np.linalg.solve(gram + spec.lam * np.eye(p), corr)
@@ -572,7 +576,7 @@ def _fit_super_learner(spec: SuperLearner, x, y) -> SuperLearnerModel:
     n = x.shape[0]
     if n < spec.v_blocks:
         raise InvalidSpec(f"need n >= v_blocks, got n={n}, v_blocks={spec.v_blocks}")
-    if spec.cv_splitter == "spss":
+    if spec.cv_splitter == SPLIT_SPSS:
         cloud, _ = standardize(np.hstack([x, y[:, None]]))
         plan = spss_kfold_cloud(cloud, spec.v_blocks, SpConfig(seed=spec.seed))
     else:

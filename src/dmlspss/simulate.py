@@ -52,16 +52,16 @@ from .learners import (
     Ridge,
     SuperLearner,
 )
-from .support_points import SpConfig, check_fold_count, random_kfold, spss_kfold
+from .support_points import (FOLD_ROWS, SpConfig, check_fold_count, random_kfold,
+                             spss_kfold)
+from .support_points import SPLIT_RANDOM, SPLIT_SPSS, SPLITTERS  # re-exported
 
 SCENARIO_1 = "s1"
 SCENARIO_2 = "s2"
-SPLIT_SPSS = "spss"
-SPLIT_RANDOM = "random"
-SPLITTERS = (SPLIT_SPSS, SPLIT_RANDOM)
 
 _MASK64 = (1 << 64) - 1
 _SCENARIO_PARAMS = {SCENARIO_1: (0.7, 0.0), SCENARIO_2: (0.5, 0.3)}  # (rho, uv_corr)
+SCENARIOS = tuple(_SCENARIO_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -110,22 +110,22 @@ def _learner_specs(cfg):
             yield from learner.candidates
 
 
-def check_run(cfg, splitter: str, n: int, p: int) -> None:
+def check_run(cfg, n: int, p: int) -> None:
     """Raise InvalidConfig unless :func:`cross_fitted_estimate` can run
-    ``cfg`` with ``splitter`` folds on n rows of p covariates: known
-    choices, ``alpha`` in (0, 1), K against n (every fold complement keeps
-    2 rows, and each super learner's CV blocks, 2 rows each when SPSS),
-    and a penalty on every ridge and lasso when p >= n (on a nuisance
-    ridge, when p >= the n - ceil(n/K) rows a fold trains on)."""
-    if splitter not in SPLITTERS:
-        raise InvalidConfig(f"unknown splitter {splitter!r}")
+    ``cfg`` on n rows of p covariates: known choices, ``alpha`` in (0, 1),
+    K against n (every fold complement keeps 2 rows, and each super
+    learner's CV blocks, 2 rows each when SPSS), and a penalty on every
+    ridge and lasso when p >= n (on a nuisance ridge, when p >= the
+    n - ceil(n/K) rows a fold trains on)."""
+    if cfg.splitter not in SPLITTERS:
+        raise InvalidConfig(f"unknown splitter {cfg.splitter!r}")
     if cfg.score not in SCORES:
         raise InvalidConfig(f"unknown score {cfg.score!r}")
     if cfg.algorithm not in ALGORITHMS:
         raise InvalidConfig(f"unknown algorithm {cfg.algorithm!r}")
     check_alpha(cfg.alpha)
     k = cfg.k
-    check_fold_count(n, k, spss=splitter == SPLIT_SPSS)
+    check_fold_count(n, k, cfg.splitter)
     rows = n - -(-n // k)  # the largest fold's complement
     if rows < 2:
         raise InvalidConfig(
@@ -137,7 +137,7 @@ def check_run(cfg, splitter: str, n: int, p: int) -> None:
                 f"{spec_label(spec)} with lambda=0 is not allowed when p={p} >= n={n}"
             )
         if isinstance(spec, SuperLearner):
-            need = spec.v_blocks * (2 if spec.cv_splitter == "spss" else 1)
+            need = spec.v_blocks * FOLD_ROWS[spec.cv_splitter]
             if rows < need:
                 raise InvalidConfig(
                     f"{spec_label(spec)} v_blocks={spec.v_blocks} with "
@@ -173,7 +173,7 @@ class McConfig:
     def __post_init__(self):
         if self.reps < 2:
             raise InvalidConfig(f"reps must be >= 2, got {self.reps}")
-        check_run(self, self.splitter, self.scenario.n, self.scenario.p)
+        check_run(self, self.scenario.n, self.scenario.p)
 
     @property
     def _computes_distances(self) -> bool:
@@ -181,7 +181,7 @@ class McConfig:
         machine, or a super learner whose CV blocks are SPSS folds."""
         return self.splitter == SPLIT_SPSS or any(
             isinstance(spec, KernelMachine)
-            or (isinstance(spec, SuperLearner) and spec.cv_splitter == "spss")
+            or (isinstance(spec, SuperLearner) and spec.cv_splitter == SPLIT_SPSS)
             for spec in _learner_specs(self)
         )
 
@@ -309,16 +309,16 @@ def spec_label(spec) -> str:
     return type(spec).__name__.lower()
 
 
-def cross_fitted_estimate(d: Dataset, cfg, splitter: str, seed: int) -> DmlEstimate:
-    """The estimator on one dataset: K folds of ``d`` from ``splitter``
+def cross_fitted_estimate(d: Dataset, cfg, seed: int) -> DmlEstimate:
+    """The estimator on one dataset: K folds of ``d`` from ``cfg.splitter``
     (SPSS or random) and ``seed``, both nuisances fitted on each fold's
-    complement, then DML1 or DML2.  ``cfg`` supplies ``learner_m``,
-    ``learner_ell``, ``k``, ``score``, ``algorithm`` and ``alpha``: a
-    :class:`McConfig` for a replication, the CLI's run config for
-    ``dmlspss estimate``.  :func:`check_run` checks them against ``d``
+    complement, then DML1 or DML2.  ``cfg`` supplies ``splitter``,
+    ``learner_m``, ``learner_ell``, ``k``, ``score``, ``algorithm`` and
+    ``alpha``: a :class:`McConfig` for a replication, the CLI's run config
+    for ``dmlspss estimate``.  :func:`check_run` checks them against ``d``
     before the split."""
-    check_run(cfg, splitter, d.n, d.p)
-    if splitter == SPLIT_SPSS:
+    check_run(cfg, d.n, d.p)
+    if cfg.splitter == SPLIT_SPSS:
         plan = spss_kfold(d, cfg.k, SpConfig(seed=seed))
     else:
         plan = random_kfold(d.n, cfg.k, seed)
@@ -330,7 +330,7 @@ def cross_fitted_estimate(d: Dataset, cfg, splitter: str, seed: int) -> DmlEstim
 def _run_one_rep(mc: McConfig, rep: int):
     rep_seed = mix_seed(mc.master_seed, rep)
     d, _ = draw_dataset(mc.scenario, mix_seed(rep_seed, 1))
-    est = cross_fitted_estimate(d, mc, mc.splitter, mix_seed(rep_seed, 2))
+    est = cross_fitted_estimate(d, mc, mix_seed(rep_seed, 2))
     lo, hi, _ = est.ci
     covered = lo <= mc.scenario.beta0 <= hi
     return est.beta, est.se, covered

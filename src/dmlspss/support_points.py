@@ -41,6 +41,11 @@ from .errors import DimensionMismatch, InvalidConfig, InvalidFraction, TooLargeF
 _ZERO_DIST_EPS = 1e-10
 # rows per block when the energy distance sums a set of distances
 _BLOCK_ROWS = 256
+SPLIT_SPSS = "spss"
+SPLIT_RANDOM = "random"
+# splitter -> the fewest rows each of its folds may have
+FOLD_ROWS = {SPLIT_SPSS: 2, SPLIT_RANDOM: 1}
+SPLITTERS = tuple(FOLD_ROWS)
 
 
 def _cdist(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> np.ndarray:
@@ -426,10 +431,12 @@ def spss_split(d: Dataset, test_fraction: float, cfg: SpConfig) -> SplitResult:
     return SplitResult(test_idx=test_idx, train_idx=train_idx, polish=polish)
 
 
-def check_fold_count(n: int, k: int, spss: bool) -> None:
-    """Raise InvalidConfig unless ``n`` rows make ``k`` folds: random folds
-    need 2 <= K <= n, SPSS folds 2 <= K <= n/2 (at least 2 rows each)."""
-    top, bound = (n // 2, "n/2") if spss else (n, "n")
+def check_fold_count(n: int, k: int, splitter: str) -> None:
+    """Raise InvalidConfig unless ``n`` rows make ``k`` folds of ``splitter``,
+    each of ``FOLD_ROWS[splitter]`` rows or more: random folds need
+    2 <= K <= n, SPSS folds 2 <= K <= n/2."""
+    rows = FOLD_ROWS[splitter]
+    top, bound = n // rows, "n" if rows == 1 else f"n/{rows}"
     if not 2 <= k <= top:
         raise InvalidConfig(f"need 2 <= K <= {bound}, got K={k} with n={n}")
 
@@ -439,7 +446,7 @@ def spss_kfold_cloud(cloud: np.ndarray, k: int, cfg: SpConfig) -> FoldPlan:
     by :func:`_peel`: fold k is the polished subset seeded by
     ``cfg.seed + k`` (as in :func:`spss_split`), the last fold the rest."""
     n = cloud.shape[0]
-    check_fold_count(n, k, spss=True)
+    check_fold_count(n, k, SPLIT_SPSS)
     base, rem = divmod(n, k)
     sizes = [base + 1 if i < rem else base for i in range(k)]
     folds, _ = _peel(cloud, sizes, cfg.seed, SpConfig.polish_passes)
@@ -455,7 +462,7 @@ def spss_kfold(d: Dataset, k: int, cfg: SpConfig) -> FoldPlan:
 
 def random_kfold(n: int, k: int, seed: int) -> FoldPlan:
     """Uniformly shuffled K-fold partition of 0..n-1 (the usual baseline)."""
-    check_fold_count(n, k, spss=False)
+    check_fold_count(n, k, SPLIT_RANDOM)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     folds = tuple(np.sort(f) for f in np.array_split(perm, k))

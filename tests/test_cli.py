@@ -337,6 +337,29 @@ def test_missing_learner_section_exits_2_before_any_work(tmp_path, capsys, monke
         f"config error: {command} needs [learner_m] and [learner_ell] sections\n")
 
 
+_COLUMNS = "[data]\noutcome = y\ntreatment = t\ncovariates = x1,x2\n"
+
+
+@pytest.mark.parametrize("ini, command, message", [
+    ("[data]\npath = in.csv\n", ["estimate"],
+     "[data] path given without outcome/treatment/covariates"),
+    (_COLUMNS, ["estimate"],
+     "no input CSV: pass one on the command line or set [data] path"),
+    ("", ["estimate", "in.csv"], "[data] outcome/treatment/covariates are required"),
+    (_COLUMNS + "[simulate]\nreps = 3\n", ["simulate"],
+     "[simulate] scenario, p_list, and n_list are required"),
+], ids=["path without columns", "no csv and no path", "csv without columns",
+        "simulate without lists"])
+def test_missing_input_settings_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       ini, command, message):
+    monkeypatch.setattr(cli, "load_csv", _no_work)
+    monkeypatch.setattr(cli, "run_monte_carlo", _no_work)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini + "[learner_m]\nkind = zero\n[learner_ell]\nkind = zero\n")
+    assert main(["--config", str(cfg), *command]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["the file", "a path under it"])
 def test_split_out_naming_a_file_exits_3_before_any_work(tmp_path, capsys, monkeypatch,
                                                          under):
@@ -483,7 +506,8 @@ def test_super_learner_of_a_diverging_mlp_exits_4(tmp_path, capsys):
 @pytest.mark.parametrize("kind, column, error", [
     ("lasso", "x1", "lasso diverged (non-finite coefficients)"),
     ("ridge", "t", "dml2 estimate: sigma^2 is nan, not finite"),
-], ids=["lasso, x1 scaled", "ridge, t scaled"])
+    ("ridge", "x1", "ridge: the centred design's moments x'x, x'y overflow"),
+], ids=["lasso, x1 scaled", "ridge, t scaled", "ridge, x1 scaled"])
 def test_overflowing_data_exits_4_and_writes_nothing(tmp_path, kind, column, error):
     # a column scaled by 1e200 overflows when squared; the run must fail
     # rather than write NaN, which strict JSON parsers reject.  A subprocess,
@@ -579,6 +603,39 @@ def test_simulate_both_splitters_two_rows(tmp_path, capsys):
     assert splitters == {"spss", "random"}
 
 
+def test_every_shared_run_setting_reaches_the_simulate_cell(tmp_path, monkeypatch):
+    # each McConfig field that RunConfig declares too, set away from both
+    # defaults in the INI, must reach the cell that run_monte_carlo gets
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(
+        "[split]\nmethod = random\nk = 3\n\n"
+        "[learner_m]\nkind = ridge\nlambda = 0.5\n\n"
+        "[learner_ell]\nkind = lasso\nlambda = 0.2\n\n"
+        "[dml]\nalgorithm = dml1\nscore = iv_type\nalpha = 0.1\n\n"
+        "[simulate]\nscenario = s2\np_list = 4\nn_list = 50\nreps = 7\n"
+        "master_seed = 9\n")
+    cells = []
+
+    def record(mc, threads):
+        cells.append(mc)
+        return simulate.SimulationRow("s2", 4, 50, "m", "random", *[0.0] * 7, 7, 9)
+
+    monkeypatch.setattr(cli, "run_monte_carlo", record)
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "sim.csv"),
+                 "simulate"]) == 0
+    cfg = parse_config(cfg_path)
+    (mc,) = cells
+    shared = ({f.name for f in dataclasses.fields(simulate.McConfig)}
+              & {f.name for f in dataclasses.fields(cli.RunConfig)})
+    assert shared == {"learner_m", "learner_ell", "reps", "k", "splitter", "score",
+                      "algorithm", "master_seed", "alpha"}
+    defaults = (simulate.McConfig(mc.scenario, Ridge(), Ridge()), cli.RunConfig())
+    for name in shared:
+        assert getattr(mc, name) == getattr(cfg, name), name
+        assert all(getattr(mc, name) != getattr(d, name) for d in defaults), name
+    assert mc.scenario == simulate.ScenarioConfig("s2", 4, 50)
+
+
 def test_simulate_deterministic_output(tmp_path, capsys):
     cfg = _base_config(tmp_path, tmp_path / "unused.csv", SIM_EXTRA)
     text = cfg.read_text().replace("kind = zero", "kind = ridge\nlambda = 1.0")
@@ -671,6 +728,30 @@ def test_energy_command_matches_library(tmp_path, capsys):
     assert rc == 0
     printed = float(capsys.readouterr().out.strip())
     assert printed == pytest.approx(energy_two_sample(a, b), rel=1e-12)
+
+
+def test_energy_writes_its_line_to_out(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    _write_csv(a_path, ["c1", "c2"], rng.normal(size=(6, 2)).tolist())
+    _write_csv(b_path, ["c1", "c2"], rng.normal(size=(4, 2)).tolist())
+    assert main(["energy", str(a_path), str(b_path)]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "e.txt"
+    assert main(["--out", str(out), "energy", str(a_path), str(b_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
+def test_energy_out_in_a_missing_directory_exits_3_before_reading(tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setattr(cli, "read_csv_matrix", _no_work)
+    out = tmp_path / "nodir" / "e.txt"
+    before = sorted(tmp_path.iterdir())
+    assert main(["--out", str(out), "energy", "a.csv", "b.csv"]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: --out {out}: expected a file in an existing writable directory\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -944,7 +1025,7 @@ def test_every_key_section_parses_to_explicit_spec(tmp_path, section, expected):
 
 
 def _run_fields(cfg):
-    names = ("data_path", "schema", "split_method", "test_fraction", "k", "seed",
+    names = ("data_path", "schema", "splitter", "test_fraction", "k", "seed",
              "learner_m", "learner_ell", "algorithm", "score", "alpha",
              "sim_scenarios", "p_list", "n_list", "reps", "master_seed", "threads")
     return {name: getattr(cfg, name) for name in names}
@@ -956,7 +1037,7 @@ def test_readme_example_config_parses(tmp_path):
     assert _run_fields(_parse_text(tmp_path, example)) == {
         "data_path": "data.csv",
         "schema": ColumnSchema("y", "t", ("x1", "x2", "x3")),
-        "split_method": "spss", "test_fraction": 0.2, "k": 2, "seed": 7,
+        "splitter": "spss", "test_fraction": 0.2, "k": 2, "seed": 7,
         "learner_m": SuperLearner(
             candidates=(Ridge(lam=0.001), Lasso(lam=0.01), Mlp(hidden=(16,))),
             v_blocks=5),
@@ -989,7 +1070,7 @@ def test_benchmark_estimate_config_parses(tmp_path):
     assert _run_fields(_parse_text(tmp_path, text)) == {
         "data_path": None,
         "schema": ColumnSchema("y", "t", tuple(f"x{j + 1}" for j in range(20))),
-        "split_method": "random", "test_fraction": 0.2, "k": 2, "seed": 0,
+        "splitter": "random", "test_fraction": 0.2, "k": 2, "seed": 0,
         "learner_m": Ridge(lam=0.001), "learner_ell": Ridge(lam=0.001),
         "algorithm": "dml1", "score": "iv_type", "alpha": 0.05,
         "sim_scenarios": (), "p_list": (), "n_list": (), "reps": 100,

@@ -11,6 +11,7 @@ from dmlspss.errors import (
     DimensionMismatch,
     InvalidSpec,
     NonConvergence,
+    NumericError,
     SingularSystem,
     TooLargeForMemory,
 )
@@ -29,6 +30,7 @@ from dmlspss.learners import (
     mlp_init_weights,
     mlp_loss_and_grad,
 )
+from dmlspss.simulate import ScenarioConfig, draw_dataset
 from dmlspss.support_points import random_kfold
 
 from conftest import _reference_mlp
@@ -64,6 +66,30 @@ def test_ridge_zero_lambda_rank_deficient():
     x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     with pytest.raises(SingularSystem):
         fit(Ridge(lam=0.0), x, np.array([1.0, 2.0, 3.0]))
+
+
+def _overflowing_x1():
+    """60 s1 rows whose first covariate is scaled by 1e200, so its square
+    overflows, and the treatment, which that covariate drives."""
+    d, _ = draw_dataset(ScenarioConfig("s1", 3, 60), seed=1)
+    return d.x * [1e200, 1.0, 1.0], d.t
+
+
+def test_ridge_with_overflowing_moments_is_a_numeric_error():
+    # the overflowed x1 would otherwise get coefficient 0, silently
+    x, t = _overflowing_x1()
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match="ridge: the centred design's moments x'x, x'y overflow"):
+        fit(Ridge(lam=0.01), x, t)
+
+
+def test_super_learner_counts_an_overflowing_ridge_as_failed():
+    x, t = _overflowing_x1()
+    zero = Oracle(fn=lambda q: np.zeros(len(q)))
+    with np.errstate(over="ignore"):
+        model = fit(SuperLearner(candidates=(Ridge(lam=0.01), zero), v_blocks=2), x, t)
+    assert np.isinf(model.report.risks[0]) and np.isfinite(model.report.risks[1])
+    assert model.report.chosen == 1
 
 
 def test_ridge_norm_monotone_in_lambda():

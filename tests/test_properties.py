@@ -360,7 +360,7 @@ fractions = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 int_lists = st.lists(st.integers(1, 10**6), max_size=3).map(tuple)
 _RUN_VALUES = {
     "data_path": st.none() | names.map(lambda s: s + ".csv"),
-    "split_method": st.sampled_from(["spss", "random", "both"]),
+    "splitter": st.sampled_from(["spss", "random", "both"]),
     "test_fraction": fractions,
     "k": st.integers(2, 10**6),
     "seed": st.integers(0, 2**64),
@@ -476,7 +476,7 @@ def test_any_config_parses_or_is_a_config_error(data):
 _VALUES = {  # value kind or field -> (settings in range, settings out of it)
     int: (["2", "3", "5"], ["-1", "0", "1", "", "1.5"]),
     float: (["0.2", "0.5", "1"], ["nan", "inf", "-inf", "-1", "0", "1e-17", "1e300"]),
-    "split_method": (["spss", "random"], ["both"]),
+    "splitter": (["spss", "random"], ["both"]),
     "algorithm": (["dml1", "dml2"], ["dml9"]),
     "score": (["partialling_out", "iv_type"], ["abc"]),
     "sim_scenarios": (["s1", "s2"], ["s3"]),

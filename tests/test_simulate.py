@@ -307,9 +307,10 @@ def test_cells_that_compute_distances(splitter, learner, expected):
 
 def test_cross_fitted_estimate_rejects_an_unknown_splitter():
     mc = _oracle_mc()
+    cfg = SimpleNamespace(**{**vars(mc), "splitter": "both"})
     d, _ = draw_dataset(mc.scenario, seed=1)
     with pytest.raises(InvalidConfig, match="unknown splitter 'both'"):
-        simulate.cross_fitted_estimate(d, mc, "both", seed=2)
+        simulate.cross_fitted_estimate(d, cfg, seed=2)
 
 
 @pytest.mark.parametrize("learner_m", [
@@ -320,11 +321,12 @@ def test_check_run_applies_the_fold_rows_rule_to_nuisance_ridge_only(learner_m):
     # n=30 in K=2 folds trains on 15 rows, fewer than p=20: a lasso and a
     # super-learner candidate keep the p >= n rule, a nuisance ridge does not
     cfg = SimpleNamespace(learner_m=learner_m, learner_ell=Ridge(lam=1.0), k=2,
-                          score="partialling_out", algorithm="dml2", alpha=0.05)
-    simulate.check_run(cfg, "spss", 30, 20)
+                          score="partialling_out", algorithm="dml2", alpha=0.05,
+                          splitter="spss")
+    simulate.check_run(cfg, 30, 20)
     cfg.learner_ell = Ridge(lam=0.0)
     with pytest.raises(InvalidConfig, match="p=20 >= the 15 rows a fold trains on"):
-        simulate.check_run(cfg, "spss", 30, 20)
+        simulate.check_run(cfg, 30, 20)
 
 
 def test_cross_fitted_estimate_rejects_an_unknown_algorithm():
@@ -333,7 +335,7 @@ def test_cross_fitted_estimate_rejects_an_unknown_algorithm():
     cfg = SimpleNamespace(**{**vars(mc), "algorithm": "dml3"})
     d, _ = draw_dataset(mc.scenario, seed=1)
     with pytest.raises(InvalidConfig, match="unknown algorithm 'dml3'"):
-        simulate.cross_fitted_estimate(d, cfg, "random", seed=2)
+        simulate.cross_fitted_estimate(d, cfg, seed=2)
 
 
 class _RecordingPool:
