@@ -5,6 +5,7 @@ Library layout:
 - ``data``: dataset container, standardization, CSV I/O
 - ``support_points``: energy distance, support-points solver, splitting
 - ``learners``: ridge/lasso/kernel/MLP regressors and the super learner
+- ``stacked``: many fits of one spec in one loop (loaded on first use)
 - ``dml``: orthogonal scores, cross-fitted estimation, inference
 - ``simulate``: synthetic scenarios and the Monte Carlo harness
 - ``cli``: the ``dmlspss`` command-line tool
@@ -36,6 +37,7 @@ from .learners import (
     SquaredLoss,
     SuperLearner,
     fit,
+    fit_many,
 )
 from .simulate import (
     McConfig,

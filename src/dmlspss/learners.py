@@ -1,29 +1,24 @@
 """Nuisance-function regressors behind a uniform fit/predict interface.
 
 Four base learners (ridge, lasso, RBF kernel machine, multilayer
-perceptron) plus a cross-validated super learner that either selects the
-minimum-risk candidate or blends candidates with simplex-constrained
-weights.  Every fit is deterministic given the spec (including its seed)
-and the data; randomness never leaks from the OS or the clock.  Specs
-check their hyperparameters when built (a NaN or infinite float is
-rejected too) and raise ``InvalidSpec``, so a bad spec fails before any
-data is read.
+perceptron) plus a cross-validated super learner that selects the
+minimum-risk candidate or blends candidates with simplex weights.  Every
+fit is deterministic given the spec (including its seed) and the data.
+Specs check their hyperparameters when built (NaN, infinite, or a float
+or bool where an integer belongs) and raise ``InvalidSpec``.
 
-``crossfit`` is the one out-of-fold loop (fit on each fold's complement,
-predict the fold) behind the DML nuisances and the super learner's
-candidate risks, whose ``CvRiskReport.risks`` is the one cross-validated
-risk.  Ridge and lasso share one centring (``_centred``).
-An MLP's predictions, ``mlp_loss_and_grad`` and the SGD step share one
-forward pass (``_forward``) and one backpropagation (an MLP fit checks
-its loss once, after the last epoch); the epsilon-insensitive kernel
-dual and the super learner's simplex weights share one proximal-gradient
-loop, each with its own proximal map.  A kernel fit holds one n x n Gram
-matrix and checks first that it, with the copy LAPACK works on, fits in
-physical memory.
+``fit_many(spec, x, tasks)`` fits one spec per task ``(rows, y)`` of a
+shared ``x``, each fit bitwise as if alone; MLP and super-learner tasks
+run in ``dmlspss.stacked``.  ``crossfit`` is the one out-of-fold loop, behind the DML
+nuisances and the super learner's risks (``CvRiskReport.risks``).  The
+MLP's predictions, ``mlp_loss_and_grad`` and SGD share one ``_forward``
+and one ``_backprop``; the SVR dual and the simplex weights share one
+proximal-gradient loop.  A kernel fit checks first that its n x n Gram
+matrix fits in physical memory.
 
-``fit`` dispatches on the spec type via ``functools.singledispatch``, so
-test code can register additional learner kinds without touching this
-module; ``model.predict(x)`` is the one route to a prediction.
+``fit`` and ``fit_many`` dispatch on the spec type
+(``functools.singledispatch``); a kind registered with ``fit`` alone
+takes ``fit_many``'s loop over ``fit``.
 """
 
 from __future__ import annotations
@@ -43,18 +38,21 @@ from .errors import (
     NumericError,
     SingularSystem,
 )
+# standardize and spss_kfold_cloud, the super learner's SPSS blocks, are
+# called as learners.X from dmlspss.stacked, where bench/tracing.py wraps them
 from .data import DEGENERATE_SCALE, standardize
-from .support_points import (SPLIT_RANDOM, SPLIT_SPSS, SPLITTERS, SpConfig, _cdist,
-                             _check_memory, random_kfold, spss_kfold_cloud)
+from .support_points import (SPLIT_RANDOM, SPLITTERS, _cdist, _check_memory,
+                             spss_kfold_cloud)
 
 ACT_RELU = "relu"
 ACT_TANH = "tanh"
 MODE_SELECTOR = "selector"
 MODE_CONVEX_WEIGHTS = "convex_weights"
 
-# activation -> (function, its derivative as a function of its output)
+# activation -> (function, which may overwrite its argument; its derivative
+# as a function of its output, a factor to multiply by)
 _ACTIVATIONS = {
-    ACT_RELU: (lambda z: np.maximum(z, 0.0), lambda a: (a > 0).astype(float)),
+    ACT_RELU: (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0),
     ACT_TANH: (np.tanh, lambda a: 1.0 - a ** 2),
 }
 
@@ -69,13 +67,31 @@ def _activation(name: str):
 # specs
 # --------------------------------------------------------------------------
 
+def _is_integer(value) -> bool:
+    import numbers  # NumPy has loaded it already
+
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_integers(obj, error) -> None:
+    """Raise ``error`` unless each int field of ``obj`` holds an integer:
+    a float or bool passes range checks, then truncates or fails mid-run."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in (int, "int") and not _is_integer(value):
+            raise error(
+                f"{type(obj).__name__} {f.name} must be an integer, got {value!r}")
+
+
 def _require_finite(spec) -> None:
-    """Reject a NaN or infinite float field, which would pass a range check."""
+    """Reject a NaN or infinite float field, which would pass a range
+    check, and a non-integer in an int field."""
     for f in fields(spec):
         value = getattr(spec, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise InvalidSpec(
                 f"{type(spec).__name__} {f.name} must be finite, got {value}")
+    require_integers(spec, InvalidSpec)
 
 
 @dataclass(frozen=True)
@@ -150,6 +166,8 @@ class Mlp:
     def __post_init__(self):
         _require_finite(self)
         object.__setattr__(self, "hidden", tuple(self.hidden))
+        if not all(_is_integer(h) for h in self.hidden):
+            raise InvalidSpec(f"hidden sizes must be integers, got {self.hidden}")
         if any(h < 1 for h in self.hidden):
             raise InvalidSpec(f"hidden sizes must be positive, got {self.hidden}")
         _activation(self.activation)
@@ -167,6 +185,7 @@ class SuperLearner:
     cv_splitter: str = SPLIT_RANDOM  # SPLIT_SPSS peels blocks by support points
 
     def __post_init__(self):
+        require_integers(self, InvalidSpec)
         object.__setattr__(self, "candidates", tuple(self.candidates))
         if not self.candidates:
             raise InvalidSpec("super learner needs at least one candidate")
@@ -311,10 +330,37 @@ class SuperLearnerModel(FittedModel):
 # fitting
 # --------------------------------------------------------------------------
 
+_FIT_ERRORS = (DmlSpssError, np.linalg.LinAlgError)  # a fit's outcome, not a bug
+
+
 @singledispatch
 def fit(spec, x, y) -> FittedModel:
     """Fit a learner spec on (x, y) and return an immutable FittedModel."""
     raise InvalidSpec(f"unknown learner spec {spec!r}")
+
+
+@singledispatch
+def fit_many(spec, x, tasks) -> list:
+    """Fit ``spec`` to each task ``(rows, y)`` of the iterable ``tasks``,
+    ``y`` the target of ``x[rows]``.  Returns per task the model or the
+    DmlSpssError or LinAlgError its fit raised, bitwise what ``fit`` gives
+    it alone."""
+    x = np.asarray(x, dtype=float)
+    outcomes = []
+    for rows, y in tasks:
+        try:
+            outcomes.append(fit(spec, x[rows], y))
+        except _FIT_ERRORS as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _raise_first(outcomes: list) -> list:
+    """The outcomes, once none is an error; else the first error, raised."""
+    for out in outcomes:
+        if isinstance(out, Exception):
+            raise out
+    return outcomes
 
 
 def _centred(x, y):
@@ -447,26 +493,37 @@ def mlp_init_weights(p: int, hidden, seed: int) -> list:
 
 
 def _forward(weights: list, x: np.ndarray, act) -> list:
-    """Every layer's output, input first: [x, a_1, ..., a_{L-1}, out]."""
+    """Every layer's output, input first: [x, a_1, ..., a_{L-1}, out].
+    ``x`` is an (m, p) batch, or (F, m, p) for stacked weights, W
+    (F, fan_in, fan_out) and b (F, fan_out): the same gemm per slice."""
     outs = [x]
     for w, b in weights[:-1]:
-        outs.append(act(outs[-1] @ w + b))
+        z = outs[-1] @ w
+        z += b[..., None, :]
+        outs.append(act(z))
     w, b = weights[-1]
-    outs.append((outs[-1] @ w + b).reshape(-1))
+    outs.append((outs[-1] @ w + b[..., None, :])[..., 0])
     return outs
 
 
 def _backprop(weights: list, outs: list, resid: np.ndarray, l2: float, deriv) -> list:
     """Gradient of the batch loss, from the forward pass's layer outputs
-    and residual, in the [(W, b), ...] layout."""
-    m = resid.shape[0]
-    delta = resid[:, None] / m
+    (overwritten) and residual, in the [(W, b), ...] layout."""
+    m = resid.shape[-1]
+    delta = resid[..., None] / m
     grads = [None] * len(weights)
     for layer in range(len(weights) - 1, -1, -1):
         w = weights[layer][0]
-        grads[layer] = (outs[layer].T @ delta + (l2 / m) * w, delta.sum(axis=0))
+        grads[layer] = (outs[layer].swapaxes(-1, -2) @ delta + (l2 / m) * w,
+                        delta.sum(axis=-2))
         if layer:
-            delta = (delta @ w.T) * deriv(outs[layer])
+            factor = deriv(outs[layer])
+            w_t = w.swapaxes(-1, -2)
+            if w_t.shape[-2] == 1:
+                delta = np.multiply(delta, w_t, out=outs[layer])
+            else:
+                delta = np.matmul(delta, w_t, out=outs[layer])
+            delta *= factor
     return grads
 
 
@@ -491,35 +548,6 @@ def mlp_loss_and_grad(weights: list, x: np.ndarray, y: np.ndarray,
 
 
 @fit.register
-def _fit_mlp(spec: Mlp, x, y) -> MlpModel:
-    """Mini-batch SGD on the squared loss; fully determined by spec.seed.
-
-    The loss is checked once, after the last epoch: a non-finite one raises
-    NonConvergence (final weights as partial), with no numpy overflow warning."""
-    x, y = _check_xy(x, y)
-    n, p = x.shape
-    rng = np.random.default_rng(spec.seed)
-    weights = mlp_init_weights(p, spec.hidden, spec.seed + 1)
-    act, deriv = _activation(spec.activation)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(spec.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, spec.batch):
-                batch = order[start:start + spec.batch]
-                outs = _forward(weights, x[batch], act)
-                grads = _backprop(weights, outs, outs[-1] - y[batch], spec.l2, deriv)
-                for (w, b), (gw, gb) in zip(weights, grads):
-                    w -= spec.step_size * gw
-                    b -= spec.step_size * gb
-        loss = _mlp_loss(_forward(weights, x, act)[-1] - y, weights, spec.l2)
-    model = MlpModel(spec, weights, (n, p))
-    if not np.isfinite(loss):
-        raise NonConvergence("mlp training diverged (non-finite loss)", partial=model)
-    return model
-
-
-@fit.register
 def _fit_oracle(spec: Oracle, x, y) -> OracleModel:
     x, y = _check_xy(x, y)
     return OracleModel(spec, x.shape)
@@ -530,11 +558,38 @@ def _fit_oracle(spec: Oracle, x, y) -> OracleModel:
 def crossfit(spec, x, y, plan) -> np.ndarray:
     """Out-of-fold predictions: row i is predicted by ``spec`` fitted on
     the complement of row i's fold in ``plan``."""
-    preds = np.empty(plan.n_total)
-    for k, fold in enumerate(plan.folds):
-        comp = plan.complement(k)
-        preds[fold] = fit(spec, x[comp], y[comp]).predict(x[fold])
-    return preds
+    return crossfit_targets(spec, x, [y], plan)[0]
+
+
+def crossfit_targets(spec, x, ys, plan) -> list:
+    """``crossfit`` of each target in ``ys``, all in one ``fit_many``
+    call; raises the first error, in target then fold order."""
+    return _raise_first(_out_of_fold(spec, x, [(None, y, plan) for y in ys]))
+
+
+def _out_of_fold(spec, x, jobs) -> list:
+    """Per job ``(rows, y, plan)``, the out-of-fold predictions of
+    ``x[rows]`` (all of ``x`` for None) or the first error in fold order,
+    from one ``fit_many`` call."""
+    def pick(rows, idx):
+        return idx if rows is None else rows[idx]
+
+    pairs = ((pick(rows, comp), y[comp]) for rows, y, plan in jobs
+             for comp in map(plan.complement, range(plan.k)))
+    fitted = iter(fit_many(spec, x, pairs))
+    outcomes = []
+    for rows, y, plan in jobs:
+        models = [next(fitted) for _ in plan.folds]
+        preds = np.empty(plan.n_total)
+        try:
+            for fold, model in zip(plan.folds, models):
+                if isinstance(model, Exception):
+                    raise model
+                preds[fold] = model.predict(x[pick(rows, fold)])
+        except _FIT_ERRORS as exc:
+            preds = exc
+        outcomes.append(preds)
+    return outcomes
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -560,61 +615,19 @@ def _simplex_least_squares(p_mat: np.ndarray, y: np.ndarray,
                               lambda z, lip: _project_simplex(z), w0, tol, max_iter)
 
 
-@fit.register
-def _fit_super_learner(spec: SuperLearner, x, y) -> SuperLearnerModel:
-    """Cross-validated ensemble over the candidate specs.
+@fit.register(Mlp)
+@fit.register(SuperLearner)
+def _fit_one(spec, x, y) -> FittedModel:
+    """``fit_many`` with one task of every row."""
+    return _raise_first(fit_many(spec, x, [(slice(None), y)]))[0]
 
-    Selector mode refits the minimum-risk candidate on all data (ties go
-    to the lowest index).  Convex-weights mode solves the simplex-
-    constrained least squares of y on out-of-fold candidate predictions
-    and blends full-data refits.  A candidate whose fit raises, or whose
-    risk is not finite (a NonConvergence naming it), fails: it keeps
-    infinite risk and is neither chosen nor weighted.  If every candidate
-    fails, the first failure is raised again, tagged in place (same class).
-    """
-    x, y = _check_xy(x, y)
-    n = x.shape[0]
-    if n < spec.v_blocks:
-        raise InvalidSpec(f"need n >= v_blocks, got n={n}, v_blocks={spec.v_blocks}")
-    if spec.cv_splitter == SPLIT_SPSS:
-        cloud, _ = standardize(np.hstack([x, y[:, None]]))
-        plan = spss_kfold_cloud(cloud, spec.v_blocks, SpConfig(seed=spec.seed))
-    else:
-        plan = random_kfold(n, spec.v_blocks, spec.seed)
 
-    n_cand = len(spec.candidates)
-    risks = np.full(n_cand, np.inf)
-    ranked = {}  # candidate index -> out-of-fold predictions, finite risks only
-    failures = []
-    for i, cand in enumerate(spec.candidates):
-        try:
-            oof = crossfit(cand, x, y, plan)
-            risk = plan.means((oof - y) ** 2).mean()
-            if not np.isfinite(risk):
-                raise NonConvergence(f"candidate {i} ({type(cand).__name__}) has CV "
-                                     f"risk {risk}")
-        except (DmlSpssError, np.linalg.LinAlgError) as exc:
-            failures.append(exc)
-            continue
-        risks[i] = risk
-        ranked[i] = oof
+@fit_many.register(Mlp)
+@fit_many.register(SuperLearner)
+def _fit_many_stacked(spec, x, tasks) -> list:
+    """The stacked fits of ``dmlspss.stacked``, imported on the first MLP
+    or super-learner fit: a run without one never compiles them."""
+    from .stacked import fit_many_mlp, fit_many_super_learner
 
-    if not ranked:
-        first = failures[0]
-        first.args = (f"every super learner candidate failed to fit; the first: {first}",)
-        raise first
-
-    chosen = int(np.argmin(risks))
-    weights = np.zeros(n_cand)
-    if spec.mode == MODE_SELECTOR:
-        weights[chosen] = 1.0
-    else:
-        weights[list(ranked)] = _simplex_least_squares(
-            np.column_stack(list(ranked.values())), y)
-
-    models = [
-        fit(spec.candidates[i], x, y) if weights[i] != 0.0 else None
-        for i in range(n_cand)
-    ]
-    report = CvRiskReport(risks=risks, chosen=chosen, weights=weights)
-    return SuperLearnerModel(spec, models, report, x.shape)
+    stacked = fit_many_mlp if isinstance(spec, Mlp) else fit_many_super_learner
+    return stacked(spec, x, tasks)

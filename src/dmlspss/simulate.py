@@ -16,6 +16,12 @@ Reported metrics: bias = mean(beta_hat) - beta0, se = sample standard
 deviation of beta_hat across replications, se_adjusted = se / sqrt(n),
 mse = bias^2 + se^2.  The model-based standard error is averaged
 separately as mean_model_se.
+
+What s2 estimates: its U and V (unit variances) have correlation 0.3, so
+E[U | X, T] != 0 and the partially linear model's estimand is
+beta0 + cov(U, V) / Var(V) = 0.5 + 0.3 = 0.8, not beta0.  Bias and
+coverage are still measured against beta0 = 0.5, so an s2 row's bias
+includes that +0.3: s2 is a stress test of a misspecified model.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .learners import (
     Oracle,
     Ridge,
     SuperLearner,
+    require_integers,
 )
 from .support_points import (FOLD_ROWS, SpConfig, check_fold_count, random_kfold,
                              spss_kfold)
@@ -152,9 +159,10 @@ def check_run(cfg, n: int, p: int) -> None:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Full recipe for one Monte Carlo cell; ``reps`` and, by
-    :func:`check_run`, every setting against the cell's n and p are
-    checked when it is built, before any replication runs."""
+    """Full recipe for one Monte Carlo cell; the int fields (integers,
+    not floats or bools), ``reps`` and, by :func:`check_run`, every
+    setting against the cell's n and p are checked when it is built,
+    before any replication runs."""
 
     scenario: ScenarioConfig
     learner_m: object
@@ -171,6 +179,7 @@ class McConfig:
     sp_tol: float = 1e-7
 
     def __post_init__(self):
+        require_integers(self, InvalidConfig)
         if self.reps < 2:
             raise InvalidConfig(f"reps must be >= 2, got {self.reps}")
         check_run(self, self.scenario.n, self.scenario.p)

@@ -28,14 +28,26 @@ from dmlspss.errors import (
     InvalidAlpha,
     InvalidConfig,
     NumericError,
+    SingularSystem,
 )
-from dmlspss.learners import FittedModel, Lasso, Oracle, Ridge, SuperLearner, fit
+from dmlspss.learners import (
+    FittedModel,
+    KernelMachine,
+    Lasso,
+    Mlp,
+    Oracle,
+    Ridge,
+    SuperLearner,
+    fit,
+)
 from dmlspss.simulate import (
     ScenarioConfig,
     draw_dataset,
     oracle_learner_specs,
 )
 from dmlspss.support_points import FoldPlan, random_kfold
+
+from conftest import reference_crossfit
 
 ZERO = Oracle(fn=lambda x: np.zeros(len(x)))
 
@@ -205,6 +217,43 @@ def test_crossfit_iv_type_two_pass_identity():
     beta_prelim = dml2_estimate(d, plan, po, SCORE_PARTIALLING_OUT).beta
     iv = fit_nuisances_crossfit(d, plan, const_m, const_ell, SCORE_IV_TYPE)
     assert np.allclose(iv.g_hat, po.ell_hat - beta_prelim * po.m_hat)
+
+
+def _never_predicts(x):
+    raise SingularSystem("this candidate never predicts")
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["", "failing_candidate"])
+@pytest.mark.parametrize("mode", ["selector", "convex_weights"])
+@pytest.mark.parametrize("cv_splitter", ["random", "spss"])
+def test_shared_super_learner_nuisances_equal_one_fit_per_loop(cv_splitter, mode,
+                                                               failing):
+    # one super learner for both nuisances: its 2 x K x V MLP fits run in one
+    # stacked loop, bitwise what one fit per loop gives (ragged CV sizes)
+    d = _dataset(seed=41, n=71)
+    plan = random_kfold(d.n, 2, seed=42)
+    candidates = [Ridge(lam=0.5), Lasso(lam=0.05), KernelMachine(bandwidth=0.5),
+                  Mlp(hidden=(8,), epochs=15, batch=16, seed=2, step_size=0.05)]
+    if failing:
+        candidates.insert(1, Oracle(fn=_never_predicts))
+    spec = SuperLearner(candidates=tuple(candidates), v_blocks=3, mode=mode, seed=7,
+                        cv_splitter=cv_splitter)
+    nuis = fit_nuisances_crossfit(d, plan, spec, spec, SCORE_PARTIALLING_OUT)
+    assert nuis.m_hat.tobytes() == reference_crossfit(spec, d.x, d.t, plan).tobytes()
+    assert nuis.ell_hat.tobytes() == reference_crossfit(spec, d.x, d.y, plan).tobytes()
+
+
+def test_shared_super_learner_whose_candidates_all_fail_raises_the_reference_error():
+    d = _dataset(seed=43, n=30)
+    plan = random_kfold(d.n, 2, seed=44)
+    spec = SuperLearner(candidates=(Oracle(fn=_never_predicts), Mlp(step_size=1e300)),
+                        v_blocks=2)
+    with pytest.raises(SingularSystem) as want:
+        reference_crossfit(spec, d.x, d.t, plan)
+    with pytest.raises(SingularSystem) as got:
+        fit_nuisances_crossfit(d, plan, spec, spec, SCORE_PARTIALLING_OUT)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("every super learner candidate failed to fit")
 
 
 # --- estimators ----------------------------------------------------------------

@@ -9,6 +9,7 @@ from scipy.spatial.distance import cdist
 from dmlspss import learners, support_points
 from dmlspss.errors import (
     DimensionMismatch,
+    DmlSpssError,
     InvalidSpec,
     NonConvergence,
     NumericError,
@@ -27,13 +28,14 @@ from dmlspss.learners import (
     _simplex_least_squares,
     crossfit,
     fit,
+    fit_many,
     mlp_init_weights,
     mlp_loss_and_grad,
 )
 from dmlspss.simulate import ScenarioConfig, draw_dataset
 from dmlspss.support_points import random_kfold
 
-from conftest import _reference_mlp
+from conftest import _reference_mlp, reference_fit
 
 
 # --- ridge -------------------------------------------------------------------
@@ -436,6 +438,36 @@ def test_fit_rejects_an_unregistered_spec_type():
         fit(object(), np.zeros((3, 1)), np.zeros(3))
 
 
+def _integer_field_cases():
+    # every int field of each learner spec, and each entry of Mlp.hidden
+    specs = {
+        Lasso: ("max_iter",),
+        EpsilonInsensitiveLoss: ("max_iter",),
+        Mlp: ("epochs", "batch", "seed"),
+        SuperLearner: ("v_blocks", "seed"),
+    }
+    for cls, names in specs.items():
+        base = {"candidates": (Ridge(),)} if cls is SuperLearner else {}
+        for name in names:
+            for bad in (2.5, True):
+                yield pytest.param(cls, {**base, name: bad},
+                                   id=f"{cls.__name__}-{name}-{bad}")
+    for bad in (2.5, True):
+        yield pytest.param(Mlp, {"hidden": (4, bad)}, id=f"Mlp-hidden-{bad}")
+
+
+@pytest.mark.parametrize("cls, kwargs", _integer_field_cases())
+def test_integer_spec_fields_reject_floats_and_bools(cls, kwargs):
+    # 2.5 blocks once fitted on 2; a True batch trained with batch 1
+    with pytest.raises(InvalidSpec, match="must be (an integer|integers), got"):
+        cls(**kwargs)
+
+
+def test_integer_spec_fields_take_numpy_integers():
+    spec = Mlp(hidden=(np.int64(3),), epochs=np.int32(2), batch=np.int64(8))
+    assert fit(spec, np.ones((4, 2)), np.zeros(4)).training_dims == (4, 2)
+
+
 def test_predict_dimension_mismatch():
     model = fit(Ridge(lam=1.0), np.zeros((3, 2)), np.zeros(3))
     with pytest.raises(DimensionMismatch):
@@ -796,6 +828,29 @@ def test_mlp_fit_runs_one_full_data_forward_pass(monkeypatch):
     fit(Mlp(hidden=(4,), epochs=5, batch=16, seed=1), x, y)
     assert len(calls) == 5 * 4 + 1
     assert calls.count(61) == 1 and calls[-1] == 61
+
+
+@pytest.mark.parametrize("spec", [
+    Ridge(lam=0.5),
+    Mlp(hidden=(4,), epochs=3, batch=8, seed=1),
+    SuperLearner(candidates=(Ridge(lam=0.5), Mlp(hidden=(4,), epochs=3, batch=8)),
+                 v_blocks=3, mode="convex_weights", seed=2),
+], ids=["default-loop", "mlp", "super-learner"])
+def test_fit_many_gives_each_task_its_own_fit_or_error(spec):
+    x, y = _pinned_xy()
+    tasks = [(np.arange(40), y[:40]), (np.arange(2), y[:2]), (slice(None), y),
+             (np.array([5, 9, 1]), np.array([0.0, np.nan, 1.0])),
+             (np.arange(39), y[1:40])]
+    got = fit_many(spec, x, tasks)
+    assert len(got) == len(tasks)
+    for (rows, target), out in zip(tasks, got):
+        try:
+            want = reference_fit(spec, x[rows], target)
+        except DmlSpssError as exc:  # 2 rows for 3 blocks; a NaN target
+            assert (type(out), str(out)) == (type(exc), str(exc))
+            continue
+        assert out.predict(x).tobytes() == want.predict(x).tobytes()
+        assert out.training_dims == want.training_dims
 
 
 # max_iter=7 stops before convergence; 5000 converges after 243 steps

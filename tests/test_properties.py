@@ -1,7 +1,8 @@
 """Property tests: SPSS and random folds partition the rows, the exchange
 polish picks the reference polish's rows, the energy distance obeys its
 axioms, the covariance-update lasso follows the residual-update
-reference sweep for sweep, the CSV writer and reader
+reference sweep for sweep, the stacked MLP fits equal one fit per loop
+bit for bit, the CSV writer and reader
 round-trip, the reader's np.loadtxt path and csv-module path agree, a
 config file either parses or fails as a configuration error, and the
 command line ends with a documented exit code, never a traceback."""
@@ -27,9 +28,10 @@ from dmlspss.cli import (
     parse_config,
 )
 from dmlspss import data as data_mod
+from dmlspss import stacked
 from dmlspss.data import ColumnSchema, Dataset, load_csv, standardize, write_csv
 from dmlspss.errors import ConfigError, DmlSpssError, NonConvergence, NonFinite, ParseError
-from dmlspss.learners import Lasso, fit
+from dmlspss.learners import Lasso, Mlp, fit, fit_many
 from dmlspss.support_points import (
     SpConfig,
     _exchange_polish,
@@ -40,7 +42,7 @@ from dmlspss.support_points import (
     spss_split,
 )
 
-from conftest import _reference_polish, _residual_lasso
+from conftest import _reference_fit_mlp, _reference_polish, _residual_lasso
 
 FEW = settings(max_examples=30, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -192,6 +194,54 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 def _schema(p):
     return ColumnSchema("y", "t", tuple(f"x{j + 1}" for j in range(p)))
+
+
+def _layers(model):
+    return [a.tobytes() for layer in model.weights for a in layer]
+
+
+@FEW
+@given(st.data(), seeds)
+def test_stacked_mlp_fits_equal_one_fit_per_loop(data, seed):
+    # ragged and repeated row counts, the activations, depths and penalties,
+    # and one task whose targets overflow: it fails alone, with the
+    # reference's message and partial weights
+    spec = Mlp(hidden=data.draw(st.sampled_from([(), (8,), (6, 5)]), label="hidden"),
+               activation=data.draw(st.sampled_from(["relu", "tanh"]),
+                                    label="activation"),
+               l2=data.draw(st.sampled_from([0.0, 0.3]), label="l2"),
+               step_size=data.draw(st.sampled_from([0.01, 0.2]), label="step_size"),
+               epochs=data.draw(st.integers(1, 4), label="epochs"),
+               batch=data.draw(st.integers(1, 20), label="batch"),
+               seed=data.draw(st.integers(0, 5), label="seed"))
+    rng = np.random.default_rng(seed)
+    n = 40
+    x = rng.normal(size=(n, 3))
+    sizes = data.draw(st.lists(st.integers(2, n), min_size=1, max_size=6), label="sizes")
+    tasks = [(np.sort(rng.choice(n, size=m, replace=False)), rng.normal(size=m))
+             for m in sizes]
+    diverging = data.draw(st.integers(-1, len(tasks) - 1), label="diverging")
+    if diverging >= 0:
+        rows, y = tasks[diverging]
+        tasks[diverging] = (rows, y * 1e300)
+    # one task per stack, two, or every task in one
+    two = 2 * 8 * min(spec.batch, max(sizes)) * (x.shape[1] + sum(spec.hidden) + 1)
+    stack_bytes = data.draw(st.sampled_from([1, two, stacked._STACK_BYTES]),
+                            label="stack_bytes")
+    with mock.patch.object(stacked, "_STACK_BYTES", stack_bytes):
+        got = fit_many(spec, x, tasks)
+    assert len(got) == len(tasks)
+    for (rows, y), out in zip(tasks, got):
+        try:
+            want = _reference_fit_mlp(spec, x[rows], y)
+        except NonConvergence as exc:
+            assert type(out) is NonConvergence and str(out) == str(exc)
+            assert _layers(out.partial) == _layers(exc.partial)
+            continue
+        assert _layers(out) == _layers(want)
+        assert out.training_dims == want.training_dims
+    if diverging >= 0:
+        assert isinstance(got[diverging], NonConvergence)
 
 
 @FEW

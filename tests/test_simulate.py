@@ -406,6 +406,14 @@ def test_mc_config_checks_its_settings_when_built(bad, match):
         _oracle_mc(**bad)
 
 
+@pytest.mark.parametrize("field", ["reps", "k", "master_seed", "sp_max_iter"])
+@pytest.mark.parametrize("bad", [2.5, True])
+def test_mc_config_integer_fields_reject_floats_and_bools(field, bad):
+    # k=2.5 once ran a whole cell on 2 folds; reps=2.5 raised a TypeError mid-run
+    with pytest.raises(InvalidConfig, match=f"McConfig {field} must be an integer"):
+        dataclasses.replace(_oracle_mc(), **{field: bad})
+
+
 @pytest.mark.parametrize("alpha, match", [
     (1.5, r"must be in \(0, 1\), got 1.5"),
     (0.0, r"must be in \(0, 1\), got 0.0"),
