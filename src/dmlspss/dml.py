@@ -36,7 +36,7 @@ from .errors import (
     InvalidConfig,
     NumericError,
 )
-from .learners import crossfit, crossfit_targets
+from .learners import crossfit
 from .learners import fit  # unused here; kept as dml.fit for bench/tracing.py
 from .support_points import FoldPlan
 
@@ -200,8 +200,7 @@ def fit_nuisances_crossfit(
     d: Dataset, plan: FoldPlan, spec_m, spec_ell, kind: str
 ) -> NuisanceFit:
     """Train nuisance learners on each fold's complement, predict the fold
-    (``learners.crossfit``: every m fit, then every ell fit; one call for
-    both targets when both nuisances share one spec).
+    (``learners.crossfit``: every m fit, then every ell fit).
 
     The IV-type score needs g(X) = E[Y - T*beta | X], which itself
     involves beta, so it is built in two passes: partialling-out
@@ -217,11 +216,8 @@ def fit_nuisances_crossfit(
             raise FoldTooSmall(
                 f"fold {k}: complement has {d.n - len(fold)} rows, need at least 2"
             )
-    if spec_m == spec_ell:
-        m_hat, ell_hat = crossfit_targets(spec_m, d.x, (d.t, d.y), plan)
-    else:
-        m_hat = crossfit(spec_m, d.x, d.t, plan)
-        ell_hat = crossfit(spec_ell, d.x, d.y, plan)
+    m_hat = crossfit(spec_m, d.x, d.t, plan)
+    ell_hat = crossfit(spec_ell, d.x, d.y, plan)
     po = NuisanceFit(m_hat=m_hat, ell_hat=ell_hat)
     if kind == SCORE_PARTIALLING_OUT:
         return po

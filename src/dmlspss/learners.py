@@ -557,14 +557,9 @@ def _fit_oracle(spec: Oracle, x, y) -> OracleModel:
 
 def crossfit(spec, x, y, plan) -> np.ndarray:
     """Out-of-fold predictions: row i is predicted by ``spec`` fitted on
-    the complement of row i's fold in ``plan``."""
-    return crossfit_targets(spec, x, [y], plan)[0]
-
-
-def crossfit_targets(spec, x, ys, plan) -> list:
-    """``crossfit`` of each target in ``ys``, all in one ``fit_many``
-    call; raises the first error, in target then fold order."""
-    return _raise_first(_out_of_fold(spec, x, [(None, y, plan) for y in ys]))
+    the complement of row i's fold in ``plan``; the K fits make one
+    ``fit_many`` call, and the first error in fold order is raised."""
+    return _raise_first(_out_of_fold(spec, x, [(None, y, plan)]))[0]
 
 
 def _out_of_fold(spec, x, jobs) -> list:
@@ -622,12 +617,19 @@ def _fit_one(spec, x, y) -> FittedModel:
     return _raise_first(fit_many(spec, x, [(slice(None), y)]))[0]
 
 
-@fit_many.register(Mlp)
-@fit_many.register(SuperLearner)
-def _fit_many_stacked(spec, x, tasks) -> list:
-    """The stacked fits of ``dmlspss.stacked``, imported on the first MLP
-    or super-learner fit: a run without one never compiles them."""
-    from .stacked import fit_many_mlp, fit_many_super_learner
+# dmlspss.stacked is imported on the first MLP or super-learner fit, so a
+# run without one never compiles it
 
-    stacked = fit_many_mlp if isinstance(spec, Mlp) else fit_many_super_learner
-    return stacked(spec, x, tasks)
+
+@fit_many.register
+def _fit_many_mlp(spec: Mlp, x, tasks) -> list:
+    from .stacked import fit_many_mlp
+
+    return fit_many_mlp(spec, x, tasks)
+
+
+@fit_many.register
+def _fit_many_super_learner(spec: SuperLearner, x, tasks) -> list:
+    from .stacked import fit_many_super_learner
+
+    return fit_many_super_learner(spec, x, tasks)

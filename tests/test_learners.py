@@ -853,6 +853,26 @@ def test_fit_many_gives_each_task_its_own_fit_or_error(spec):
         assert out.training_dims == want.training_dims
 
 
+def test_crossfit_fits_every_fold_before_raising_the_first_error(monkeypatch):
+    """fit_many fits each task whatever the others gave, so a failing fold
+    does not stop the later folds' fits: crossfit makes all K fits, then
+    raises the first fold's error."""
+    x, y = _pinned_xy()
+    plan = random_kfold(len(y), 3, 0)
+    real_fit, calls = learners.fit, []
+
+    def fit_failing_first(spec, xs, ys):
+        calls.append(len(ys))
+        if len(calls) == 1:
+            raise NonConvergence("first fold")
+        return real_fit(spec, xs, ys)
+
+    monkeypatch.setattr(learners, "fit", fit_failing_first)
+    with pytest.raises(NonConvergence, match="first fold"):
+        crossfit(Ridge(), x, y, plan)
+    assert calls == [len(y) - len(fold) for fold in plan.folds]
+
+
 # max_iter=7 stops before convergence; 5000 converges after 243 steps
 @pytest.mark.parametrize("max_iter, digest", [(7, "12ddfc2522765aa4"),
                                               (5000, "228cf2c7319e41d3")])
