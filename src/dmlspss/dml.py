@@ -252,8 +252,11 @@ def _estimate(d, plan, nuis, kind, algorithm, alpha) -> DmlEstimate:
     if abs(j_hat) <= DEGENERACY_EPS:  # DML1 only: DML2's solve checks it first
         raise DegenerateJacobian("pooled mean psi_a ~ 0")
     psi = psi_a * beta + psi_b
-    sigma2_hat = float(plan.means(psi ** 2).mean() / j_hat ** 2)
-    for name, value in (("beta", beta), ("sigma^2", sigma2_hat)):
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        j_sq = float(j_hat ** 2)
+        sigma2_hat = float(plan.means(psi ** 2).mean() / j_sq)
+    # an overflowing j_hat^2 would pass sigma^2 = 0 for a finite variance
+    for name, value in (("beta", beta), ("sigma^2", sigma2_hat), ("j_hat^2", j_sq)):
         if not math.isfinite(value):
             raise NumericError(f"{algorithm} estimate: {name} is {value!r}, not finite")
     lo, hi = confidence_interval(beta, sigma2_hat, d.n, alpha)

@@ -114,9 +114,11 @@ def _sgd(spec: Mlp, x: np.ndarray, stack: list) -> list:
             np.take(x, idx, axis=0, out=xb, mode="clip")
             outs = learners._forward(part, xb, act)
             grads = learners._backprop(part, outs, outs[-1] - yb, spec.l2, deriv)
-            for (w, b), (gw, gb) in zip(part, grads):
-                w -= spec.step_size * gw
-                b -= spec.step_size * gb
+            for (w, b), (gw, gb) in zip(part, grads):  # fresh arrays: scale in place
+                gw *= spec.step_size
+                w -= gw
+                gb *= spec.step_size
+                b -= gb
     return weights
 
 

@@ -1,6 +1,7 @@
 """Shared test fixtures: the residual-update lasso kept as the reference
 for ``learners._fit_lasso`` (coordinate descent by covariance updates),
-a fixture that makes ``fit`` dispatch ``Lasso`` specs to it, the
+the covariance-update loop as it ran with one temporary per update, kept
+as the bitwise reference for ``_fit_lasso`` (one reused buffer), a fixture that makes ``fit`` dispatch ``Lasso`` specs to it, the
 seven-operation exchange polish kept as the reference for
 ``support_points._exchange_polish`` (one scaled add and one minimum per
 visit), the MLP fit that checks its loss after every epoch, kept as the
@@ -9,10 +10,12 @@ MLP fit, cross-fit and super learner as they ran one fit per loop, kept
 as the reference for ``learners.fit_many`` (every fit of one spec in one
 loop)."""
 
+import math
+
 import numpy as np
 import pytest
 
-from dmlspss.data import standardize
+from dmlspss.data import DEGENERATE_SCALE, standardize
 from dmlspss.errors import DmlSpssError, InvalidSpec, NonConvergence, TooLargeForMemory
 from dmlspss.learners import (
     MODE_SELECTOR,
@@ -79,6 +82,51 @@ def _residual_lasso(spec: Lasso, x, y) -> LinearModel:
             break
     intercept = y_mean - x_mean @ coef
     model = LinearModel(spec, coef, intercept, (n, p))
+    if not converged:
+        raise NonConvergence(
+            f"lasso did not converge in {spec.max_iter} sweeps", partial=model
+        )
+    return model
+
+
+def _covariance_lasso(spec: Lasso, x, y) -> LinearModel:
+    """Coordinate descent by covariance updates on
+    (1/(2n))||y - Xb||^2 + lam*||b||_1: c -= G[j]*d through a temporary
+    per update, soft threshold by ``max``.  Raises NonConvergence, carrying
+    the partial model, on a non-finite coefficient or after max_iter
+    sweeps."""
+    x, y = _check_xy(x, y)
+    n, p = x.shape
+    x_mean = x.mean(axis=0)
+    y_mean = y.mean()
+    xc = x - x_mean
+    gram = xc.T @ xc
+    corr = xc.T @ (y - y_mean)
+    gram /= n
+    corr /= n
+    col_sq = gram.diagonal().tolist()
+    active = [j for j in range(p) if col_sq[j] >= DEGENERATE_SCALE ** 2]
+
+    coef = [0.0] * p
+    converged = False
+    for _ in range(spec.max_iter):
+        max_delta = 0.0
+        for j in active:
+            old = coef[j]
+            rho = corr.item(j) + col_sq[j] * old
+            new = math.copysign(max(abs(rho) - spec.lam, 0.0), rho) / col_sq[j]
+            if new != old:
+                corr -= gram[j] * (new - old)
+                coef[j] = new
+                max_delta = max(max_delta, abs(new - old))
+        if max_delta < spec.tol:
+            converged = True
+            break
+    coef = np.array(coef)
+    intercept = y_mean - x_mean @ coef
+    model = LinearModel(spec, coef, intercept, (n, p))
+    if not np.isfinite(coef).all():
+        raise NonConvergence("lasso diverged (non-finite coefficients)", partial=model)
     if not converged:
         raise NonConvergence(
             f"lasso did not converge in {spec.max_iter} sweeps", partial=model

@@ -360,6 +360,17 @@ def test_non_finite_estimate_is_a_numeric_error(estimate, kind, name):
         estimate(d, plan, nuis, kind)
 
 
+@pytest.mark.parametrize("estimate", [dml1_estimate, dml2_estimate])
+def test_overflowing_jacobian_square_is_a_numeric_error(estimate):
+    # m_hat near 1e99: psi_a and j_hat near 1e198 are finite, j_hat^2 is not,
+    # and sigma^2 = mean(psi^2)/j_hat^2 would read 0, a zero-width CI
+    d = _dataset()
+    plan = random_kfold(d.n, 2, 0)
+    nuis = NuisanceFit(m_hat=np.linspace(1e99, 2e99, d.n), ell_hat=np.zeros(d.n))
+    with pytest.raises(NumericError, match=r"j_hat\^2 is inf, not finite"):
+        estimate(d, plan, nuis, SCORE_PARTIALLING_OUT)
+
+
 def test_noiseless_dgp_with_oracle_nuisances_recovers_truth():
     # outcome noise off, treatment noise kept: the moment solves exactly
     cfg = ScenarioConfig(scenario="s1", p=4, n=200)

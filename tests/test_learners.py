@@ -25,6 +25,7 @@ from dmlspss.learners import (
     Ridge,
     SquaredLoss,
     SuperLearner,
+    _fit_lasso,
     _simplex_least_squares,
     crossfit,
     fit,
@@ -35,7 +36,13 @@ from dmlspss.learners import (
 from dmlspss.simulate import ScenarioConfig, draw_dataset
 from dmlspss.support_points import random_kfold
 
-from conftest import _reference_mlp, reference_fit
+from conftest import (
+    _REF_ACTIVATIONS,
+    _ref_backprop,
+    _ref_forward,
+    _reference_mlp,
+    reference_fit,
+)
 
 
 # --- ridge -------------------------------------------------------------------
@@ -192,6 +199,20 @@ def test_lasso_with_non_finite_coefficients_does_not_converge():
             NonConvergence, match="non-finite coefficients") as excinfo:
         fit(Lasso(), x, y)
     assert not np.isfinite(excinfo.value.partial.coef).all()
+
+
+@pytest.mark.parametrize("column, lam", [(0, 0.1), (2, 0.1), (1, 0.0)])
+def test_lasso_overflowing_column_raises_diverged(column, lam):
+    # the column's square overflows, so its rho is NaN; the soft threshold
+    # must keep it NaN, not snap it to zero and report a converged fit
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(60, 3))
+    y = x[:, 1] + rng.normal(size=60)
+    x[:, column] *= 1e200
+    with np.errstate(all="ignore"), pytest.raises(NonConvergence) as excinfo:
+        _fit_lasso(Lasso(lam=lam), x, y)
+    assert str(excinfo.value) == "lasso diverged (non-finite coefficients)"
+    assert np.isnan(excinfo.value.partial.coef[column])
 
 
 # --- kernel machine ----------------------------------------------------------
@@ -410,6 +431,29 @@ def test_mlp_functions_reject_unknown_activation(call):
     weights = mlp_init_weights(2, (3,), seed=0)
     with pytest.raises(InvalidSpec, match="unknown activation 'sigmoid'"):
         call(weights, np.zeros((4, 2)), np.zeros(4))
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("l2", [0.0, 0.3])
+def test_mlp_gradient_and_sgd_step_are_bitwise_the_reference(l2, activation):
+    # at l2 = 0 no penalty term is added, so a zero gradient entry may
+    # differ in sign from the reference's; the step's weights may not
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(6, 3))
+    y = rng.normal(size=6)
+    weights = mlp_init_weights(3, (5, 4), seed=2)
+    weights[0][0][:, 1] = 0.0  # a unit whose output and gradient are zero
+    weights[1][0][2] = -0.0
+    act, deriv = _REF_ACTIVATIONS[activation]
+    outs = _ref_forward(weights, x, act)
+    want = _ref_backprop(weights, outs, outs[-1] - y, l2, deriv)
+    _, got = mlp_loss_and_grad(weights, x, y, l2, activation)
+    pairs = [(a, g, r) for layer, gl, rl in zip(weights, got, want)
+             for a, g, r in zip(layer, gl, rl)]
+    assert any((g == 0.0).any() for _, g, _ in pairs)
+    for a, g, r in pairs:
+        assert np.array_equal(g, r)
+        assert (a - 0.1 * g).tobytes() == (a - 0.1 * r).tobytes()
 
 
 # --- oracle / predict ----------------------------------------------------------

@@ -1,8 +1,10 @@
 """Property tests: SPSS and random folds partition the rows, the exchange
 polish picks the reference polish's rows, the energy distance obeys its
 axioms, the covariance-update lasso follows the residual-update
-reference sweep for sweep, the stacked MLP fits equal one fit per loop
-bit for bit, the CSV writer and reader
+reference sweep for sweep and its one-buffer loop is bitwise the loop
+with a temporary per update, the stacked MLP fits equal one fit per loop
+bit for bit, einsum's bias-gradient row sum is bitwise ``.sum``'s at
+width >= 2, the CSV writer and reader
 round-trip, the reader's np.loadtxt path and csv-module path agree, a
 config file either parses or fails as a configuration error, and the
 command line ends with a documented exit code, never a traceback."""
@@ -31,7 +33,7 @@ from dmlspss import data as data_mod
 from dmlspss import stacked
 from dmlspss.data import ColumnSchema, Dataset, load_csv, standardize, write_csv
 from dmlspss.errors import ConfigError, DmlSpssError, NonConvergence, NonFinite, ParseError
-from dmlspss.learners import Lasso, Mlp, fit, fit_many
+from dmlspss.learners import Lasso, Mlp, _fit_lasso, fit, fit_many
 from dmlspss.support_points import (
     SpConfig,
     _exchange_polish,
@@ -42,7 +44,12 @@ from dmlspss.support_points import (
     spss_split,
 )
 
-from conftest import _reference_fit_mlp, _reference_polish, _residual_lasso
+from conftest import (
+    _covariance_lasso,
+    _reference_fit_mlp,
+    _reference_polish,
+    _residual_lasso,
+)
 
 FEW = settings(max_examples=30, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -185,6 +192,59 @@ def test_covariance_lasso_follows_the_residual_reference(data, seed):
         for fit_lasso in (fit, _residual_lasso):
             with pytest.raises(NonConvergence):
                 fit_lasso(Lasso(lam=0.0, max_iter=1, tol=1e-300), x, y)
+
+
+def _lasso_outcome(fit_lasso, spec, x, y):
+    """(error message or None, coefficient bytes, intercept bytes, dims)."""
+    try:
+        model, message = fit_lasso(spec, x, y), None
+    except NonConvergence as exc:
+        model, message = exc.partial, str(exc)
+    return (message, model.coef.tobytes(), np.float64(model.intercept).tobytes(),
+            model.training_dims)
+
+
+@FEW
+@given(st.data(), seeds)
+def test_lasso_is_bitwise_the_covariance_reference(data, seed):
+    # lam 0, constant and overflowing columns, correlated columns (whose
+    # coefficients enter and shrink back to zero), and max_iter stops
+    n = data.draw(st.integers(2, 60), label="n")
+    p = data.draw(st.integers(1, 25), label="p")
+    lam = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), label="lam")
+    shared = data.draw(st.floats(0.0, 0.95), label="shared")  # column correlation
+    constant = data.draw(st.lists(st.integers(0, p - 1), max_size=2, unique=True),
+                         label="constant columns")
+    signal = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3,
+                                unique=True), label="signal columns")
+    overflow = data.draw(st.integers(0, 3), label="overflow") == 3
+    spec = Lasso(lam=lam, max_iter=data.draw(st.integers(1, 60), label="sweeps"),
+                 tol=data.draw(st.sampled_from([1e-300, 1e-7]), label="tol"))
+    rng = np.random.default_rng(seed)
+    x = (np.sqrt(1 - shared) * rng.normal(size=(n, p))
+         + np.sqrt(shared) * rng.normal(size=(n, 1)))
+    y = x[:, signal] @ np.array([1.5, -1.0, 0.5])[:len(signal)] + rng.normal(size=n)
+    x[:, constant] = 0.25
+    if overflow:  # its square overflows: a NaN coefficient
+        x[:, data.draw(st.integers(0, p - 1), label="overflowing column")] *= 1e200
+    with np.errstate(all="ignore"):
+        want = _lasso_outcome(_covariance_lasso, spec, x, y)
+        assert _lasso_outcome(_fit_lasso, spec, x, y) == want
+
+
+# --- MLP bias gradient --------------------------------------------------------------
+
+@FEW
+@given(st.integers(1, 12), st.one_of(st.sampled_from([77, 78, 128]), st.integers(1, 333)),
+       st.integers(2, 64), seeds)
+def test_einsum_row_sum_is_bitwise_the_axis_sum(f, m, h, seed):
+    # _backprop's hidden-layer bias gradient; values over seven decades,
+    # so a different summation order would show in the last bits
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(f, m, h)) * 10.0 ** rng.integers(-3, 4, size=(f, m, h))
+    for delta in (d, d[0]):  # stacked, and one fit's
+        assert (np.einsum("...mh->...h", delta).tobytes()
+                == delta.sum(axis=-2).tobytes())
 
 
 # --- CSV round trip -----------------------------------------------------------------
