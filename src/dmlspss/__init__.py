@@ -5,7 +5,6 @@ Library layout:
 - ``data``: dataset container, standardization, CSV I/O
 - ``support_points``: energy distance, support-points solver, splitting
 - ``learners``: ridge/lasso/kernel/MLP regressors and the super learner
-- ``stacked``: many fits of one spec in one loop (loaded on first use)
 - ``dml``: orthogonal scores, cross-fitted estimation, inference
 - ``simulate``: synthetic scenarios and the Monte Carlo harness
 - ``cli``: the ``dmlspss`` command-line tool

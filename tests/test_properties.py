@@ -30,7 +30,7 @@ from dmlspss.cli import (
     parse_config,
 )
 from dmlspss import data as data_mod
-from dmlspss import stacked
+from dmlspss import learners
 from dmlspss.data import ColumnSchema, Dataset, load_csv, standardize, write_csv
 from dmlspss.errors import ConfigError, DmlSpssError, NonConvergence, NonFinite, ParseError
 from dmlspss.learners import Lasso, Mlp, _fit_lasso, fit, fit_many
@@ -286,9 +286,9 @@ def test_stacked_mlp_fits_equal_one_fit_per_loop(data, seed):
         tasks[diverging] = (rows, y * 1e300)
     # one task per stack, two, or every task in one
     two = 2 * 8 * min(spec.batch, max(sizes)) * (x.shape[1] + sum(spec.hidden) + 1)
-    stack_bytes = data.draw(st.sampled_from([1, two, stacked._STACK_BYTES]),
+    stack_bytes = data.draw(st.sampled_from([1, two, learners._STACK_BYTES]),
                             label="stack_bytes")
-    with mock.patch.object(stacked, "_STACK_BYTES", stack_bytes):
+    with mock.patch.object(learners, "_STACK_BYTES", stack_bytes):
         got = fit_many(spec, x, tasks)
     assert len(got) == len(tasks)
     for (rows, y), out in zip(tasks, got):
