@@ -47,11 +47,8 @@ from .errors import (
     ConfigError,
     DataError,
     DmlSpssError,
-    InvalidConfig,
-    InvalidFraction,
     InvalidSpec,
     NumericError,
-    SchemaError,
     WorkerDied,
 )
 from .learners import (
@@ -136,19 +133,19 @@ class RunConfig:
         dml_mod.check_alpha(self.alpha, _KEY_OF["alpha"])
         self._require(self.k >= 2, "k", "must be >= 2")
         self._require(0.0 < self.test_fraction < 1.0, "test_fraction",
-                      "must be in (0, 1)", InvalidFraction)
+                      "must be in (0, 1)")
         self._require(self.threads >= 1, "threads", "must be >= 1")
         self._require(self.seed >= 0, "seed", "must be >= 0")
         try:
             schema = self.schema
-        except SchemaError as exc:
-            raise InvalidConfig(f"[data] {exc}") from None
+        except DataError as exc:
+            raise ConfigError(f"[data] {exc}") from None
         if schema is None and self.data_path is not None:
-            raise InvalidConfig("[data] path given without outcome/treatment/covariates")
+            raise ConfigError("[data] path given without outcome/treatment/covariates")
 
-    def _require(self, ok: bool, field: str, rule: str, error=InvalidConfig):
+    def _require(self, ok: bool, field: str, rule: str):
         if not ok:
-            raise error(f"{_KEY_OF[field]}: {rule}, got {getattr(self, field)!r}")
+            raise ConfigError(f"{_KEY_OF[field]}: {rule}, got {getattr(self, field)!r}")
 
     @property
     def schema(self) -> Optional[ColumnSchema]:

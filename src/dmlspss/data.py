@@ -16,13 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DuplicateIndex,
-    IndexOutOfRange,
-    NonFinite,
-    ParseError,
-    SchemaError,
-)
+from .errors import DataError
 
 # Population standard deviations below this are treated as constant columns.
 DEGENERATE_SCALE = 1e-12
@@ -65,12 +59,12 @@ class Dataset:
             raise ValueError("need at least 1 covariate")
         for name, arr in (("y", y), ("t", t), ("x", x)):
             if not np.all(np.isfinite(arr)):
-                raise NonFinite(f"non-finite entries in {name}")
+                raise DataError(f"non-finite entries in {name}")
         if self.column_names is not None:
             names = tuple(self.column_names)
             if (len(names) != x.shape[1] + 2 or len(set(names)) != len(names)
                     or not all(isinstance(v, str) for v in names)):
-                raise SchemaError(
+                raise DataError(
                     f"column_names must be {x.shape[1] + 2} distinct strings "
                     f"(outcome, treatment, {x.shape[1]} covariates), got {names}")
             object.__setattr__(self, "column_names", names)
@@ -108,9 +102,9 @@ class ColumnSchema:
         object.__setattr__(self, "covariates", tuple(self.covariates))
         names = [self.outcome, self.treatment, *self.covariates]
         if len(set(names)) != len(names):
-            raise SchemaError(f"schema names must be distinct, got {names}")
+            raise DataError(f"schema names must be distinct, got {names}")
         if not self.covariates:
-            raise SchemaError("schema needs at least one covariate column")
+            raise DataError("schema needs at least one covariate column")
 
     @property
     def all_names(self) -> tuple[str, ...]:
@@ -124,7 +118,7 @@ def standardize(m: np.ndarray) -> tuple[np.ndarray, StandardizationReport]:
     flagged in the report instead of raising: downstream distance
     computations stay well-defined.
 
-    Raises NonFinite on NaN/inf input.
+    Raises DataError on NaN/inf input.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
@@ -132,7 +126,7 @@ def standardize(m: np.ndarray) -> tuple[np.ndarray, StandardizationReport]:
     if m.shape[0] < 2:
         raise ValueError("need at least 2 rows to standardize")
     if not np.all(np.isfinite(m)):
-        raise NonFinite("non-finite entries in matrix")
+        raise DataError("non-finite entries in matrix")
 
     means = m.mean(axis=0)
     scales = m.std(axis=0)  # population (1/n) standard deviation
@@ -151,11 +145,11 @@ def read_csv_matrix(path, columns=None, min_rows: int = 1) -> np.ndarray:
 
     ``columns`` gives the header names to read, in result order; None
     reads every column in file order.  The file is read as UTF-8, past a
-    leading BOM if any; blank lines are skipped.  Raises SchemaError for
-    a column missing from the header or named in it more than once,
-    ParseError for a byte that is not UTF-8, ragged rows, non-numeric
-    cells or fewer than ``min_rows`` data rows, and NonFinite for nan/inf
-    literals; each names the file, and the line and column where it can.
+    leading BOM if any; blank lines are skipped.  Raises DataError for
+    a column missing from the header or named in it more than once, a
+    byte that is not UTF-8, ragged rows, non-numeric cells, fewer than
+    ``min_rows`` data rows, or nan/inf literals; each names the file, and
+    the line and column where it can.
 
     The header is read with the ``csv`` module.  The rows are first
     parsed by NumPy's C reader (``np.loadtxt``), every column of them;
@@ -173,7 +167,7 @@ def read_csv_matrix(path, columns=None, min_rows: int = 1) -> np.ndarray:
             try:
                 header = [h.strip() for h in next(reader)]
             except StopIteration:
-                raise ParseError(f"{path}: empty file, expected a header row")
+                raise DataError(f"{path}: empty file, expected a header row")
             if columns is None:
                 names, positions = header, list(range(len(header)))
             else:
@@ -181,7 +175,7 @@ def read_csv_matrix(path, columns=None, min_rows: int = 1) -> np.ndarray:
                 for name in names:
                     if header.count(name) != 1:
                         where = "not in" if name not in header else "repeated in"
-                        raise SchemaError(
+                        raise DataError(
                             f"{path}: column {name!r} {where} header {header}")
                 positions = [header.index(name) for name in names]
 
@@ -199,7 +193,7 @@ def read_csv_matrix(path, columns=None, min_rows: int = 1) -> np.ndarray:
                 if not record:
                     continue
                 if len(record) != len(header):
-                    raise ParseError(
+                    raise DataError(
                         f"{path}: line {lineno} has {len(record)} cells, "
                         f"header has {len(header)}"
                     )
@@ -211,10 +205,10 @@ def read_csv_matrix(path, columns=None, min_rows: int = 1) -> np.ndarray:
                     _raise_bad_cell(path, lineno, [record[j] for j in positions], names)
                 rows.append(parsed)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        raise DataError(f"{path}: {exc}") from None
 
     if len(rows) < min_rows:
-        raise ParseError(
+        raise DataError(
             f"{path}: need at least {min_rows} data rows, got {len(rows)}"
         )
     return np.array(rows, dtype=float)
@@ -246,11 +240,11 @@ def _raise_bad_cell(path, lineno: int, cells, names) -> None:
         try:
             value = float(cell)
         except ValueError:
-            raise ParseError(
+            raise DataError(
                 f"{path}: line {lineno}, column {name!r}: non-numeric cell {cell!r}"
             )
         if not math.isfinite(value):
-            raise NonFinite(
+            raise DataError(
                 f"{path}: line {lineno}, column {name!r}: non-finite value {cell!r}"
             )
 
@@ -259,9 +253,8 @@ def load_csv(path, schema: ColumnSchema) -> Dataset:
     """Read a CSV file with a header row into a Dataset.
 
     Column order in the result follows the schema, not the file.  Raises
-    SchemaError for missing or repeated columns, ParseError for non-numeric cells or
-    ragged rows (identifying the offending row and column), and NonFinite
-    for nan/inf literals.
+    DataError for missing or repeated columns, non-numeric cells or ragged
+    rows (identifying the offending row and column), and nan/inf literals.
     """
     table = read_csv_matrix(path, schema.all_names, min_rows=2)
     return Dataset(
@@ -288,17 +281,17 @@ def write_csv(path, d: Dataset) -> None:
 def subset_rows(d: Dataset, idx) -> Dataset:
     """Select rows by index, preserving the given order.
 
-    Raises IndexOutOfRange or DuplicateIndex on bad index lists, and
-    IndexOutOfRange on non-integer (float or boolean) ones.
+    Raises DataError on out-of-range, duplicate or non-integer (float or
+    boolean) indices.
     """
     idx = np.asarray(idx)
     if idx.size and idx.dtype.kind not in "iu":
-        raise IndexOutOfRange(f"indices must be integers, got dtype {idx.dtype}")
+        raise DataError(f"indices must be integers, got dtype {idx.dtype}")
     idx = idx.astype(int, copy=False).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= d.n):
-        raise IndexOutOfRange(f"indices must lie in [0, {d.n}), got {idx}")
+        raise DataError(f"indices must lie in [0, {d.n}), got {idx}")
     if (np.diff(np.sort(idx)) == 0).any():
-        raise DuplicateIndex("duplicate row indices in subset")
+        raise DataError("duplicate row indices in subset")
     return Dataset(
         y=d.y[idx], t=d.t[idx], x=d.x[idx], column_names=d.column_names
     )

@@ -26,16 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    DegenerateAggregate,
-    DegenerateFold,
-    DegenerateJacobian,
-    DimensionMismatch,
-    FoldTooSmall,
-    InvalidAlpha,
-    InvalidConfig,
-    NumericError,
-)
+from .errors import ConfigError, DataError, NumericError
 from .learners import crossfit
 from .learners import fit  # unused here; kept as dml.fit for bench/tracing.py
 from .support_points import FoldPlan
@@ -82,14 +73,6 @@ _EXP_MINUS_2 = 0.13533528323661269189
 _SQRT_2PI = 2.50662827463100050242e0
 
 
-def _polevl(x: float, coefs) -> float:
-    """Horner evaluation, highest power first."""
-    ans = 0.0
-    for c in coefs:
-        ans = ans * x + c
-    return ans
-
-
 def ndtri(y0: float) -> float:
     """Standard normal quantile, a port of the Cephes ``ndtri`` that
     ``scipy.special.ndtri`` evaluates, with the same operations in the
@@ -105,13 +88,13 @@ def ndtri(y0: float) -> float:
     if y > _EXP_MINUS_2:
         y -= 0.5
         y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
-        return x * _SQRT_2PI
+        x = y + y * (y2 * np.polyval(_NDTRI_P0, y2) / np.polyval(_NDTRI_Q0, y2))
+        return float(x * _SQRT_2PI)
     x = math.sqrt(-2.0 * math.log(y))
     x0 = x - math.log(x) / x
     z = 1.0 / x
     p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
-    x = x0 - z * _polevl(z, p) / _polevl(z, q)
+    x = float(x0 - z * np.polyval(p, z) / np.polyval(q, z))
     return x if upper else -x
 
 
@@ -150,12 +133,12 @@ def _outcome_residual(y: np.ndarray, nuis: NuisanceFit, kind: str) -> np.ndarray
     partialling-out, ``g_hat`` for IV-type."""
     name = {SCORE_PARTIALLING_OUT: "ell_hat", SCORE_IV_TYPE: "g_hat"}.get(kind)
     if name is None:
-        raise InvalidConfig(f"unknown score kind {kind!r}")
+        raise ConfigError(f"unknown score kind {kind!r}")
     if getattr(nuis, name) is None:
-        raise InvalidConfig(f"{kind} score needs {name}")
+        raise ConfigError(f"{kind} score needs {name}")
     fit = np.asarray(getattr(nuis, name), dtype=float).reshape(-1)
     if len(fit) != len(y):
-        raise DimensionMismatch(f"{name} length mismatch")
+        raise DataError(f"{name} length mismatch")
     return y - fit
 
 
@@ -165,7 +148,7 @@ def score_components(y, t, nuis: NuisanceFit, kind: str, beta: float):
     t = np.asarray(t, dtype=float).reshape(-1)
     m_hat = np.asarray(nuis.m_hat, dtype=float).reshape(-1)
     if not len(y) == len(t) == len(m_hat):
-        raise DimensionMismatch("y, t, and nuisance predictions must align")
+        raise DataError("y, t, and nuisance predictions must align")
     t_res = t - m_hat
     y_res = _outcome_residual(y, nuis, kind)
     psi_a = -t_res ** 2 if kind == SCORE_PARTIALLING_OUT else -t * t_res
@@ -182,7 +165,7 @@ def _solve(plan: FoldPlan, psi_a: np.ndarray, psi_b: np.ndarray, algorithm: str)
     if algorithm == ALG_DML1:
         if np.any(np.abs(means_a) <= DEGENERACY_EPS):
             bad = int(np.argmin(np.abs(means_a)))
-            raise DegenerateFold(
+            raise NumericError(
                 f"fold {bad}: mean psi_a ~ 0, no treatment variation after "
                 "residualization"
             )
@@ -190,7 +173,7 @@ def _solve(plan: FoldPlan, psi_a: np.ndarray, psi_b: np.ndarray, algorithm: str)
         return float(per_fold.mean()), per_fold
     pooled_a = means_a.mean()
     if abs(pooled_a) <= DEGENERACY_EPS:
-        raise DegenerateAggregate(
+        raise NumericError(
             "pooled mean psi_a ~ 0, no treatment variation after residualization"
         )
     return float(-means_b.mean() / pooled_a), None
@@ -208,12 +191,12 @@ def fit_nuisances_crossfit(
     g_hat = ell_hat - beta_prelim * m_hat.
     """
     if kind not in SCORES:
-        raise InvalidConfig(f"unknown score kind {kind!r}")
+        raise ConfigError(f"unknown score kind {kind!r}")
     if plan.n_total != d.n:
-        raise DimensionMismatch(f"plan covers {plan.n_total} rows, data has {d.n}")
+        raise DataError(f"plan covers {plan.n_total} rows, data has {d.n}")
     for k, fold in enumerate(plan.folds):
         if d.n - len(fold) < 2:
-            raise FoldTooSmall(
+            raise DataError(
                 f"fold {k}: complement has {d.n - len(fold)} rows, need at least 2"
             )
     m_hat = crossfit(spec_m, d.x, d.t, plan)
@@ -250,7 +233,7 @@ def _estimate(d, plan, nuis, kind, algorithm, alpha) -> DmlEstimate:
     beta, per_fold = _solve(plan, psi_a, psi_b, algorithm)
     j_hat = plan.means(psi_a).mean()
     if abs(j_hat) <= DEGENERACY_EPS:  # DML1 only: DML2's solve checks it first
-        raise DegenerateJacobian("pooled mean psi_a ~ 0")
+        raise NumericError("pooled mean psi_a ~ 0")
     psi = psi_a * beta + psi_b
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         j_sq = float(j_hat ** 2)
@@ -274,12 +257,12 @@ def _estimate(d, plan, nuis, kind, algorithm, alpha) -> DmlEstimate:
 
 
 def check_alpha(alpha: float, name: str = "alpha") -> None:
-    """Raise InvalidAlpha, naming the setting ``name``, unless
+    """Raise ConfigError, naming the setting ``name``, unless
     0 < alpha < 1 and 1 - alpha/2 < 1, so that z_{1-alpha/2} is finite."""
     if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"{name}: must be in (0, 1), got {alpha!r}")
+        raise ConfigError(f"{name}: must be in (0, 1), got {alpha!r}")
     if not 1.0 - alpha / 2.0 < 1.0:
-        raise InvalidAlpha(
+        raise ConfigError(
             f"{name}: too small for a finite normal quantile, got {alpha!r}")
 
 
@@ -289,9 +272,9 @@ def confidence_interval(
     """Two-sided normal interval beta +- z_{1-alpha/2} * sqrt(sigma2/N)."""
     check_alpha(alpha)
     if sigma2_hat < 0:
-        raise InvalidConfig(f"sigma2_hat must be >= 0, got {sigma2_hat}")
+        raise ConfigError(f"sigma2_hat must be >= 0, got {sigma2_hat}")
     if n_total < 1:
-        raise InvalidConfig(f"n_total must be >= 1, got {n_total}")
+        raise ConfigError(f"n_total must be >= 1, got {n_total}")
     half = ndtri(1.0 - alpha / 2.0) * np.sqrt(sigma2_hat / n_total)
     return float(beta - half), float(beta + half)
 
@@ -317,7 +300,7 @@ def orthogonality_diagnostic(
         direction = np.ones(d.n)
     direction = np.asarray(direction, dtype=float).reshape(-1)
     if len(direction) != d.n:
-        raise DimensionMismatch("direction must have one entry per row")
+        raise DataError("direction must have one entry per row")
     if kind == SCORE_PARTIALLING_OUT:
         lever = 2.0 * beta * (d.t - nuis.m_hat)
     else:

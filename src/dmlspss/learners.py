@@ -32,12 +32,11 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
+    DataError,
     DmlSpssError,
     InvalidSpec,
     NonConvergence,
     NumericError,
-    SingularSystem,
 )
 from .data import DEGENERATE_SCALE, standardize
 from .support_points import (SPLIT_RANDOM, SPLIT_SPSS, SPLITTERS, SpConfig, _cdist,
@@ -214,16 +213,13 @@ class Oracle:
             raise InvalidSpec("oracle spec needs a callable")
 
 
-LearnerSpec = Union[Ridge, Lasso, KernelMachine, Mlp, SuperLearner, Oracle]
-
-
 def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.ndim != 2:
-        raise DimensionMismatch("x must be a 2-d matrix")
+        raise DataError("x must be a 2-d matrix")
     if x.shape[0] != len(y):
-        raise DimensionMismatch(f"x has {x.shape[0]} rows, y has {len(y)}")
+        raise DataError(f"x has {x.shape[0]} rows, y has {len(y)}")
     if x.shape[0] < 1:
         raise InvalidSpec("need at least one training row")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -244,9 +240,9 @@ class FittedModel:
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
-            raise DimensionMismatch("x must be a 2-d matrix")
+            raise DataError("x must be a 2-d matrix")
         if x.shape[1] != self.training_dims[1]:
-            raise DimensionMismatch(
+            raise DataError(
                 f"model was trained with p={self.training_dims[1]}, "
                 f"got p={x.shape[1]}"
             )
@@ -297,7 +293,7 @@ class OracleModel(FittedModel):
     def _predict(self, x):
         out = np.asarray(self.spec.fn(x), dtype=float).reshape(-1)
         if len(out) != x.shape[0]:
-            raise DimensionMismatch("oracle function returned wrong length")
+            raise DataError("oracle function returned wrong length")
         return out
 
 
@@ -379,7 +375,7 @@ def _fit_ridge(spec: Ridge, x, y) -> LinearModel:
     if not (np.isfinite(gram).all() and np.isfinite(corr).all()):
         raise NumericError("ridge: the centred design's moments x'x, x'y overflow")
     if spec.lam == 0.0 and np.linalg.matrix_rank(xc) < p:
-        raise SingularSystem("ridge with lambda=0 on a rank-deficient design")
+        raise NumericError("ridge with lambda=0 on a rank-deficient design")
     coef = np.linalg.solve(gram + spec.lam * np.eye(p), corr)
     return LinearModel(spec, coef, y_mean - x_mean @ coef, (n, p))
 
@@ -662,17 +658,14 @@ def crossfit(spec, x, y, plan) -> np.ndarray:
     """Out-of-fold predictions: row i is predicted by ``spec`` fitted on
     the complement of row i's fold in ``plan``; the K fits make one
     ``fit_many`` call, and the first error in fold order is raised."""
-    return _raise_first(_out_of_fold(spec, x, [(None, y, plan)]))[0]
+    return _raise_first(_out_of_fold(spec, x, [(np.arange(len(y)), y, plan)]))[0]
 
 
 def _out_of_fold(spec, x, jobs) -> list:
     """Per job ``(rows, y, plan)``, the out-of-fold predictions of
-    ``x[rows]`` (all of ``x`` for None) or the first error in fold order,
-    from one ``fit_many`` call."""
-    def pick(rows, idx):
-        return idx if rows is None else rows[idx]
-
-    pairs = ((pick(rows, comp), y[comp]) for rows, y, plan in jobs
+    ``x[rows]`` or the first error in fold order, from one ``fit_many``
+    call."""
+    pairs = ((rows[comp], y[comp]) for rows, y, plan in jobs
              for comp in map(plan.complement, range(plan.k)))
     fitted = iter(fit_many(spec, x, pairs))
     outcomes = []
@@ -683,7 +676,7 @@ def _out_of_fold(spec, x, jobs) -> list:
             for fold, model in zip(plan.folds, models):
                 if isinstance(model, Exception):
                     raise model
-                preds[fold] = model.predict(x[pick(rows, fold)])
+                preds[fold] = model.predict(x[rows[fold]])
         except _FIT_ERRORS as exc:
             preds = exc
         outcomes.append(preds)

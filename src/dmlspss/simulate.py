@@ -50,7 +50,7 @@ from .dml import (
     dml2_estimate,
     fit_nuisances_crossfit,
 )
-from .errors import InvalidConfig, InvalidRho, WorkerDied
+from .errors import ConfigError, WorkerDied
 from .learners import (
     KernelMachine,
     Lasso,
@@ -91,9 +91,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.scenario not in _SCENARIO_PARAMS:
-            raise InvalidConfig(f"unknown scenario {self.scenario!r}")
+            raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.p < 1 or self.n < 2:
-            raise InvalidConfig(f"need p >= 1 and n >= 2, got p={self.p}, n={self.n}")
+            raise ConfigError(f"need p >= 1 and n >= 2, got p={self.p}, n={self.n}")
 
     @property
     def rho(self) -> float:
@@ -118,42 +118,42 @@ def _learner_specs(cfg):
 
 
 def check_run(cfg, n: int, p: int) -> None:
-    """Raise InvalidConfig unless :func:`cross_fitted_estimate` can run
+    """Raise ConfigError unless :func:`cross_fitted_estimate` can run
     ``cfg`` on n rows of p covariates: known choices, ``alpha`` in (0, 1),
     K against n (every fold complement keeps 2 rows, and each super
     learner's CV blocks, 2 rows each when SPSS), and a penalty on every
     ridge and lasso when p >= n (on a nuisance ridge, when p >= the
     n - ceil(n/K) rows a fold trains on)."""
     if cfg.splitter not in SPLITTERS:
-        raise InvalidConfig(f"unknown splitter {cfg.splitter!r}")
+        raise ConfigError(f"unknown splitter {cfg.splitter!r}")
     if cfg.score not in SCORES:
-        raise InvalidConfig(f"unknown score {cfg.score!r}")
+        raise ConfigError(f"unknown score {cfg.score!r}")
     if cfg.algorithm not in ALGORITHMS:
-        raise InvalidConfig(f"unknown algorithm {cfg.algorithm!r}")
+        raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
     check_alpha(cfg.alpha)
     k = cfg.k
     check_fold_count(n, k, cfg.splitter)
     rows = n - -(-n // k)  # the largest fold's complement
     if rows < 2:
-        raise InvalidConfig(
+        raise ConfigError(
             f"need n - ceil(n/K) >= 2 rows to train on, got K={k} with n={n}"
         )
     for spec in _learner_specs(cfg):
         if isinstance(spec, (Ridge, Lasso)) and spec.lam == 0.0 and p >= n:
-            raise InvalidConfig(
+            raise ConfigError(
                 f"{spec_label(spec)} with lambda=0 is not allowed when p={p} >= n={n}"
             )
         if isinstance(spec, SuperLearner):
             need = spec.v_blocks * FOLD_ROWS[spec.cv_splitter]
             if rows < need:
-                raise InvalidConfig(
+                raise ConfigError(
                     f"{spec_label(spec)} v_blocks={spec.v_blocks} with "
                     f"cv_splitter={spec.cv_splitter!r} needs {need} rows to train "
                     f"on, but n={n} with K={k} leaves {rows}"
                 )
     for spec in (cfg.learner_m, cfg.learner_ell):
         if isinstance(spec, Ridge) and spec.lam == 0.0 and p >= rows:
-            raise InvalidConfig(f"{spec_label(spec)} with lambda=0 is not allowed when "
+            raise ConfigError(f"{spec_label(spec)} with lambda=0 is not allowed when "
                                 f"p={p} >= the {rows} rows a fold trains on (n={n}, K={k})")
 
 
@@ -179,9 +179,9 @@ class McConfig:
     sp_tol: float = 1e-7
 
     def __post_init__(self):
-        require_integers(self, InvalidConfig)
+        require_integers(self, ConfigError)
         if self.reps < 2:
-            raise InvalidConfig(f"reps must be >= 2, got {self.reps}")
+            raise ConfigError(f"reps must be >= 2, got {self.reps}")
         check_run(self, self.scenario.n, self.scenario.p)
 
     @property
@@ -233,9 +233,9 @@ def mix_seed(master_seed: int, index: int) -> int:
 def ar1_covariance(rho: float, p: int) -> np.ndarray:
     """AR(1) covariance with entries rho^|j-k| (unit diagonal)."""
     if not -1.0 < rho < 1.0:
-        raise InvalidRho(f"rho must be in (-1, 1), got {rho}")
+        raise ConfigError(f"rho must be in (-1, 1), got {rho}")
     if p < 1:
-        raise InvalidConfig(f"p must be >= 1, got {p}")
+        raise ConfigError(f"p must be >= 1, got {p}")
     idx = np.arange(p)
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
@@ -473,11 +473,11 @@ def emit_report(rows, fmt: str = "csv") -> bytes:
     """
     rows = list(rows)
     if not rows:
-        raise InvalidConfig("report needs at least one row")
+        raise ConfigError("report needs at least one row")
     if fmt == "json":
         return json.dumps([asdict(r) for r in rows], indent=2).encode()
     if fmt != "csv":
-        raise InvalidConfig(f"unknown report format {fmt!r}")
+        raise ConfigError(f"unknown report format {fmt!r}")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(REPORT_COLUMNS)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, standardize
-from .errors import DimensionMismatch, InvalidConfig, InvalidFraction, TooLargeForMemory
+from .errors import ConfigError, DataError
 
 # the MM update omits point pairs closer than this, so it stays finite
 _ZERO_DIST_EPS = 1e-10
@@ -66,11 +66,11 @@ def _physical_memory():
 
 
 def _check_memory(need: int, who: str, what: str) -> None:
-    """Raise TooLargeForMemory when ``who`` needs ``need`` bytes for
+    """Raise DataError when ``who`` needs ``need`` bytes for
     ``what``, more than the machine's physical memory."""
     have = _physical_memory()
     if have is not None and need > have:
-        raise TooLargeForMemory(f"{who} needs {need / 1e9:.3g} GB for {what}, more "
+        raise DataError(f"{who} needs {need / 1e9:.3g} GB for {what}, more "
                                 f"than the {have / 1e9:.3g} GB of physical memory")
 
 
@@ -136,13 +136,13 @@ class FoldPlan:
         object.__setattr__(self, "folds", folds)
         sizes = [len(f) for f in folds]
         if not sizes or min(sizes) == 0:
-            raise InvalidConfig(
+            raise ConfigError(
                 f"fold plan needs one or more folds, none empty, got sizes {sizes}")
         all_idx = np.concatenate(folds)
         if not np.array_equal(np.sort(all_idx), np.arange(len(all_idx))):
-            raise InvalidConfig("folds must partition 0..n-1 without overlap")
+            raise ConfigError("folds must partition 0..n-1 without overlap")
         if max(sizes) - min(sizes) > 1:
-            raise InvalidConfig(f"fold sizes may differ by at most 1, got {sizes}")
+            raise ConfigError(f"fold sizes may differ by at most 1, got {sizes}")
 
     @property
     def n_total(self) -> int:
@@ -158,7 +158,7 @@ class FoldPlan:
     def means(self, v: np.ndarray) -> np.ndarray:
         """Per-fold means of a full-length vector, in fold order."""
         if len(v) != self.n_total:
-            raise DimensionMismatch(f"plan covers {self.n_total} rows, got {len(v)}")
+            raise DataError(f"plan covers {self.n_total} rows, got {len(v)}")
         return np.array([v[f].mean() for f in self.folds])
 
 
@@ -166,7 +166,7 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(
+        raise DataError(
             f"point sets have dimensions {a.shape[1]} and {b.shape[1]}"
         )
     return a, b
@@ -211,13 +211,13 @@ def compute_support_points(full: np.ndarray, cfg: SpConfig) -> SpResult:
     full = np.atleast_2d(np.asarray(full, dtype=float))
     big_n = full.shape[0]
     if cfg.n_points < 1:
-        raise InvalidConfig(f"n_points must be positive, got {cfg.n_points}")
+        raise ConfigError(f"n_points must be positive, got {cfg.n_points}")
     if cfg.n_points > big_n:
-        raise InvalidConfig(f"n_points={cfg.n_points} exceeds data size {big_n}")
+        raise ConfigError(f"n_points={cfg.n_points} exceeds data size {big_n}")
     if cfg.tol <= 0:
-        raise InvalidConfig(f"tol must be positive, got {cfg.tol}")
+        raise ConfigError(f"tol must be positive, got {cfg.tol}")
     if cfg.max_iter < 1:
-        raise InvalidConfig(f"max_iter must be positive, got {cfg.max_iter}")
+        raise ConfigError(f"max_iter must be positive, got {cfg.max_iter}")
 
     eps = _ZERO_DIST_EPS
     n = cfg.n_points
@@ -289,7 +289,7 @@ def snap_to_rows(points: np.ndarray, full: np.ndarray) -> np.ndarray:
     points, full = _check_same_dim(points, full)
     n, big_n = points.shape[0], full.shape[0]
     if n > big_n:
-        raise InvalidConfig(f"cannot snap {n} points to {big_n} rows")
+        raise ConfigError(f"cannot snap {n} points to {big_n} rows")
     dists = _cdist(points, full)
     used = np.zeros(big_n, dtype=bool)
     out = np.empty(n, dtype=int)
@@ -323,7 +323,7 @@ def _exchange_polish(
     Deterministic and monotone in the subset energy; costs one N x N
     distance matrix, whose row sums give the energy distance of the
     seeded and of the polished rows to ``full``.  Raises
-    TooLargeForMemory, before allocating, when that matrix's 8*N^2 bytes
+    DataError, before allocating, when that matrix's 8*N^2 bytes
     exceed the machine's physical memory.
     """
     big_n = full.shape[0]
@@ -416,12 +416,12 @@ def spss_split(d: Dataset, test_fraction: float, cfg: SpConfig) -> SplitResult:
     ``cfg.seed``, is polished by row exchange (at most
     ``SpConfig.polish_passes`` passes) and becomes the test set, the rest
     the training set.  ``result.polish`` reports the polish.  Each side must
-    get at least 2 rows, or ``InvalidFraction`` is raised.
+    get at least 2 rows, or ``ConfigError`` is raised.
     """
     n = d.n
     n_test = int(np.floor(test_fraction * n + 0.5))
     if not 2 <= n_test <= n - 2:
-        raise InvalidFraction(
+        raise ConfigError(
             f"test_fraction={test_fraction} gives test size {n_test} "
             f"outside [2, {n - 2}]: each side needs at least 2 rows"
         )
@@ -432,13 +432,13 @@ def spss_split(d: Dataset, test_fraction: float, cfg: SpConfig) -> SplitResult:
 
 
 def check_fold_count(n: int, k: int, splitter: str) -> None:
-    """Raise InvalidConfig unless ``n`` rows make ``k`` folds of ``splitter``,
+    """Raise ConfigError unless ``n`` rows make ``k`` folds of ``splitter``,
     each of ``FOLD_ROWS[splitter]`` rows or more: random folds need
     2 <= K <= n, SPSS folds 2 <= K <= n/2."""
     rows = FOLD_ROWS[splitter]
     top, bound = n // rows, "n" if rows == 1 else f"n/{rows}"
     if not 2 <= k <= top:
-        raise InvalidConfig(f"need 2 <= K <= {bound}, got K={k} with n={n}")
+        raise ConfigError(f"need 2 <= K <= {bound}, got K={k} with n={n}")
 
 
 def spss_kfold_cloud(cloud: np.ndarray, k: int, cfg: SpConfig) -> FoldPlan:
@@ -472,6 +472,6 @@ def random_kfold(n: int, k: int, seed: int) -> FoldPlan:
 def random_subset(n: int, size: int, seed: int) -> np.ndarray:
     """Uniform random subset of row indices, for baseline comparisons."""
     if not 1 <= size <= n:
-        raise InvalidConfig(f"subset size {size} outside [1, {n}]")
+        raise ConfigError(f"subset size {size} outside [1, {n}]")
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(n, size=size, replace=False))

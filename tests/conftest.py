@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dmlspss.data import DEGENERATE_SCALE, standardize
-from dmlspss.errors import DmlSpssError, InvalidSpec, NonConvergence, TooLargeForMemory
+from dmlspss.errors import DataError, DmlSpssError, InvalidSpec, NonConvergence
 from dmlspss.learners import (
     MODE_SELECTOR,
     CvRiskReport,
@@ -157,14 +157,14 @@ def _reference_polish(
     lowest-index ties) and monotone in the subset energy; costs one
     N x N distance matrix, whose row sums give the energy distance of
     the seeded and of the polished rows to ``full``.  Raises
-    TooLargeForMemory, before allocating, when that matrix and its
+    DataError, before allocating, when that matrix and its
     N x m column copy need more bytes than the machine's physical memory.
     """
     big_n = full.shape[0]
     m = len(idx)
     need, have = 8 * big_n * (big_n + m), _physical_memory()
     if have is not None and need > have:
-        raise TooLargeForMemory(
+        raise DataError(
             f"the support-points polish of n={big_n} rows needs {need / 1e9:.3g} GB "
             f"for its distances, more than the {have / 1e9:.3g} GB of physical memory"
         )

@@ -907,6 +907,20 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "sideways" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, match", [
+    ("[learner_m]\nkind = forest\n",
+     "[learner_m] kind: expected one of ['kernel', 'lasso', 'mlp', 'ridge', "
+     "'superlearner', 'zero'], got 'forest'"),
+    ("[learner_m]\nkind = kernel\nloss = huber\n",
+     "[learner_m] loss: expected one of ['epsilon_insensitive', 'squared'], got 'huber'"),
+], ids=["learner-kind", "kernel-loss"])
+def test_unknown_learner_name_exits_2_with_one_line(tmp_path, capsys, text, match):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "estimate"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {match}\n"
+
+
 @pytest.mark.parametrize("command", ["split", "estimate"])
 def test_negative_seed_flag_exits_2_before_reading(tmp_path, capsys, command):
     cfg = _base_config(tmp_path, tmp_path / "unused.csv")

@@ -11,13 +11,7 @@ from dmlspss.data import (
     subset_rows,
     write_csv,
 )
-from dmlspss.errors import (
-    DuplicateIndex,
-    IndexOutOfRange,
-    NonFinite,
-    ParseError,
-    SchemaError,
-)
+from dmlspss.errors import DataError
 
 
 def test_standardize_already_standardized_column_is_fixed_point():
@@ -60,8 +54,20 @@ def test_standardize_idempotent_and_invertible():
 
 
 def test_standardize_rejects_non_finite():
-    with pytest.raises(NonFinite):
+    with pytest.raises(DataError, match="non-finite entries in matrix"):
         standardize(np.array([[1.0], [np.nan]]))
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: Dataset(y=[1.0, 2.0], t=[1.0, 2.0], x=[1.0, 2.0]), "x must be a 2-d matrix"),
+    (lambda: Dataset(y=[1.0, 2.0], t=[1.0, 2.0], x=np.ones((2, 0))),
+     "need at least 1 covariate"),
+    (lambda: standardize(np.ones(3)), "expected a 2-d matrix"),
+    (lambda: standardize(np.ones((1, 2))), "need at least 2 rows to standardize"),
+], ids=["dataset-1d-x", "dataset-no-covariate", "standardize-1d", "standardize-one-row"])
+def test_dataset_and_standardize_reject_bad_shapes(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_dataset_invariants():
@@ -69,7 +75,7 @@ def test_dataset_invariants():
         Dataset(y=[1.0], t=[1.0], x=[[1.0]])  # n < 2
     with pytest.raises(ValueError):
         Dataset(y=[1.0, 2.0], t=[1.0], x=[[1.0], [2.0]])
-    with pytest.raises(NonFinite):
+    with pytest.raises(DataError, match="non-finite entries in y"):
         Dataset(y=[1.0, np.inf], t=[0.0, 1.0], x=[[1.0], [2.0]])
     d = Dataset(y=[1.0, 2.0], t=[0.0, 1.0], x=[[1.0, 2.0], [3.0, 4.0]])
     assert d.n == 2 and d.p == 2
@@ -99,14 +105,14 @@ def test_load_csv_dimensions_and_order(tmp_path):
 def test_load_csv_missing_column(tmp_path):
     path = _write(tmp_path, "y,t,x1\n1,2,3\n4,5,6\n")
     schema = ColumnSchema(outcome="y", treatment="t", covariates=("w",))
-    with pytest.raises(SchemaError, match="'w'"):
+    with pytest.raises(DataError, match="column 'w' not in header"):
         load_csv(path, schema)
 
 
 def test_load_csv_repeated_column_name(tmp_path):
     path = _write(tmp_path, "y,t,x1,x1\n1,2,3,4\n5,6,7,8\n")
     schema = ColumnSchema(outcome="y", treatment="t", covariates=("x1",))
-    with pytest.raises(SchemaError, match="'x1' repeated in header"):
+    with pytest.raises(DataError, match="'x1' repeated in header"):
         load_csv(path, schema)
     # a repeated name that is not requested is never read
     other = _write(tmp_path, "y,t,x1,z,z\n1,2,3,4,5\n6,7,8,9,10\n", "other.csv")
@@ -115,19 +121,19 @@ def test_load_csv_repeated_column_name(tmp_path):
 
 def test_load_csv_bad_cell_identifies_row_and_column(tmp_path):
     path = _write(tmp_path, "y,t,x1,x2\n1,2,3,4\n5,6,abc,8\n")
-    with pytest.raises(ParseError, match="line 3.*'x1'.*'abc'"):
+    with pytest.raises(DataError, match="line 3.*'x1'.*'abc'"):
         load_csv(path, SCHEMA)
 
 
 def test_load_csv_ragged_row(tmp_path):
     path = _write(tmp_path, "y,t,x1,x2\n1,2,3,4\n5,6,7\n")
-    with pytest.raises(ParseError, match="line 3"):
+    with pytest.raises(DataError, match="line 3 has 3 cells, header has 4"):
         load_csv(path, SCHEMA)
 
 
 def test_load_csv_non_finite(tmp_path):
     path = _write(tmp_path, "y,t,x1,x2\n1,2,3,4\nnan,6,7,8\n")
-    with pytest.raises(NonFinite):
+    with pytest.raises(DataError, match="line 3, column 'y': non-finite value 'nan'"):
         load_csv(path, SCHEMA)
 
 
@@ -155,7 +161,7 @@ def test_csv_round_trip(tmp_path):
 ], ids=["short", "long", "repeated", "not-a-string"])
 def test_dataset_rejects_column_names_that_do_not_fit(names):
     # write_csv would put this header over rows of another width
-    with pytest.raises(SchemaError, match="4 distinct strings"):
+    with pytest.raises(DataError, match="4 distinct strings"):
         Dataset(y=[1.0, 2.0], t=[3.0, 4.0], x=[[1.0, 2.0], [3.0, 4.0]],
                 column_names=names)
 
@@ -177,14 +183,14 @@ def test_subset_rows_identity_and_permutation():
 
 def test_subset_rows_errors():
     d = Dataset(y=[1, 2, 3], t=[4, 5, 6], x=[[1.0], [2.0], [3.0]])
-    with pytest.raises(DuplicateIndex):
+    with pytest.raises(DataError, match="duplicate row indices"):
         subset_rows(d, [0, 0])
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DataError, match=r"must lie in \[0, 3\)"):
         subset_rows(d, [0, 3])
     # floats and booleans are not truncated or read as 0 and 1
-    with pytest.raises(IndexOutOfRange, match="got dtype float64"):
+    with pytest.raises(DataError, match="must be integers, got dtype float64"):
         subset_rows(d, [0.9, 1.7])
-    with pytest.raises(IndexOutOfRange, match="got dtype bool"):
+    with pytest.raises(DataError, match="must be integers, got dtype bool"):
         subset_rows(d, [True, False, True])
     with pytest.raises(ValueError, match="need at least 2 observations"):
         subset_rows(d, [])

@@ -8,13 +8,11 @@ from scipy.spatial.distance import cdist
 
 from dmlspss import learners, support_points
 from dmlspss.errors import (
-    DimensionMismatch,
+    DataError,
     DmlSpssError,
     InvalidSpec,
     NonConvergence,
     NumericError,
-    SingularSystem,
-    TooLargeForMemory,
 )
 from dmlspss.learners import (
     EpsilonInsensitiveLoss,
@@ -73,7 +71,7 @@ def test_ridge_matches_normal_equations_oracle():
 
 def test_ridge_zero_lambda_rank_deficient():
     x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    with pytest.raises(SingularSystem):
+    with pytest.raises(NumericError, match="ridge with lambda=0 on a rank-deficient design"):
         fit(Ridge(lam=0.0), x, np.array([1.0, 2.0, 3.0]))
 
 
@@ -277,7 +275,7 @@ def test_kernel_fit_beyond_physical_memory_raises_before_allocating(monkeypatch,
     with monkeypatch.context() as m:
         m.setattr(support_points, "_physical_memory", lambda: need - 1)
         m.setattr(learners, "_cdist", no_distances)
-        with pytest.raises(TooLargeForMemory,
+        with pytest.raises(DataError,
                            match=r"kernel machine's fit on n=300 rows needs 0\.00144 GB"):
             fit(spec, x, y)
     for probe in (need, None):  # exactly enough, or sysconf unavailable
@@ -466,8 +464,8 @@ def test_oracle_spec_predicts_from_function():
 
 
 @pytest.mark.parametrize("x, y, error, match", [
-    (np.zeros(4), np.zeros(4), DimensionMismatch, "2-d"),
-    (np.zeros((4, 2)), np.zeros(3), DimensionMismatch, "4 rows, y has 3"),
+    (np.zeros(4), np.zeros(4), DataError, "x must be a 2-d matrix"),
+    (np.zeros((4, 2)), np.zeros(3), DataError, "x has 4 rows, y has 3"),
     (np.zeros((0, 2)), np.zeros(0), InvalidSpec, "at least one training row"),
     (np.array([[0.0, np.nan], [1.0, 2.0]]), np.zeros(2), InvalidSpec, "finite"),
     (np.zeros((2, 2)), np.array([0.0, np.inf]), InvalidSpec, "finite"),
@@ -475,6 +473,18 @@ def test_oracle_spec_predicts_from_function():
 def test_fit_rejects_bad_training_data(x, y, error, match):
     with pytest.raises(error, match=match):
         fit(Ridge(lam=1.0), x, y)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: EpsilonInsensitiveLoss(epsilon=-0.1), "bad epsilon-insensitive loss"),
+    (lambda: KernelMachine(loss="squared"), "unknown kernel loss 'squared'"),
+    (lambda: SuperLearner(candidates=(Ridge(),), mode="stack"),
+     "unknown super learner mode 'stack'"),
+    (lambda: Oracle(), "oracle spec needs a callable"),
+], ids=["epsilon-negative", "kernel-loss-name", "sl-mode", "oracle-no-function"])
+def test_learner_specs_reject_bad_settings(build, match):
+    with pytest.raises(InvalidSpec, match=match):
+        build()
 
 
 def test_fit_rejects_an_unregistered_spec_type():
@@ -514,8 +524,10 @@ def test_integer_spec_fields_take_numpy_integers():
 
 def test_predict_dimension_mismatch():
     model = fit(Ridge(lam=1.0), np.zeros((3, 2)), np.zeros(3))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="model was trained with p=2, got p=3"):
         model.predict(np.zeros((2, 3)))
+    with pytest.raises(DataError, match="x must be a 2-d matrix"):
+        model.predict(np.zeros(2))
 
 
 # --- cross-validated risk -------------------------------------------------------
@@ -604,7 +616,7 @@ def test_failing_candidate_gets_infinite_risk():
     model = fit(SuperLearner(candidates=(bad, good), seed=3), x, y)
     assert np.isinf(model.report.risks[0])
     assert model.report.chosen == 1
-    with pytest.raises(SingularSystem, match="every super learner candidate failed"):
+    with pytest.raises(NumericError, match="every super learner candidate failed"):
         fit(SuperLearner(candidates=(bad, bad), seed=3), x, y)
     nan = Oracle(fn=lambda q: np.full(len(q), np.nan))  # fits, to no finite risk
     with pytest.raises(NonConvergence, match=r"every super learner candidate failed "
@@ -722,7 +734,7 @@ def test_fits_are_repeatable_bitwise():
 # --- pinned cross-validation outputs ------------------------------------------------
 
 def _always_fails(x):
-    raise SingularSystem("this candidate never predicts")
+    raise NumericError("this candidate never predicts")
 
 
 def _pinned_xy():

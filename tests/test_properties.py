@@ -32,7 +32,7 @@ from dmlspss.cli import (
 from dmlspss import data as data_mod
 from dmlspss import learners
 from dmlspss.data import ColumnSchema, Dataset, load_csv, standardize, write_csv
-from dmlspss.errors import ConfigError, DmlSpssError, NonConvergence, NonFinite, ParseError
+from dmlspss.errors import ConfigError, DataError, DmlSpssError, NonConvergence
 from dmlspss.learners import Lasso, Mlp, _fit_lasso, fit, fit_many
 from dmlspss.support_points import (
     SpConfig,
@@ -332,7 +332,7 @@ def test_csv_non_finite_cell_raises(data, n, p, cell):
         cells[col] = cell
         lines[row + 1] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(NonFinite):
+        with pytest.raises(DataError, match=f"line {row + 2}, column .*non-finite value"):
             load_csv(path, _schema(p))
 
 
@@ -439,26 +439,33 @@ def test_csv_trap_rows_give_the_csv_module_result(trap, rows, spell, crlf):
 
 def test_csv_without_rows_gives_the_csv_module_error(tmp_path):
     path = tmp_path / "d.csv"
-    for text in ("a,b\n", "a,b", "a,b\r\n\r\n\n", "a,b\n\n  \n", ""):
+    none = "need at least 1 data rows, got 0"
+    for text, message in (("a,b\n", none), ("a,b", none), ("a,b\r\n\r\n\n", none),
+                          ("a,b\n\n  \n", "line 3 has 1 cells, header has 2"),
+                          ("", "empty file, expected a header row")):  # no header either
         path.write_text(text)
         (fast, slow), took_fast = _read_both(path, None, 1)
         assert not took_fast
-        assert isinstance(fast, ParseError)
+        assert isinstance(fast, DataError)
+        assert message in str(fast)
         _assert_same(fast, slow)
-    assert "empty file, expected a header row" in str(fast)  # no header either
 
 
-@pytest.mark.parametrize("text, min_rows", [
-    ("a,b\n1,2,3\n4,5,6\n", 1),  # every row wider than the header
-    ("a,b,c\n1,2\n4,5\n", 1),  # ... or narrower
-    ("a,b\n1,2\n", 2),  # fewer rows than asked for
-])
+_WRONG_SHAPES = {  # CSV text -> (min_rows, the error's message)
+    "a,b\n1,2,3\n4,5,6\n": (1, "line 2 has 3 cells, header has 2"),  # rows too wide
+    "a,b,c\n1,2\n4,5\n": (1, "line 2 has 2 cells, header has 3"),  # ... or narrow
+    "a,b\n1,2\n": (2, "need at least 2 data rows, got 1"),  # fewer rows than asked for
+}
+
+
+@pytest.mark.parametrize("text, min_rows", [(t, m) for t, (m, _) in _WRONG_SHAPES.items()])
 def test_csv_matrix_of_the_wrong_shape_gives_the_csv_module_error(tmp_path, text, min_rows):
     path = tmp_path / "d.csv"
     path.write_text(text)
     (fast, slow), took_fast = _read_both(path, ["a"], min_rows)
     assert not took_fast
-    assert isinstance(fast, ParseError)
+    assert isinstance(fast, DataError)
+    assert _WRONG_SHAPES[text][1] in str(fast)
     _assert_same(fast, slow)
 
 

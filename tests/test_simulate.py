@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 from dmlspss import simulate
-from dmlspss.errors import (
-    InvalidAlpha, InvalidConfig, InvalidRho, NumericError, WorkerDied,
-)
+from dmlspss.errors import ConfigError, NumericError, WorkerDied
 from dmlspss.learners import KernelMachine, Lasso, Oracle, Ridge, SuperLearner
 from dmlspss.simulate import (
     McConfig,
@@ -56,8 +54,19 @@ def test_ar1_covariance_values():
 
 
 def test_ar1_covariance_rejects_bad_rho():
-    with pytest.raises(InvalidRho):
+    with pytest.raises(ConfigError, match=r"rho must be in \(-1, 1\), got 1.0"):
         ar1_covariance(1.0, 3)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ScenarioConfig(scenario="s9", p=3, n=20), "unknown scenario 's9'"),
+    (lambda: ar1_covariance(0.5, 0), "p must be >= 1, got 0"),
+    (lambda: emit_report([run_monte_carlo(_oracle_mc(reps=2))], "xml"),
+     "unknown report format 'xml'"),
+], ids=["scenario", "ar1-p", "report-format"])
+def test_simulate_rejects_bad_settings(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()
 
 
 # --- nuisance truth -------------------------------------------------------------
@@ -309,7 +318,7 @@ def test_cross_fitted_estimate_rejects_an_unknown_splitter():
     mc = _oracle_mc()
     cfg = SimpleNamespace(**{**vars(mc), "splitter": "both"})
     d, _ = draw_dataset(mc.scenario, seed=1)
-    with pytest.raises(InvalidConfig, match="unknown splitter 'both'"):
+    with pytest.raises(ConfigError, match="unknown splitter 'both'"):
         simulate.cross_fitted_estimate(d, cfg, seed=2)
 
 
@@ -325,7 +334,7 @@ def test_check_run_applies_the_fold_rows_rule_to_nuisance_ridge_only(learner_m):
                           splitter="spss")
     simulate.check_run(cfg, 30, 20)
     cfg.learner_ell = Ridge(lam=0.0)
-    with pytest.raises(InvalidConfig, match="p=20 >= the 15 rows a fold trains on"):
+    with pytest.raises(ConfigError, match="p=20 >= the 15 rows a fold trains on"):
         simulate.check_run(cfg, 30, 20)
 
 
@@ -334,7 +343,7 @@ def test_cross_fitted_estimate_rejects_an_unknown_algorithm():
     mc = _oracle_mc()
     cfg = SimpleNamespace(**{**vars(mc), "algorithm": "dml3"})
     d, _ = draw_dataset(mc.scenario, seed=1)
-    with pytest.raises(InvalidConfig, match="unknown algorithm 'dml3'"):
+    with pytest.raises(ConfigError, match="unknown algorithm 'dml3'"):
         simulate.cross_fitted_estimate(d, cfg, seed=2)
 
 
@@ -385,7 +394,7 @@ def test_run_monte_carlo_caps_workers_at_available_cpus(
 
 
 def test_run_monte_carlo_rejects_single_rep():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="reps must be >= 2, got 1"):
         run_monte_carlo(_oracle_mc(reps=1))
 
 
@@ -402,7 +411,7 @@ def test_run_monte_carlo_rejects_single_rep():
 ], ids=["splitter", "score", "algorithm", "reps", "spss-k", "spss-k-one", "random-k",
         "random-complement"])
 def test_mc_config_checks_its_settings_when_built(bad, match):
-    with pytest.raises(InvalidConfig, match=match):
+    with pytest.raises(ConfigError, match=match):
         _oracle_mc(**bad)
 
 
@@ -410,7 +419,7 @@ def test_mc_config_checks_its_settings_when_built(bad, match):
 @pytest.mark.parametrize("bad", [2.5, True])
 def test_mc_config_integer_fields_reject_floats_and_bools(field, bad):
     # k=2.5 once ran a whole cell on 2 folds; reps=2.5 raised a TypeError mid-run
-    with pytest.raises(InvalidConfig, match=f"McConfig {field} must be an integer"):
+    with pytest.raises(ConfigError, match=f"McConfig {field} must be an integer"):
         dataclasses.replace(_oracle_mc(), **{field: bad})
 
 
@@ -422,7 +431,7 @@ def test_mc_config_integer_fields_reject_floats_and_bools(field, bad):
 ], ids=["above", "zero", "nan", "tiny"])
 def test_mc_config_checks_alpha_when_built(alpha, match):
     # the confidence interval's own rule, before any replication is drawn
-    with pytest.raises(InvalidAlpha, match=match):
+    with pytest.raises(ConfigError, match=match):
         _oracle_mc(alpha=alpha)
 
 
@@ -439,7 +448,7 @@ def test_mc_config_checks_super_learner_blocks_when_built(n, v_blocks, cv_splitt
     cell = dict(scenario=ScenarioConfig(scenario="s1", p=3, n=n),
                 learner_m=Ridge(lam=1.0), learner_ell=sl, reps=2, k=2)
     if fails:
-        with pytest.raises(InvalidConfig, match=f"v_blocks={v_blocks} .* needs"):
+        with pytest.raises(ConfigError, match=f"v_blocks={v_blocks} .* needs"):
             McConfig(**cell)
     else:
         McConfig(**cell)
@@ -447,7 +456,7 @@ def test_mc_config_checks_super_learner_blocks_when_built(n, v_blocks, cv_splitt
 
 def test_high_dimensional_cells_require_regularization():
     cfg = ScenarioConfig(scenario="s1", p=60, n=50)
-    with pytest.raises(InvalidConfig, match="lambda=0"):
+    with pytest.raises(ConfigError, match="ridge with lambda=0 is not allowed when p=60 >= n=50"):
         McConfig(scenario=cfg, learner_m=Ridge(lam=0.0),
                  learner_ell=Ridge(lam=1.0), reps=2, splitter="random")
     # regularized learners are fine
@@ -460,7 +469,7 @@ def test_unregularized_candidate_rejected_in_high_dimensions():
     from dmlspss.learners import SuperLearner
     cfg = ScenarioConfig(scenario="s1", p=20, n=20)
     sl = SuperLearner(candidates=(Ridge(lam=1.0), Ridge(lam=0.0)))
-    with pytest.raises(InvalidConfig, match="ridge with lambda=0"):
+    with pytest.raises(ConfigError, match="ridge with lambda=0 is not allowed when p=20 >= n=20"):
         McConfig(scenario=cfg, learner_m=Ridge(lam=1.0), learner_ell=sl, reps=2)
     # p < n: unpenalized learners are fine
     McConfig(scenario=ScenarioConfig(scenario="s1", p=3, n=20),
@@ -583,5 +592,5 @@ def test_emit_report_json_round_trips():
 
 
 def test_emit_report_rejects_empty():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="report needs at least one row"):
         emit_report([], "csv")

@@ -8,12 +8,7 @@ from scipy.spatial.distance import cdist
 
 from dmlspss.data import Dataset, standardize
 from dmlspss import support_points
-from dmlspss.errors import (
-    DimensionMismatch,
-    InvalidConfig,
-    InvalidFraction,
-    TooLargeForMemory,
-)
+from dmlspss.errors import ConfigError, DataError
 from dmlspss.simulate import ScenarioConfig, draw_dataset, mix_seed
 from dmlspss.support_points import (
     FoldPlan,
@@ -80,7 +75,7 @@ def test_energy_axioms_and_oracle_on_random_instances():
 
 
 def test_energy_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="point sets have dimensions 2 and 3"):
         energy_two_sample(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
@@ -150,12 +145,25 @@ def test_scale_equivariance():
 
 def test_solver_config_validation():
     full = np.zeros((4, 1))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="n_points=5 exceeds data size 4"):
         compute_support_points(full, SpConfig(n_points=5))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="tol must be positive, got 0.0"):
         compute_support_points(full, SpConfig(n_points=2, tol=0.0))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="n_points must be positive, got 0"):
         compute_support_points(full, SpConfig(n_points=0))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: compute_support_points(np.zeros((4, 1)), SpConfig(n_points=2, max_iter=0)),
+     "max_iter must be positive, got 0"),
+    (lambda: snap_to_rows(np.zeros((3, 1)), np.zeros((2, 1))),
+     "cannot snap 3 points to 2 rows"),
+    (lambda: random_subset(5, 6, seed=0), r"subset size 6 outside \[1, 5\]"),
+    (lambda: random_subset(5, 0, seed=0), r"subset size 0 outside \[1, 5\]"),
+], ids=["max-iter", "snap-too-many", "subset-too-large", "subset-empty"])
+def test_support_points_reject_bad_sizes(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()
 
 
 # --- snapping ----------------------------------------------------------------
@@ -227,9 +235,9 @@ def test_spss_split_partitions():
 
 def test_spss_split_bad_fraction():
     d = _small_dataset(n=10)
-    with pytest.raises(InvalidFraction):
+    with pytest.raises(ConfigError, match=r"test size 0 outside \[2, 8\]"):
         spss_split(d, 0.01, SpConfig(seed=1))  # rounds to 0
-    with pytest.raises(InvalidFraction):
+    with pytest.raises(ConfigError, match=r"test size 10 outside \[2, 8\]"):
         spss_split(d, 0.999, SpConfig(seed=1))  # rounds to n
 
 
@@ -394,9 +402,9 @@ def test_spss_kfold_tiny_folds():
 
 def test_spss_kfold_rejects_bad_k():
     d = _small_dataset(n=10)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="need 2 <= K <= n/2, got K=6 with n=10"):
         spss_kfold(d, 6, SpConfig(seed=0))  # K > n/2
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="need 2 <= K <= n/2, got K=1 with n=10"):
         spss_kfold(d, 1, SpConfig(seed=0))
 
 
@@ -433,7 +441,7 @@ def test_polish_beyond_physical_memory_raises_before_allocating(monkeypatch):
     expected = [f.tolist() for f in spss_kfold(d, 2, SpConfig(seed=1)).folds]
     need = 8 * 400 * 400
     monkeypatch.setattr(support_points, "_physical_memory", lambda: need - 1)
-    with pytest.raises(TooLargeForMemory, match=r"n=400 rows needs 0\.00128 GB"):
+    with pytest.raises(DataError, match=r"n=400 rows needs 0\.00128 GB"):
         spss_kfold(d, 2, SpConfig(seed=1))
     for probe in (need, None):  # exactly enough, or sysconf unavailable
         monkeypatch.setattr(support_points, "_physical_memory", lambda: probe)
@@ -451,13 +459,13 @@ def test_random_kfold_basics():
 
 
 def test_fold_plan_validation():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="folds must partition 0..n-1 without overlap"):
         FoldPlan(folds=(np.array([0, 1]), np.array([1, 2])))  # overlap
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match=r"fold sizes may differ by at most 1, got \[4, 1\]"):
         FoldPlan(folds=(np.array([0, 1, 2, 3]), np.array([4,])))  # spread > 1
-    with pytest.raises(InvalidConfig, match="none empty"):
+    with pytest.raises(ConfigError, match="none empty"):
         FoldPlan(folds=([0], []))  # an empty fold
-    with pytest.raises(InvalidConfig, match="none empty"):
+    with pytest.raises(ConfigError, match="none empty"):
         FoldPlan(folds=([],))  # no rows at all
 
 
