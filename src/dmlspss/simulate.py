@@ -59,8 +59,8 @@ from .learners import (
     SuperLearner,
     require_integers,
 )
-from .support_points import (FOLD_ROWS, SpConfig, check_fold_count, random_kfold,
-                             spss_kfold)
+from .support_points import (FOLD_ROWS, SpConfig, _distance_module, check_fold_count,
+                             random_kfold, spss_kfold)
 from .support_points import SPLIT_RANDOM, SPLIT_SPSS, SPLITTERS  # re-exported
 
 SCENARIO_1 = "s1"
@@ -186,8 +186,9 @@ class McConfig:
 
     @property
     def _computes_distances(self) -> bool:
-        """Whether a replication calls ``cdist``: SPSS folds, a kernel
-        machine, or a super learner whose CV blocks are SPSS folds."""
+        """Whether a replication computes a distance, through
+        ``support_points._cdist``: SPSS folds, a kernel machine, or a super
+        learner whose CV blocks are SPSS folds."""
         return self.splitter == SPLIT_SPSS or any(
             isinstance(spec, KernelMachine)
             or (isinstance(spec, SuperLearner) and spec.cv_splitter == SPLIT_SPSS)
@@ -384,9 +385,10 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
     rep indices and result tuples are pickled, and results fold in rep
     order.  What the replications import is imported before the fork,
     so the workers inherit it: NumPy's lazily loaded ``numpy.random``
-    always, SciPy's ``cdist`` (which loads ``numpy.ma`` too) only when a
-    replication computes a distance (SPSS folds, a kernel machine, or a
-    super learner with SPSS CV blocks); a cell without one loads neither.
+    always, SciPy's compiled distance module (loaded from its file, not
+    by importing ``scipy.spatial``) only when a replication computes a
+    distance (SPSS folds, a kernel machine, or a super learner with SPSS
+    CV blocks); a cell without one loads no SciPy.
     A replication that fails in a worker is run again here, so its
     exception is raised with its type, attributes and traceback
     unchanged.  A worker process that dies raises :class:`WorkerDied`,
@@ -416,11 +418,12 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
         if "fork" in multiprocessing.get_all_start_methods():
             # imported before the fork, so the workers inherit them; else each
             # worker of every call imports them again.  NumPy loads
-            # numpy.random lazily, and the data draw needs it.
+            # numpy.random lazily, and the data draw needs it; the distance
+            # module is loaded once and cached.
             import numpy.random  # noqa: F401
 
             if mc._computes_distances:
-                import scipy.spatial.distance  # noqa: F401
+                _distance_module()
 
             try:
                 with ProcessPoolExecutor(

@@ -23,12 +23,21 @@ N x N matrix.  The splits skip the MM solver because, at p=20,
 snapping its points returns the seeded rows, so only the polish changes
 the subset.
 
+Every distance comes from :func:`_cdist`, bitwise
+``scipy.spatial.distance.cdist``: it calls the compiled function that
+``cdist`` calls, from SciPy's one compiled distance module, which
+:func:`_distance_module` loads from its file without importing the
+``scipy.spatial`` package.
+
 All randomness is confined to seeds in :class:`SpConfig`; every operation
 is a pure, deterministic function of its inputs.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import os
 from dataclasses import dataclass, field, replace
 
@@ -48,13 +57,42 @@ FOLD_ROWS = {SPLIT_SPSS: 2, SPLIT_RANDOM: 1}
 SPLITTERS = tuple(FOLD_ROWS)
 
 
-def _cdist(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> np.ndarray:
-    """``scipy.spatial.distance.cdist``, imported on first use: loading it
-    takes longer than a random-fold ``estimate`` with linear learners,
-    which computes no distance."""
-    from scipy.spatial.distance import cdist
+@functools.cache
+def _distance_module():
+    """SciPy's compiled distance module, ``scipy.spatial._distance_pybind``,
+    loaded from its file on the first call.
 
-    return cdist(a, b, metric)
+    ``cdist`` needs only this module, but importing ``scipy.spatial``
+    also loads ``_ckdtree``, ``_qhull``, ``scipy.sparse`` and ``numpy.ma``,
+    which take longer than a 1k-row SPSS ``estimate`` spends on its work.
+    ``find_spec("scipy")`` finds SciPy without importing it; a
+    ``FileFinder`` over the extension suffixes finds the module's file in
+    ``scipy/spatial/`` and builds its spec under the module's real name,
+    as an import would, so a later import of ``scipy.spatial`` gets this
+    same module.  The module is not put in ``sys.modules``.  Raises
+    ImportError, naming the directory searched, when it is not there.
+    """
+    name = "scipy.spatial._distance_pybind"
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError(f"SciPy is not installed: no {name}")
+    where = os.path.join(scipy.submodule_search_locations[0], "spatial")
+    spec = importlib.machinery.FileFinder(
+        where, (importlib.machinery.ExtensionFileLoader,
+                importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no compiled module {name} in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _cdist(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> np.ndarray:
+    """``scipy.spatial.distance.cdist(a, b, metric)`` for ``metric``
+    ``"euclidean"`` or ``"sqeuclidean"``: the compiled ``cdist_<metric>``
+    that it dispatches to, on the same ``np.asarray`` inputs, so bitwise
+    its result.  See :func:`_distance_module`."""
+    return getattr(_distance_module(), f"cdist_{metric}")(np.asarray(a), np.asarray(b))
 
 
 def _physical_memory():
@@ -177,9 +215,12 @@ def energy_two_sample(a: np.ndarray, b: np.ndarray) -> float:
 
     2 * mean cross-distance - mean within-a distance - mean within-b
     distance, with 1/(m*N), 1/m^2, 1/N^2 conventions (self-distances
-    included in the denominators).  Zero exactly on identical multisets.
-    Each sum adds whole distance blocks of ``_BLOCK_ROWS`` rows, so it
-    needs O(``_BLOCK_ROWS`` * N) memory, not an N x N matrix.
+    included in the denominators).  Exactly 0 when ``a`` and ``b`` hold
+    the same rows in the same order; the same rows in another order add
+    their distances in another order, so give 0 only within rounding,
+    possibly slightly negative.  Each sum adds whole distance blocks of
+    ``_BLOCK_ROWS`` rows, so it needs O(``_BLOCK_ROWS`` * N) memory, not
+    an N x N matrix.
     """
     a, b = _check_same_dim(a, b)
     m, big_n = len(a), len(b)

@@ -1104,8 +1104,8 @@ def test_cli_import_leaves_scipy_stats_out():
 
 @pytest.mark.parametrize("module", ["dmlspss", "dmlspss.cli"])
 def test_import_loads_no_scipy(module):
-    # SciPy is imported where a distance is computed, never at start-up; nor
-    # is the process pool, which simulate imports when it runs two workers
+    # SciPy's distance module is loaded where a distance is computed, never at
+    # start-up; nor is the process pool, which simulate imports for two workers
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (f"import sys, {module}; print(sorted(m for m in sys.modules if "
             "m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))")
@@ -1129,3 +1129,25 @@ def test_random_fold_ridge_estimate_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "0 [] False"
+
+
+def test_distance_commands_load_no_scipy_package(tmp_path):
+    # split, energy and an SPSS-fold estimate compute distances with SciPy's
+    # compiled module, loaded from its file: no scipy module, nor numpy.ma
+    csv_path = tmp_path / "in.csv"
+    _make_dataset_csv(csv_path, n=40, seed=2, noiseless=False)
+    cfg = _base_config(tmp_path, csv_path).read_text().replace(
+        "method = random", "method = spss")
+    (tmp_path / "run.ini").write_text(cfg)
+    run, out = str(tmp_path / "run.ini"), tmp_path / "split_out"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; from dmlspss.cli import main; "
+            f"rc = [main(['--config', {run!r}, '--out', {str(out)!r}, 'split']), "
+            f"main(['energy', {str(out / 'train.csv')!r}, {str(out / 'test.csv')!r}]), "
+            f"main(['--config', {run!r}, '--out', {str(tmp_path / 'est.json')!r}, "
+            "'estimate'])]; "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0] [] False"

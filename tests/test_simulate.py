@@ -256,9 +256,9 @@ def test_run_monte_carlo_without_fork_runs_serially(monkeypatch, four_cpus):
 
 def _modules_after_forked_cell(splitter, learner_m):
     """The modules a fresh interpreter holds after a two-worker cell whose
-    replications all run in the workers: the parent draws no data and
-    computes no distance itself, so what it holds for them was imported
-    before the fork."""
+    replications all run in the workers, and whether it loaded SciPy's
+    distance module: the parent draws no data and computes no distance
+    itself, so what it holds for them was loaded before the fork."""
     import multiprocessing
     import os
     import subprocess
@@ -268,7 +268,7 @@ def _modules_after_forked_cell(splitter, learner_m):
         pytest.skip("no fork start method")
     code = (
         "import json, sys\n"
-        "from dmlspss import simulate\n"
+        "from dmlspss import simulate, support_points\n"
         "from dmlspss.learners import KernelMachine, Ridge\n"
         "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
         "simulate._available_cpus = lambda: 2\n"
@@ -276,7 +276,8 @@ def _modules_after_forked_cell(splitter, learner_m):
         f"    learner_m={learner_m}, learner_ell=Ridge(lam=1.0), reps=2,\n"
         f"    splitter={splitter!r})\n"
         "simulate.run_monte_carlo(mc, threads=2)\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
+        "loaded = support_points._distance_module.cache_info().currsize == 1\n"
+        "print(json.dumps([sorted(sys.modules), loaded]))\n"
     )
     src = os.path.dirname(os.path.dirname(simulate.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -285,18 +286,24 @@ def _modules_after_forked_cell(splitter, learner_m):
 
 
 def test_run_monte_carlo_loads_scipy_before_forking():
-    # the workers inherit scipy.spatial.distance from the parent when their
-    # replications compute distances: for SPSS folds, or for a kernel machine
+    # the workers inherit SciPy's compiled distance module from the parent
+    # when their replications compute distances: for SPSS folds, or for a
+    # kernel machine.  It is loaded from its file, so the parent holds no
+    # scipy module, nor the numpy.ma that scipy.spatial would load
     for splitter, learner_m in [("spss", "Ridge(lam=1.0)"),
                                 ("random", "KernelMachine(bandwidth=0.5, lam=1.0)")]:
-        assert "scipy.spatial.distance" in _modules_after_forked_cell(splitter, learner_m)
+        modules, loaded = _modules_after_forked_cell(splitter, learner_m)
+        assert loaded
+        assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+        assert "numpy.ma" not in modules
 
 
 def test_run_monte_carlo_without_distances_loads_no_scipy():
-    modules = _modules_after_forked_cell("random", "Ridge(lam=1.0)")
+    modules, loaded = _modules_after_forked_cell("random", "Ridge(lam=1.0)")
+    assert not loaded
     assert [m for m in modules if m.startswith("scipy")] == []
     # what NumPy loads lazily for every replication is inherited instead;
-    # only SciPy needs numpy.ma, and no fold bookkeeping loads it
+    # no fold bookkeeping loads numpy.ma
     assert "numpy.random" in modules and "numpy.ma" not in modules
 
 

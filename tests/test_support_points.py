@@ -1,5 +1,10 @@
 """Tests for energy distance, the support-points solver, and splitting."""
 
+import importlib.machinery
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +18,8 @@ from dmlspss.simulate import ScenarioConfig, draw_dataset, mix_seed
 from dmlspss.support_points import (
     FoldPlan,
     SpConfig,
+    _cdist,
+    _distance_module,
     _exchange_polish,
     _objective_from_dists,
     _peel,
@@ -50,7 +57,8 @@ def energy_reference(a, b):
 def test_energy_identical_sets_is_zero():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(7, 3))
-    assert abs(energy_two_sample(pts, pts)) < 1e-12
+    assert energy_two_sample(pts, pts) == 0.0
+    assert energy_two_sample(pts, pts.copy()) == 0.0
 
 
 def test_energy_single_points():
@@ -485,3 +493,64 @@ def test_energy_in_row_blocks_matches_the_full_matrices(m, n):
     a, b = rng.normal(size=(m, 4)), rng.normal(size=(n, 4)) + 0.3
     full = 2 * cdist(a, b).mean() - cdist(a, a).mean() - cdist(b, b).mean()
     assert energy_two_sample(a, b) == pytest.approx(full, rel=1e-12, abs=0)
+
+
+# --- the distance kernel ---------------------------------------------------------
+
+def _distance_cases():
+    rng = np.random.default_rng(5)
+    big, dup = rng.normal(size=(257, 6)), rng.normal(size=(4, 3))
+    return {
+        "1x1": (rng.normal(size=(1, 3)), rng.normal(size=(1, 3))),
+        "1xN": (rng.normal(size=(1, 5)), rng.normal(size=(40, 5))),
+        "p=1": (rng.normal(size=(9, 1)), rng.normal(size=(7, 1))),
+        "257 rows": (big, big[::-1] + 0.5),
+        "non-contiguous": (big[::2, 1::2], big[1::3, ::2]),
+        "fortran order": (np.asfortranarray(big[:30]), big[100:120]),
+        "duplicate rows": (np.vstack([dup, dup[:2]]), dup),
+        "near 1e150": (rng.normal(size=(6, 3)) * 1e150, rng.normal(size=(5, 3)) * 1e150),
+        "near 1e-150": (rng.normal(size=(6, 3)) * 1e-150, rng.normal(size=(5, 3)) * 1e-150),
+    }
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "sqeuclidean"])
+@pytest.mark.parametrize("case", list(_distance_cases()))
+def test_cdist_is_bitwise_scipys(metric, case):
+    a, b = _distance_cases()[case]
+    got, want = _cdist(a, b, metric), cdist(a, b, metric)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    if case == "duplicate rows":
+        assert (got[np.arange(6), [0, 1, 2, 3, 0, 1]] == 0.0).all()
+
+
+def test_cdist_then_scipys_import_give_the_same_bits():
+    # the module is loaded from its file and not registered, so a later
+    # import of scipy.spatial.distance works and computes the same distances
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from dmlspss.support_points import _cdist\n"
+        "rng = np.random.default_rng(3)\n"
+        "a, b = rng.normal(size=(30, 4)), rng.normal(size=(300, 4))\n"
+        "metrics = ('euclidean', 'sqeuclidean')\n"
+        "first = [_cdist(a, b, m).tobytes() for m in metrics]\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "from scipy.spatial.distance import cdist\n"
+        "print([cdist(a, b, m).tobytes() == got == _cdist(a, b, m).tobytes()\n"
+        "       for m, got in zip(metrics, first)])\n"
+    )
+    src = os.path.dirname(os.path.dirname(support_points.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[True, True]"
+
+
+def test_missing_distance_module_names_the_directory_searched(tmp_path, monkeypatch):
+    (tmp_path / "spatial").mkdir()
+    fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(support_points.importlib.util, "find_spec", lambda name: fake)
+    where = re.escape(str(tmp_path / "spatial"))
+    with pytest.raises(ImportError, match=f"_distance_pybind in {where}$"):
+        _distance_module.__wrapped__()
