@@ -39,6 +39,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,11 +69,17 @@ def _distance_module():
     ``find_spec("scipy")`` finds SciPy without importing it; a
     ``FileFinder`` over the extension suffixes finds the module's file in
     ``scipy/spatial/`` and builds its spec under the module's real name,
-    as an import would, so a later import of ``scipy.spatial`` gets this
-    same module.  The module is not put in ``sys.modules``.  Raises
-    ImportError, naming the directory searched, when it is not there.
+    as an import would.  The module is left out of ``sys.modules``: an
+    extension with single-phase init (SciPy built with pybind11 2.x)
+    puts itself there as it loads, so it is taken out again.  A later
+    import of ``scipy.spatial`` then loads its own copy of the same
+    compiled functions.  When ``scipy.spatial`` is already imported, its
+    module is returned.  Raises ImportError, naming the directory
+    searched, when the module is not there.
     """
     name = "scipy.spatial._distance_pybind"
+    if name in sys.modules:
+        return sys.modules[name]
     scipy = importlib.util.find_spec("scipy")
     if scipy is None:
         raise ImportError(f"SciPy is not installed: no {name}")
@@ -84,6 +91,7 @@ def _distance_module():
         raise ImportError(f"no compiled module {name} in {where}")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
     return module
 
 

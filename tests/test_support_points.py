@@ -546,7 +546,36 @@ def test_cdist_then_scipys_import_give_the_same_bits():
     assert out.stdout.strip() == "[True, True]"
 
 
+_DISTANCE_MODULE = "scipy.spatial._distance_pybind"
+
+
+def test_distance_module_is_left_out_of_sys_modules(monkeypatch):
+    # SciPy built with pybind11 3 uses multi-phase init, which leaves the
+    # module out of sys.modules; built with pybind11 2, single-phase init
+    # puts it there as it is created.  Mimic that: either way it is taken out
+    create = importlib.machinery.ExtensionFileLoader.create_module
+
+    def single_phase(self, spec):
+        module = create(self, spec)
+        sys.modules[spec.name] = module
+        return module
+
+    a, b = np.eye(2), np.ones((1, 2))
+    monkeypatch.delitem(sys.modules, _DISTANCE_MODULE)
+    for init in (create, single_phase):
+        monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "create_module", init)
+        module = _distance_module.__wrapped__()
+        assert _DISTANCE_MODULE not in sys.modules
+        assert module.cdist_euclidean(a, b).tobytes() == cdist(a, b).tobytes()
+
+
+def test_distance_module_is_scipys_once_scipy_spatial_is_imported():
+    # this module imports scipy.spatial.distance, so SciPy's module is there
+    assert _distance_module.__wrapped__() is sys.modules[_DISTANCE_MODULE]
+
+
 def test_missing_distance_module_names_the_directory_searched(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, _DISTANCE_MODULE)
     (tmp_path / "spatial").mkdir()
     fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
     fake.submodule_search_locations = [str(tmp_path)]
