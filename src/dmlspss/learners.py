@@ -38,9 +38,10 @@ from .errors import (
     NonConvergence,
     NumericError,
 )
+# standardize and spss_kfold_cloud: unused here; kept as learners.standardize
+# and learners.spss_kfold_cloud for bench/tracing.py
 from .data import DEGENERATE_SCALE, standardize
-from .support_points import (SPLIT_RANDOM, SPLIT_SPSS, SPLITTERS, SpConfig, _cdist,
-                             _check_memory, random_kfold, spss_kfold_cloud)
+from .support_points import _cdist, _check_memory, random_kfold, spss_kfold_cloud
 
 ACT_RELU = "relu"
 ACT_TANH = "tanh"
@@ -180,7 +181,6 @@ class SuperLearner:
     v_blocks: int = 5
     mode: str = MODE_SELECTOR
     seed: int = 0
-    cv_splitter: str = SPLIT_RANDOM  # SPLIT_SPSS peels blocks by support points
 
     def __post_init__(self):
         require_integers(self, InvalidSpec)
@@ -195,8 +195,6 @@ class SuperLearner:
             raise InvalidSpec(f"super learner seed must be >= 0, got {self.seed}")
         if self.mode not in (MODE_SELECTOR, MODE_CONVEX_WEIGHTS):
             raise InvalidSpec(f"unknown super learner mode {self.mode!r}")
-        if self.cv_splitter not in SPLITTERS:
-            raise InvalidSpec(f"unknown cv splitter {self.cv_splitter!r}")
 
 
 @dataclass(frozen=True)
@@ -728,16 +726,11 @@ def _fit_many_super_learner(spec: SuperLearner, x, tasks) -> list:
     for f, (rows, y) in enumerate(tasks):
         outcomes.append(None)
         try:
-            xt, y = _check_xy(x[rows], y)
+            _, y = _check_xy(x[rows], y)
             if len(y) < spec.v_blocks:
                 raise InvalidSpec(
                     f"need n >= v_blocks, got n={len(y)}, v_blocks={spec.v_blocks}")
-            if spec.cv_splitter == SPLIT_SPSS:
-                cloud, _ = standardize(np.hstack([xt, y[:, None]]))
-                plan = spss_kfold_cloud(cloud, spec.v_blocks,
-                                         SpConfig(seed=spec.seed))
-            else:
-                plan = random_kfold(len(y), spec.v_blocks, spec.seed)
+            plan = random_kfold(len(y), spec.v_blocks, spec.seed)
             jobs.append((f, np.arange(len(x))[rows], y, plan))
         except _FIT_ERRORS as exc:
             outcomes[f] = exc

@@ -59,8 +59,8 @@ from .learners import (
     SuperLearner,
     require_integers,
 )
-from .support_points import (FOLD_ROWS, SpConfig, _distance_module, check_fold_count,
-                             random_kfold, spss_kfold)
+from .support_points import (SpConfig, _distance_module, check_fold_count, random_kfold,
+                             spss_kfold)
 from .support_points import SPLIT_RANDOM, SPLIT_SPSS, SPLITTERS  # re-exported
 
 SCENARIO_1 = "s1"
@@ -90,6 +90,7 @@ class ScenarioConfig:
     linear_coord = 1
 
     def __post_init__(self):
+        require_integers(self, ConfigError)
         if self.scenario not in _SCENARIO_PARAMS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.p < 1 or self.n < 2:
@@ -120,8 +121,8 @@ def _learner_specs(cfg):
 def check_run(cfg, n: int, p: int) -> None:
     """Raise ConfigError unless :func:`cross_fitted_estimate` can run
     ``cfg`` on n rows of p covariates: known choices, ``alpha`` in (0, 1),
-    K against n (every fold complement keeps 2 rows, and each super
-    learner's CV blocks, 2 rows each when SPSS), and a penalty on every
+    K against n (every fold complement keeps 2 rows, and a row for each
+    of a super learner's CV blocks), and a penalty on every
     ridge and lasso when p >= n (on a nuisance ridge, when p >= the
     n - ceil(n/K) rows a fold trains on)."""
     if cfg.splitter not in SPLITTERS:
@@ -144,12 +145,10 @@ def check_run(cfg, n: int, p: int) -> None:
                 f"{spec_label(spec)} with lambda=0 is not allowed when p={p} >= n={n}"
             )
         if isinstance(spec, SuperLearner):
-            need = spec.v_blocks * FOLD_ROWS[spec.cv_splitter]
-            if rows < need:
+            if rows < spec.v_blocks:
                 raise ConfigError(
-                    f"{spec_label(spec)} v_blocks={spec.v_blocks} with "
-                    f"cv_splitter={spec.cv_splitter!r} needs {need} rows to train "
-                    f"on, but n={n} with K={k} leaves {rows}"
+                    f"{spec_label(spec)} v_blocks={spec.v_blocks} needs {spec.v_blocks} "
+                    f"rows to train on, but n={n} with K={k} leaves {rows}"
                 )
     for spec in (cfg.learner_m, cfg.learner_ell):
         if isinstance(spec, Ridge) and spec.lam == 0.0 and p >= rows:
@@ -187,13 +186,10 @@ class McConfig:
     @property
     def _computes_distances(self) -> bool:
         """Whether a replication computes a distance, through
-        ``support_points._cdist``: SPSS folds, a kernel machine, or a super
-        learner whose CV blocks are SPSS folds."""
+        ``support_points._cdist``: SPSS folds or a kernel machine, as a
+        nuisance learner or a super-learner candidate."""
         return self.splitter == SPLIT_SPSS or any(
-            isinstance(spec, KernelMachine)
-            or (isinstance(spec, SuperLearner) and spec.cv_splitter == SPLIT_SPSS)
-            for spec in _learner_specs(self)
-        )
+            isinstance(spec, KernelMachine) for spec in _learner_specs(self))
 
 
 @dataclass(frozen=True)
@@ -387,8 +383,8 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
     so the workers inherit it: NumPy's lazily loaded ``numpy.random``
     always, SciPy's compiled distance module (loaded from its file, not
     by importing ``scipy.spatial``) only when a replication computes a
-    distance (SPSS folds, a kernel machine, or a super learner with SPSS
-    CV blocks); a cell without one loads no SciPy.
+    distance (SPSS folds or a kernel machine); a cell without one loads
+    no SciPy.
     A replication that fails in a worker is run again here, so its
     exception is raised with its type, attributes and traceback
     unchanged.  A worker process that dies raises :class:`WorkerDied`,

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from dmlspss.data import DEGENERATE_SCALE, standardize
+from dmlspss.data import DEGENERATE_SCALE
 from dmlspss.errors import DataError, DmlSpssError, InvalidSpec, NonConvergence
 from dmlspss.learners import (
     MODE_SELECTOR,
@@ -33,13 +33,10 @@ from dmlspss.learners import (
     mlp_init_weights,
 )
 from dmlspss.support_points import (
-    SPLIT_SPSS,
     PolishStats,
-    SpConfig,
     _cdist,
     _physical_memory,
     random_kfold,
-    spss_kfold_cloud,
 )
 
 
@@ -309,11 +306,7 @@ def _reference_super_learner(spec: SuperLearner, x, y) -> SuperLearnerModel:
     n = x.shape[0]
     if n < spec.v_blocks:
         raise InvalidSpec(f"need n >= v_blocks, got n={n}, v_blocks={spec.v_blocks}")
-    if spec.cv_splitter == SPLIT_SPSS:
-        cloud, _ = standardize(np.hstack([x, y[:, None]]))
-        plan = spss_kfold_cloud(cloud, spec.v_blocks, SpConfig(seed=spec.seed))
-    else:
-        plan = random_kfold(n, spec.v_blocks, spec.seed)
+    plan = random_kfold(n, spec.v_blocks, spec.seed)
 
     n_cand = len(spec.candidates)
     risks = np.full(n_cand, np.inf)

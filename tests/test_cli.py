@@ -432,20 +432,19 @@ def test_estimate_with_unpenalized_ridge_and_p_at_least_fold_rows_exits_2_before
 
 def test_estimate_checks_super_learner_blocks_before_splitting(tmp_path, capsys,
                                                                monkeypatch):
-    # 60 rows in K=2 folds leave 30 to train on; 20 SPSS blocks need 40
+    # 60 rows in K=2 folds leave 30 to train on; 31 blocks need 31
     csv_path = tmp_path / "in.csv"
     _make_dataset_csv(csv_path, n=60, seed=2, noiseless=False)
     cfg = _base_config(tmp_path, csv_path)
-    cfg.write_text(cfg.read_text().replace("method = random", "method = spss").replace(
+    cfg.write_text(cfg.read_text().replace(
         "[learner_ell]\nkind = zero", "[learner_ell]\nkind = superlearner\n"
-        "candidate.1.kind = ridge\ncandidate.1.lambda = 0.001\nv_blocks = 20\n"
-        "cv_splitter = spss"))
+        "candidate.1.kind = ridge\ncandidate.1.lambda = 0.001\nv_blocks = 31"))
     split = []
-    monkeypatch.setattr(simulate, "spss_kfold", lambda *a: split.append(a))
+    monkeypatch.setattr(simulate, "random_kfold", lambda *a: split.append(a))
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "est.json"), "estimate"])
     assert (rc, split) == (EXIT_CONFIG, [])
     assert capsys.readouterr().err == (
-        "config error: sl(ridge) v_blocks=20 with cv_splitter='spss' needs 40 rows "
+        "config error: sl(ridge) v_blocks=31 needs 31 rows "
         "to train on, but n=60 with K=2 leaves 30\n")
     assert not (tmp_path / "est.json").exists()
 
@@ -883,6 +882,9 @@ def test_bad_enum_rejected_at_parse_time(tmp_path):
      r"EpsilonInsensitiveLoss epsilon must be finite"),
     ("[dml]\nalpha = 1e-17\n",
      r"\[dml\] alpha: too small for a finite normal quantile"),
+    # a super learner's CV blocks are random folds; the key that chose them is gone
+    ("[learner_m]\nkind = superlearner\ncv_splitter = spss\ncandidate.1.kind = ridge\n",
+     r"\[learner_m\] cv_splitter: unknown key for SuperLearner"),
 ], ids=["ridge", "lasso", "kernel", "svr-loss", "mlp", "sl", "sl-candidate",
         "alpha-above", "alpha-zero", "alpha-nan", "dropped-sp-key",
         "dropped-include-y-key", "sl-nested", "sl-nested-bare", "squared-loss-key",
@@ -891,7 +893,7 @@ def test_bad_enum_rejected_at_parse_time(tmp_path):
         "unknown-scenario", "seed-negative", "mlp-seed-negative",
         "sl-seed-negative", "data-no-covariates", "data-repeated-name",
         "ridge-nan", "lasso-tol-nan", "kernel-bandwidth-inf", "mlp-step-nan",
-        "svr-epsilon-nan", "alpha-tiny"])
+        "svr-epsilon-nan", "alpha-tiny", "dropped-cv-splitter-key"])
 def test_bad_values_rejected_at_parse_time(tmp_path, text, match):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text)
@@ -1029,10 +1031,10 @@ def test_kind_only_superlearner_and_zero_use_spec_defaults(tmp_path):
      Mlp(hidden=(8, 4), activation="tanh", step_size=0.01, epochs=5, batch=16,
          seed=9, l2=0.1)),
     ("kind = superlearner\nv_blocks = 4\nmode = convex_weights\nseed = 2\n"
-     "cv_splitter = spss\ncandidate.1.kind = lasso\ncandidate.1.lambda = 0.2\n"
+     "candidate.1.kind = lasso\ncandidate.1.lambda = 0.2\n"
      "candidate.2.kind = mlp\ncandidate.2.hidden = 16\n",
      SuperLearner(candidates=(Lasso(lam=0.2), Mlp(hidden=(16,))), v_blocks=4,
-                  mode="convex_weights", seed=2, cv_splitter="spss")),
+                  mode="convex_weights", seed=2)),
 ], ids=["ridge", "lasso", "kernel-squared", "kernel-epsilon", "mlp", "superlearner"])
 def test_every_key_section_parses_to_explicit_spec(tmp_path, section, expected):
     assert _parse_text(tmp_path, "[learner_m]\n" + section).learner_m == expected

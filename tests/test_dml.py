@@ -231,10 +231,9 @@ def _never_predicts(x):
 
 
 @pytest.mark.parametrize("failing", [False, True], ids=["", "failing_candidate"])
-@pytest.mark.parametrize("mode", ["selector", "convex_weights"])
-@pytest.mark.parametrize("cv_splitter", ["random", "spss"])
-def test_shared_super_learner_nuisances_equal_one_fit_per_loop(cv_splitter, mode,
-                                                               failing):
+@pytest.mark.parametrize("mode", ["selector", "convex_weights"],
+                         ids=["random-selector", "random-convex_weights"])  # random CV blocks
+def test_shared_super_learner_nuisances_equal_one_fit_per_loop(mode, failing):
     # one super learner for both nuisances: its 2 x K x V MLP fits run in one
     # stacked loop, bitwise what one fit per loop gives (ragged CV sizes)
     d = _dataset(seed=41, n=71)
@@ -243,8 +242,7 @@ def test_shared_super_learner_nuisances_equal_one_fit_per_loop(cv_splitter, mode
                   Mlp(hidden=(8,), epochs=15, batch=16, seed=2, step_size=0.05)]
     if failing:
         candidates.insert(1, Oracle(fn=_never_predicts))
-    spec = SuperLearner(candidates=tuple(candidates), v_blocks=3, mode=mode, seed=7,
-                        cv_splitter=cv_splitter)
+    spec = SuperLearner(candidates=tuple(candidates), v_blocks=3, mode=mode, seed=7)
     nuis = fit_nuisances_crossfit(d, plan, spec, spec, SCORE_PARTIALLING_OUT)
     assert nuis.m_hat.tobytes() == reference_crossfit(spec, d.x, d.t, plan).tobytes()
     assert nuis.ell_hat.tobytes() == reference_crossfit(spec, d.x, d.y, plan).tobytes()
@@ -625,14 +623,14 @@ def test_estimates_are_bitwise_pinned(algorithm, kind):
     assert tuple(float(v).hex() for v in per_fold) == GOLDEN[algorithm, kind][1]
 
 
-# sha256 of the out-of-fold nuisances of a super-learner pair, computed
-# before the DML cross-fit and the super learner's CV shared one loop
-# (residual-update lasso), and with the covariance-update lasso
+# sha256 of the out-of-fold nuisances of a super-learner pair (random CV
+# blocks) with the residual-update lasso and with the covariance-update
+# lasso; the same bits as before support-points CV blocks were removed
 CROSSFIT_PINNED = {
-    (SCORE_PARTIALLING_OUT, "residual"): "20155ffbdf819cc4",
-    (SCORE_IV_TYPE, "residual"): "ca14a3102530888a",
-    (SCORE_PARTIALLING_OUT, "shipped"): "204a74966fb33eac",
-    (SCORE_IV_TYPE, "shipped"): "26c5d6622ea1f7fc",
+    (SCORE_PARTIALLING_OUT, "residual"): "4bf40e2f5c77a461",
+    (SCORE_IV_TYPE, "residual"): "3b0da90b993d98ea",
+    (SCORE_PARTIALLING_OUT, "shipped"): "4192acc4f08259b8",
+    (SCORE_IV_TYPE, "shipped"): "84f9ba0f3a80da53",
 }
 
 
@@ -644,8 +642,7 @@ def test_crossfit_nuisances_are_pinned(kind, lasso):
     d, _ = draw_dataset(ScenarioConfig(scenario="s1", p=4, n=101), seed=41)
     plan = random_kfold(d.n, 3, seed=42)
     candidates = (Ridge(lam=1.0), Lasso(lam=0.05))
-    spec_m = SuperLearner(candidates=candidates, v_blocks=3, mode="convex_weights",
-                          seed=1, cv_splitter="spss")
+    spec_m = SuperLearner(candidates=candidates, v_blocks=3, mode="convex_weights", seed=1)
     spec_ell = SuperLearner(candidates=candidates, v_blocks=4, seed=2)
     nuis = fit_nuisances_crossfit(d, plan, spec_m, spec_ell, kind)
     h = hashlib.sha256()

@@ -693,21 +693,6 @@ def test_convex_weights_never_worse_than_best_single():
     assert stacked <= min(singles) + 1e-8
 
 
-def test_super_learner_spss_blocks():
-    rng = np.random.default_rng(26)
-    x = rng.normal(size=(60, 2))
-    y = x[:, 0] + rng.normal(size=60) * 0.1
-    spec = SuperLearner(candidates=(Ridge(lam=0.1), Ridge(lam=50.0)),
-                        v_blocks=3, seed=1, cv_splitter="spss")
-    model = fit(spec, x, y)
-    assert model.report.chosen == 0  # light penalty wins on linear data
-    again = fit(spec, x, y)
-    assert np.array_equal(model.report.risks, again.report.risks)
-    with pytest.raises(InvalidSpec):
-        fit(SuperLearner(candidates=(Ridge(),), cv_splitter="bogus"),
-            x, y)
-
-
 def test_super_learner_rejects_nesting_and_empty():
     with pytest.raises(InvalidSpec):
         fit(SuperLearner(candidates=()), np.zeros((5, 1)), np.zeros(5))
@@ -755,7 +740,8 @@ def _sha(*arrays):
 # sha256 of (risks, weights, chosen, predictions) computed before the
 # super learner's CV and the DML cross-fit shared one out-of-fold loop
 # (residual-update lasso), and with the covariance-update lasso where the
-# random-block cases moved in the last bits
+# random-block cases moved in the last bits ("random": the CV blocks' kind,
+# now the only one)
 SL_PINNED = {
     ("selector", "random", False, "residual"): "1d6747616fe6e0f9",
     ("selector", "random", True, "residual"): "9ab31d8ae92d9f22",
@@ -765,35 +751,30 @@ SL_PINNED = {
     ("selector", "random", True, "shipped"): "f94bd85ade1e9e22",
     ("convex_weights", "random", False, "shipped"): "72bc14d677850a6b",
     ("convex_weights", "random", True, "shipped"): "02cf923d64e33d3b",
-    ("selector", "spss", False, "shipped"): "1cdbf629a95ee34f",
-    ("selector", "spss", True, "shipped"): "ff61953777a533f2",
-    ("convex_weights", "spss", False, "shipped"): "7613b53b0040e4a0",
-    ("convex_weights", "spss", True, "shipped"): "ed4f1db680838738",
 }
 
 
-def _pinned_case(mode, cv_splitter, failing, lasso):
-    name = f"{mode}-{cv_splitter}-{failing}"
-    return pytest.param(mode, cv_splitter, failing, lasso,
+def _pinned_case(mode, blocks, failing, lasso):
+    name = f"{mode}-{blocks}-{failing}"
+    return pytest.param(mode, blocks, failing, lasso,
                         id=name if lasso == "shipped" else f"{name}-residual_lasso")
 
 
-@pytest.mark.parametrize("mode, cv_splitter, failing, lasso",
+@pytest.mark.parametrize("mode, blocks, failing, lasso",
                          [_pinned_case(*key) for key in sorted(SL_PINNED)],
                          indirect=["lasso"])
-def test_super_learner_report_is_pinned(mode, cv_splitter, failing, lasso):
+def test_super_learner_report_is_pinned(mode, blocks, failing, lasso):
     x, y = _pinned_xy()
     candidates = [Ridge(lam=0.5), Lasso(lam=0.05), KernelMachine(bandwidth=0.5),
                   Mlp(hidden=(8,), epochs=20, batch=16, seed=2)]
     if failing:
         candidates.insert(2, Oracle(fn=_always_fails))
-    spec = SuperLearner(candidates=tuple(candidates), v_blocks=3, mode=mode,
-                        seed=7, cv_splitter=cv_splitter)
+    spec = SuperLearner(candidates=tuple(candidates), v_blocks=3, mode=mode, seed=7)
     model = fit(spec, x, y)
     report = model.report
     assert np.isinf(report.risks).sum() == int(failing)
     digest = _sha(report.risks, report.weights, [report.chosen], model.predict(x[:9]))
-    assert digest == SL_PINNED[mode, cv_splitter, failing, lasso]
+    assert digest == SL_PINNED[mode, blocks, failing, lasso]
 
 
 def test_cv_risk_is_pinned():

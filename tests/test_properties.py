@@ -51,7 +51,9 @@ from conftest import (
     _residual_lasso,
 )
 
-FEW = settings(max_examples=30, deadline=None)
+# derandomized: every run draws the same examples, so a property test fails on
+# the change that breaks it, not at random on a later one
+FEW = settings(max_examples=30, deadline=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -420,7 +422,7 @@ _TRAPS = {
 
 
 @pytest.mark.parametrize("trap", _TRAPS)
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=5, deadline=None, derandomize=True)
 @given(rows=st.lists(st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
                      min_size=1, max_size=3),
        spell=st.sampled_from(_SPELLINGS), crlf=st.booleans())
@@ -553,8 +555,7 @@ _LEARNER_VALID = {  # kind -> its keys' accepted values
             "l2": ["0.1"]},
     "superlearner": {"candidate.1.kind": ["ridge"], "candidate.1.lambda": ["0.5"],
                      "candidate.2.kind": ["mlp", "zero"], "v_blocks": ["3"],
-                     "mode": ["selector", "convex_weights"], "seed": ["1"],
-                     "cv_splitter": ["random", "spss"]},
+                     "mode": ["selector", "convex_weights"], "seed": ["1"]},
     "zero": {},
 }
 _NAMES = ("outcome", "treatment", "covariates")
@@ -599,7 +600,6 @@ _VALUES = {  # value kind or field -> (settings in range, settings out of it)
     "sim_scenarios": (["s1", "s2"], ["s3"]),
     "activation": (["relu", "tanh"], ["sigmoid"]),
     "mode": (["selector", "convex_weights"], ["abc"]),
-    "cv_splitter": (["random", "spss"], ["both"]),
     "hidden": (["4", "3,2"], ["0"]),
     "epochs": (["1", "3"], ["0"]),  # always set, so an MLP fit stays fast
 }

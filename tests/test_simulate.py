@@ -60,10 +60,15 @@ def test_ar1_covariance_rejects_bad_rho():
 
 @pytest.mark.parametrize("call, match", [
     (lambda: ScenarioConfig(scenario="s9", p=3, n=20), "unknown scenario 's9'"),
+    # a float or bool dimension would fail inside replication 0 with a TypeError
+    (lambda: ScenarioConfig("s1", 20.5, 100), "ScenarioConfig p must be an integer, got 20.5"),
+    (lambda: ScenarioConfig("s1", True, 100), "ScenarioConfig p must be an integer, got True"),
+    (lambda: ScenarioConfig("s1", 5, 100.0), "ScenarioConfig n must be an integer, got 100.0"),
     (lambda: ar1_covariance(0.5, 0), "p must be >= 1, got 0"),
     (lambda: emit_report([run_monte_carlo(_oracle_mc(reps=2))], "xml"),
      "unknown report format 'xml'"),
-], ids=["scenario", "ar1-p", "report-format"])
+], ids=["scenario", "scenario-float-p", "scenario-bool-p", "scenario-float-n", "ar1-p",
+        "report-format"])
 def test_simulate_rejects_bad_settings(call, match):
     with pytest.raises(ConfigError, match=match):
         call()
@@ -312,7 +317,6 @@ def test_run_monte_carlo_without_distances_loads_no_scipy():
     ("spss", Ridge(lam=1.0), True),
     ("random", KernelMachine(), True),
     ("random", SuperLearner(candidates=(Ridge(), KernelMachine())), True),
-    ("random", SuperLearner(candidates=(Ridge(),), cv_splitter="spss"), True),
     ("random", SuperLearner(candidates=(Ridge(), Lasso())), False),
 ])
 def test_cells_that_compute_distances(splitter, learner, expected):
@@ -442,20 +446,17 @@ def test_mc_config_checks_alpha_when_built(alpha, match):
         _oracle_mc(alpha=alpha)
 
 
-@pytest.mark.parametrize("n, v_blocks, cv_splitter, fails", [
-    (40, 15, "spss", True),  # 20 rows to train on, SPSS blocks need 30
-    (40, 10, "spss", False),
-    (40, 21, "random", True),
-    (40, 20, "random", False),
-    (43, 11, "spss", True),  # the larger fold leaves 21 rows, not 22
-])
-def test_mc_config_checks_super_learner_blocks_when_built(n, v_blocks, cv_splitter, fails):
-    sl = SuperLearner(candidates=(Ridge(lam=1.0),), v_blocks=v_blocks,
-                      cv_splitter=cv_splitter)
+@pytest.mark.parametrize("n, v_blocks, fails", [
+    (40, 21, True),  # 20 rows to train on, one per block
+    (40, 20, False),
+    (43, 22, True),  # the larger fold leaves 21 rows, not 22
+], ids=["40-21-random-True", "40-20-random-False", "43-22-random-True"])  # random blocks
+def test_mc_config_checks_super_learner_blocks_when_built(n, v_blocks, fails):
+    sl = SuperLearner(candidates=(Ridge(lam=1.0),), v_blocks=v_blocks)
     cell = dict(scenario=ScenarioConfig(scenario="s1", p=3, n=n),
                 learner_m=Ridge(lam=1.0), learner_ell=sl, reps=2, k=2)
     if fails:
-        with pytest.raises(ConfigError, match=f"v_blocks={v_blocks} .* needs"):
+        with pytest.raises(ConfigError, match=f"v_blocks={v_blocks} needs {v_blocks} rows"):
             McConfig(**cell)
     else:
         McConfig(**cell)
