@@ -32,9 +32,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class Dataset:
     """Outcome, treatment, and covariates for ``n`` observations.
 
-    Invariants enforced at construction: matching lengths, n >= 2, p >= 1,
-    all entries finite, and ``column_names``, when given, p + 2 distinct
-    strings (outcome, treatment, covariates).
+    Invariants enforced at construction, each raising DataError: a 2-d
+    ``x``, matching lengths, n >= 2, p >= 1, all entries finite, and
+    ``column_names``, when given, p + 2 distinct strings (outcome,
+    treatment, covariates).
     """
 
     y: np.ndarray
@@ -47,16 +48,16 @@ class Dataset:
         t = _readonly(np.asarray(self.t, dtype=float).reshape(-1))
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 2:
-            raise ValueError("x must be a 2-d matrix")
+            raise DataError("x must be a 2-d matrix")
         x = _readonly(x)
         if not (len(y) == len(t) == x.shape[0]):
-            raise ValueError(
+            raise DataError(
                 f"length mismatch: y={len(y)}, t={len(t)}, x rows={x.shape[0]}"
             )
         if len(y) < 2:
-            raise ValueError("need at least 2 observations")
+            raise DataError("need at least 2 observations")
         if x.shape[1] < 1:
-            raise ValueError("need at least 1 covariate")
+            raise DataError("need at least 1 covariate")
         for name, arr in (("y", y), ("t", t), ("x", x)):
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"non-finite entries in {name}")
@@ -118,13 +119,14 @@ def standardize(m: np.ndarray) -> tuple[np.ndarray, StandardizationReport]:
     flagged in the report instead of raising: downstream distance
     computations stay well-defined.
 
-    Raises DataError on NaN/inf input.
+    Raises DataError on input that is not 2-d, has fewer than 2 rows, or
+    holds NaN/inf.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
+        raise DataError("expected a 2-d matrix")
     if m.shape[0] < 2:
-        raise ValueError("need at least 2 rows to standardize")
+        raise DataError("need at least 2 rows to standardize")
     if not np.all(np.isfinite(m)):
         raise DataError("non-finite entries in matrix")
 
@@ -282,7 +284,7 @@ def subset_rows(d: Dataset, idx) -> Dataset:
     """Select rows by index, preserving the given order.
 
     Raises DataError on out-of-range, duplicate or non-integer (float or
-    boolean) indices.
+    boolean) indices, and on fewer than 2 of them.
     """
     idx = np.asarray(idx)
     if idx.size and idx.dtype.kind not in "iu":

@@ -230,7 +230,10 @@ def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
 # --------------------------------------------------------------------------
 
 class FittedModel:
-    """Immutable fitted predictor; subclasses implement ``_predict``."""
+    """Fitted predictor; subclasses implement ``_predict``.  ``predict``
+    reads the model without changing it, and no package code changes a
+    model after its fit, but its attributes are plain and can be
+    reassigned."""
 
     spec = None
     training_dims = None  # (n, p)

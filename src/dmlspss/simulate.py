@@ -59,8 +59,7 @@ from .learners import (
     SuperLearner,
     require_integers,
 )
-from .support_points import (SpConfig, _distance_module, check_fold_count, random_kfold,
-                             spss_kfold)
+from .support_points import SpConfig, check_fold_count, random_kfold, spss_kfold
 from .support_points import SPLIT_RANDOM, SPLIT_SPSS, SPLITTERS  # re-exported
 
 SCENARIO_1 = "s1"
@@ -183,14 +182,6 @@ class McConfig:
             raise ConfigError(f"reps must be >= 2, got {self.reps}")
         check_run(self, self.scenario.n, self.scenario.p)
 
-    @property
-    def _computes_distances(self) -> bool:
-        """Whether a replication computes a distance, through
-        ``support_points._cdist``: SPSS folds or a kernel machine, as a
-        nuisance learner or a super-learner candidate."""
-        return self.splitter == SPLIT_SPSS or any(
-            isinstance(spec, KernelMachine) for spec in _learner_specs(self))
-
 
 @dataclass(frozen=True)
 class SimulationRow:
@@ -263,15 +254,8 @@ class TruthRecord:
     m0: np.ndarray
 
 
-def draw_dataset(
-    cfg: ScenarioConfig, seed: int, noise_scale=1.0
-) -> tuple[Dataset, TruthRecord]:
-    """Draw one dataset from the scenario; deterministic given the seed.
-
-    ``noise_scale`` scales the disturbances, either one factor for both
-    or a (u_scale, v_scale) pair; 0 gives the noiseless identity
-    Y - g0(X) = beta0 * T used by exactness tests.
-    """
+def draw_dataset(cfg: ScenarioConfig, seed: int) -> tuple[Dataset, TruthRecord]:
+    """Draw one dataset from the scenario; deterministic given the seed."""
     rng = np.random.default_rng(seed)
     sigma = ar1_covariance(cfg.rho, cfg.p)
     chol = np.linalg.cholesky(sigma)
@@ -279,7 +263,6 @@ def draw_dataset(
 
     uv_cov = np.array([[1.0, cfg.uv_corr], [cfg.uv_corr, 1.0]])
     uv = rng.standard_normal((cfg.n, 2)) @ np.linalg.cholesky(uv_cov).T
-    uv = uv * np.broadcast_to(np.asarray(noise_scale, dtype=float), (2,))
 
     g0, m0 = _truth_arrays(x, cfg)
     t = m0 + uv[:, 1]
@@ -379,12 +362,11 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
     is 1 or without the ``fork`` start method: ``mc``, which may hold
     unpicklable ``Oracle`` closures, reaches them through the fork, only
     rep indices and result tuples are pickled, and results fold in rep
-    order.  What the replications import is imported before the fork,
-    so the workers inherit it: NumPy's lazily loaded ``numpy.random``
-    always, SciPy's compiled distance module (loaded from its file, not
-    by importing ``scipy.spatial``) only when a replication computes a
-    distance (SPSS folds or a kernel machine); a cell without one loads
-    no SciPy.
+    order.  NumPy's lazily loaded ``numpy.random``, which every data
+    draw uses, is imported before the fork, so the workers inherit it.
+    A worker loads SciPy's compiled distance module on its first
+    distance (SPSS folds or a kernel machine), from its file, in about
+    1 ms; a cell without one loads no SciPy.
     A replication that fails in a worker is run again here, so its
     exception is raised with its type, attributes and traceback
     unchanged.  A worker process that dies raises :class:`WorkerDied`,
@@ -412,14 +394,10 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
         from concurrent.futures.process import BrokenProcessPool
 
         if "fork" in multiprocessing.get_all_start_methods():
-            # imported before the fork, so the workers inherit them; else each
-            # worker of every call imports them again.  NumPy loads
-            # numpy.random lazily, and the data draw needs it; the distance
-            # module is loaded once and cached.
+            # imported before the fork, so the workers inherit it; else each
+            # worker of every call imports it again.  NumPy loads
+            # numpy.random lazily, and the data draw needs it.
             import numpy.random  # noqa: F401
-
-            if mc._computes_distances:
-                _distance_module()
 
             try:
                 with ProcessPoolExecutor(

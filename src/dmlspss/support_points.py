@@ -29,8 +29,10 @@ Every distance comes from :func:`_cdist`, bitwise
 :func:`_distance_module` loads from its file without importing the
 ``scipy.spatial`` package.
 
-All randomness is confined to seeds in :class:`SpConfig`; every operation
-is a pure, deterministic function of its inputs.
+All randomness comes from integer seeds: :class:`SpConfig`'s ``seed`` for
+the support points and SPSS splits, and the ``seed`` argument of
+:func:`random_kfold` and :func:`random_subset`; every operation is a
+pure, deterministic function of its inputs.
 """
 
 from __future__ import annotations
@@ -228,9 +230,12 @@ def energy_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     their distances in another order, so give 0 only within rounding,
     possibly slightly negative.  Each sum adds whole distance blocks of
     ``_BLOCK_ROWS`` rows, so it needs O(``_BLOCK_ROWS`` * N) memory, not
-    an N x N matrix.
+    an N x N matrix.  Raises DataError when either set is empty.
     """
     a, b = _check_same_dim(a, b)
+    for name, points in (("a", a), ("b", b)):
+        if points.size == 0:  # no rows, or (from an empty list) no coordinates
+            raise DataError(f"point set {name} is empty")
     m, big_n = len(a), len(b)
     return float(_dist_sum(a, b) * 2.0 / (m * big_n) - _dist_sum(a, a) / (m * m)
                  - _dist_sum(b, b) / (big_n ** 2))

@@ -12,6 +12,7 @@ from dmlspss.data import (
     write_csv,
 )
 from dmlspss.errors import DataError
+from dmlspss.support_points import energy_two_sample
 
 
 def test_standardize_already_standardized_column_is_fixed_point():
@@ -64,16 +65,20 @@ def test_standardize_rejects_non_finite():
      "need at least 1 covariate"),
     (lambda: standardize(np.ones(3)), "expected a 2-d matrix"),
     (lambda: standardize(np.ones((1, 2))), "need at least 2 rows to standardize"),
-], ids=["dataset-1d-x", "dataset-no-covariate", "standardize-1d", "standardize-one-row"])
+    (lambda: energy_two_sample(np.empty((0, 2)), np.ones((3, 2))), "point set a is empty"),
+    (lambda: energy_two_sample(np.ones((3, 2)), np.empty((0, 2))), "point set b is empty"),
+    (lambda: energy_two_sample([], []), "point set a is empty"),
+], ids=["dataset-1d-x", "dataset-no-covariate", "standardize-1d", "standardize-one-row",
+        "energy-empty-a", "energy-empty-b", "energy-empty-lists"])
 def test_dataset_and_standardize_reject_bad_shapes(build, match):
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(DataError, match=match):
         build()
 
 
 def test_dataset_invariants():
-    with pytest.raises(ValueError):
-        Dataset(y=[1.0], t=[1.0], x=[[1.0]])  # n < 2
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="need at least 2 observations"):
+        Dataset(y=[1.0], t=[1.0], x=[[1.0]])
+    with pytest.raises(DataError, match="length mismatch: y=2, t=1, x rows=2"):
         Dataset(y=[1.0, 2.0], t=[1.0], x=[[1.0], [2.0]])
     with pytest.raises(DataError, match="non-finite entries in y"):
         Dataset(y=[1.0, np.inf], t=[0.0, 1.0], x=[[1.0], [2.0]])
@@ -192,8 +197,10 @@ def test_subset_rows_errors():
         subset_rows(d, [0.9, 1.7])
     with pytest.raises(DataError, match="must be integers, got dtype bool"):
         subset_rows(d, [True, False, True])
-    with pytest.raises(ValueError, match="need at least 2 observations"):
+    with pytest.raises(DataError, match="need at least 2 observations"):
         subset_rows(d, [])
+    with pytest.raises(DataError, match="need at least 2 observations"):
+        subset_rows(d, [1])
 
 
 def test_subset_rows_complement_partition():

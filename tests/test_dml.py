@@ -379,7 +379,8 @@ def test_overflowing_jacobian_square_is_a_numeric_error(estimate):
 def test_noiseless_dgp_with_oracle_nuisances_recovers_truth():
     # outcome noise off, treatment noise kept: the moment solves exactly
     cfg = ScenarioConfig(scenario="s1", p=4, n=200)
-    d, _ = draw_dataset(cfg, seed=11, noise_scale=(0.0, 1.0))
+    d, truth = draw_dataset(cfg, seed=11)
+    d = Dataset(y=cfg.beta0 * d.t + truth.g0, t=d.t, x=d.x)
     spec_m, spec_ell = oracle_learner_specs(cfg)
     plan = random_kfold(d.n, 2, seed=12)
     nuis = fit_nuisances_crossfit(d, plan, spec_m, spec_ell,

@@ -10,7 +10,8 @@ import pytest
 
 from dmlspss import simulate
 from dmlspss.errors import ConfigError, NumericError, WorkerDied
-from dmlspss.learners import KernelMachine, Lasso, Oracle, Ridge, SuperLearner
+from dmlspss.learners import (EpsilonInsensitiveLoss, KernelMachine, Lasso, Oracle, Ridge,
+                              SuperLearner)
 from dmlspss.simulate import (
     McConfig,
     ScenarioConfig,
@@ -138,13 +139,6 @@ def test_draw_dataset_is_pinned():
     assert h.hexdigest()[:16] == "5d4c0c6888ac4da5"
 
 
-def test_draw_noiseless_identity():
-    cfg = ScenarioConfig(scenario="s1", p=4, n=50)
-    d, truth = draw_dataset(cfg, seed=1, noise_scale=0.0)
-    assert np.max(np.abs(d.y - truth.g0 - 0.5 * d.t)) < 1e-12
-    assert np.max(np.abs(d.t - truth.m0)) < 1e-12
-
-
 def test_draw_deterministic():
     cfg = ScenarioConfig(scenario="s2", p=3, n=40)
     a, _ = draw_dataset(cfg, seed=9)
@@ -240,6 +234,16 @@ def test_run_monte_carlo_deterministic_and_thread_invariant(four_cpus):
         assert _row_values(again) == base
 
 
+def test_run_monte_carlo_kernel_cell_is_thread_invariant(four_cpus):
+    # an SVR cell whose workers each load the distance module on their first
+    # distance; its folds train on 30 rows, too few for BLAS threads to enter
+    svr = KernelMachine(loss=EpsilonInsensitiveLoss())
+    mc = McConfig(scenario=ScenarioConfig("s1", 3, 60), learner_m=svr,
+                  learner_ell=svr, reps=4, splitter="random")
+    assert _row_values(run_monte_carlo(mc, threads=2)) == _row_values(
+        run_monte_carlo(mc, threads=1))
+
+
 def test_run_monte_carlo_more_workers_than_reps(four_cpus):
     mc = _oracle_mc(reps=2, seed=4)
     assert _row_values(run_monte_carlo(mc, threads=3)) == _row_values(
@@ -261,9 +265,9 @@ def test_run_monte_carlo_without_fork_runs_serially(monkeypatch, four_cpus):
 
 def _modules_after_forked_cell(splitter, learner_m):
     """The modules a fresh interpreter holds after a two-worker cell whose
-    replications all run in the workers, and whether it loaded SciPy's
-    distance module: the parent draws no data and computes no distance
-    itself, so what it holds for them was loaded before the fork."""
+    replications all run in the workers, and the size of its cache of
+    SciPy's distance module: the parent draws no data and computes no
+    distance itself, so what it holds for them was loaded before the fork."""
     import multiprocessing
     import os
     import subprocess
@@ -281,8 +285,8 @@ def _modules_after_forked_cell(splitter, learner_m):
         f"    learner_m={learner_m}, learner_ell=Ridge(lam=1.0), reps=2,\n"
         f"    splitter={splitter!r})\n"
         "simulate.run_monte_carlo(mc, threads=2)\n"
-        "loaded = support_points._distance_module.cache_info().currsize == 1\n"
-        "print(json.dumps([sorted(sys.modules), loaded]))\n"
+        "cached = support_points._distance_module.cache_info().currsize\n"
+        "print(json.dumps([sorted(sys.modules), cached]))\n"
     )
     src = os.path.dirname(os.path.dirname(simulate.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -290,39 +294,20 @@ def _modules_after_forked_cell(splitter, learner_m):
     return json.loads(out.stdout)
 
 
-def test_run_monte_carlo_loads_scipy_before_forking():
-    # the workers inherit SciPy's compiled distance module from the parent
-    # when their replications compute distances: for SPSS folds, or for a
-    # kernel machine.  It is loaded from its file, so the parent holds no
-    # scipy module, nor the numpy.ma that scipy.spatial would load
-    for splitter, learner_m in [("spss", "Ridge(lam=1.0)"),
-                                ("random", "KernelMachine(bandwidth=0.5, lam=1.0)")]:
-        modules, loaded = _modules_after_forked_cell(splitter, learner_m)
-        assert loaded
-        assert [m for m in modules if m.split(".")[0] == "scipy"] == []
-        assert "numpy.ma" not in modules
-
-
-def test_run_monte_carlo_without_distances_loads_no_scipy():
-    modules, loaded = _modules_after_forked_cell("random", "Ridge(lam=1.0)")
-    assert not loaded
-    assert [m for m in modules if m.startswith("scipy")] == []
+@pytest.mark.parametrize("splitter, learner_m", [
+    ("spss", "Ridge(lam=1.0)"),
+    ("random", "KernelMachine(bandwidth=0.5, lam=1.0)"),
+    ("random", "Ridge(lam=1.0)"),
+], ids=["spss-ridge", "random-kernel", "random-ridge"])
+def test_run_monte_carlo_forks_holding_numpy_random_and_no_scipy(splitter, learner_m):
     # what NumPy loads lazily for every replication is inherited instead;
-    # no fold bookkeeping loads numpy.ma
+    # SciPy's distance module is each worker's to load on its first distance,
+    # so the parent holds no scipy module, nor the numpy.ma that scipy.spatial
+    # or a NumPy set routine would load
+    modules, cached = _modules_after_forked_cell(splitter, learner_m)
+    assert cached == 0
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
     assert "numpy.random" in modules and "numpy.ma" not in modules
-
-
-@pytest.mark.parametrize("splitter, learner, expected", [
-    ("random", Ridge(lam=1.0), False),
-    ("spss", Ridge(lam=1.0), True),
-    ("random", KernelMachine(), True),
-    ("random", SuperLearner(candidates=(Ridge(), KernelMachine())), True),
-    ("random", SuperLearner(candidates=(Ridge(), Lasso())), False),
-])
-def test_cells_that_compute_distances(splitter, learner, expected):
-    mc = McConfig(scenario=ScenarioConfig("s1", 3, 40), learner_m=Ridge(),
-                  learner_ell=learner, reps=2, splitter=splitter)
-    assert mc._computes_distances is expected
 
 
 def test_cross_fitted_estimate_rejects_an_unknown_splitter():
