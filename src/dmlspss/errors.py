@@ -7,7 +7,8 @@ told apart by its message:
 - ``DataError`` (exit 3): a bad file, cell, column, shape or index list,
   or a problem too large for memory;
 - ``NumericError`` (exit 4): a failed solve or fit;
-- ``WorkerDied`` (exit 5): a worker process ended without its result.
+- ``WorkerDied`` (exit 5): a worker process ended without its result or
+  could not be started.
 
 Two refinements stay because package code inspects them: ``InvalidSpec``,
 which ``cli.parse_config`` catches to prefix its INI section, and
@@ -44,4 +45,5 @@ class NonConvergence(NumericError):
 
 
 class WorkerDied(DmlSpssError):
-    """A worker process ended (killed, or ``os._exit``) without its result."""
+    """A worker process ended (killed, or ``os._exit``) without its result
+    or could not be started (``os.fork`` failed)."""

@@ -9,8 +9,9 @@ split -> cross-fit -> estimate routine, for ``dmlspss estimate`` and for
 every replication, so an estimate on a replication's data and split seed
 reproduces its beta bit for bit.  The harness replicates draw -> that
 routine over seeded replications and aggregates bias, spread, mse, and
-coverage for one (scenario, p, n) cell, serially or in forked worker
-processes, with bitwise the same result.
+coverage for one (scenario, p, n) cell, serially or in worker processes
+forked with ``os.fork`` that send their results back through pipes, with
+bitwise the same result.
 
 Reported metrics: bias = mean(beta_hat) - beta0, se = sample standard
 deviation of beta_hat across replications, se_adjusted = se / sqrt(n),
@@ -27,13 +28,16 @@ includes that +0.3: s2 is a stress test of a misspecified model.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import os
+import pickle
+import select
+import signal
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -325,21 +329,93 @@ def _run_one_rep(mc: McConfig, rep: int):
     return est.beta, est.se, covered
 
 
-_worker_mc: Optional[McConfig] = None
+def _fork_map(fn, count: int, workers: int):
+    """``fn(0), ..., fn(count - 1)`` in ``workers`` forked children, in
+    task order, up to the first task that failed or was lost.
 
-
-def _worker_init(mc: McConfig) -> None:
-    global _worker_mc
-    _worker_mc = mc
-
-
-def _worker_rep(rep: int):
-    """One replication in a worker process; None if it raised, so that no
-    exception (which may not survive pickling) is sent back."""
+    Child ``w`` runs tasks ``w``, ``w + workers``, ... and writes each
+    result, pickled, to its own pipe as soon as it has it; a task that
+    raises is sent as ``None`` (its exception may not survive pickling)
+    and ends the child, which always leaves through ``os._exit``.  ``fn``
+    reaches the children through the fork, so only results cross the
+    pipes.  The parent reads every pipe as data arrives and stops at the
+    first task, in order, that failed or whose child ended without
+    sending it.  Returns the results before that task and whether it was
+    lost (its child died) rather than failed.  A fork that fails raises
+    :class:`WorkerDied` naming its errno.  Every child started is killed
+    and reaped, and every pipe closed, before this returns or raises,
+    ``KeyboardInterrupt`` included.
+    """
+    pipes = []  # (read fd, pid), one per child in worker order
     try:
-        return _run_one_rep(_worker_mc, rep)
-    except Exception:
-        return None
+        for w in range(workers):
+            r, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(r)
+                os.close(wfd)
+                raise WorkerDied(f"could not start a worker process: {exc}") from exc
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in [r] + [fd for fd, _ in pipes]:
+                        os.close(fd)
+                    with os.fdopen(wfd, "wb") as out:
+                        for task in range(w, count, workers):
+                            try:
+                                result = fn(task)
+                            except Exception:
+                                result = None
+                            data = pickle.dumps((task, result))
+                            out.write(len(data).to_bytes(8, "little") + data)
+                            out.flush()
+                            if result is None:
+                                break
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wfd)
+            pipes.append((r, pid))
+
+        buffers = {r: bytearray() for r, _ in pipes}
+        received, ended, results = {}, set(), []
+        poller = select.poll()
+        for r in buffers:
+            poller.register(r, select.POLLIN)
+        while len(results) < count:
+            task = len(results)
+            if task in received:
+                if received[task] is None:
+                    return results, False
+                results.append(received.pop(task))
+                continue
+            if pipes[task % workers][0] in ended:
+                return results, True
+            for r, _ in poller.poll():
+                chunk = os.read(r, 1 << 16)
+                if not chunk:
+                    poller.unregister(r)
+                    ended.add(r)
+                    continue
+                buf = buffers[r]
+                buf += chunk
+                while len(buf) >= 8:
+                    size = 8 + int.from_bytes(buf[:8], "little")
+                    if len(buf) < size:
+                        break
+                    done, result = pickle.loads(buf[8:size])
+                    received[done] = result
+                    del buf[:size]
+        return results, False
+    finally:
+        for r, pid in pipes:
+            os.close(r)
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
 
 
 def _available_cpus() -> int:
@@ -358,20 +434,21 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
     :func:`cross_fitted_estimate` with split seed
     ``mix_seed(mix_seed(master_seed, rep), 2)``, so replications are
     independent tasks.  They run in ``min(threads, reps, CPUs available)``
-    forked worker processes, all started at once, or serially when that
-    is 1 or without the ``fork`` start method: ``mc``, which may hold
-    unpicklable ``Oracle`` closures, reaches them through the fork, only
-    rep indices and result tuples are pickled, and results fold in rep
-    order.  NumPy's lazily loaded ``numpy.random``, which every data
-    draw uses, is imported before the fork, so the workers inherit it.
-    A worker loads SciPy's compiled distance module on its first
-    distance (SPSS folds or a kernel machine), from its file, in about
-    1 ms; a cell without one loads no SciPy.
+    worker processes forked with ``os.fork`` (:func:`_fork_map`), all
+    started at once, or serially when that is 1 or where ``os.fork`` is
+    missing: ``mc``, which may hold unpicklable ``Oracle`` closures,
+    reaches them through the fork, only result tuples are pickled, and
+    results fold in rep order.  NumPy's lazily loaded ``numpy.random``,
+    which every data draw uses, is imported before the fork, so the
+    workers inherit it.  A worker loads SciPy's compiled distance module
+    on its first distance (SPSS folds or a kernel machine), from its
+    file, in about 1 ms; a cell without one loads no SciPy.
     A replication that fails in a worker is run again here, so its
     exception is raised with its type, attributes and traceback
-    unchanged.  A worker process that dies raises :class:`WorkerDied`,
-    naming the first replication without a result; that replication is
-    not run again here.
+    unchanged.  A worker process that dies before sending a replication,
+    or a fork that fails, raises :class:`WorkerDied`, the former naming
+    the first replication without a result; that replication is not run
+    again here.
     """
     start = time.perf_counter()
 
@@ -388,33 +465,19 @@ def run_monte_carlo(mc: McConfig, threads: int = 1) -> SimulationRow:
 
     results = []
     workers = min(threads, mc.reps, _available_cpus())
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+    if workers > 1 and hasattr(os, "fork"):
+        # imported before the fork, so the workers inherit it; else each
+        # worker of every call imports it again.  NumPy loads numpy.random
+        # lazily, and the data draw needs it.
+        import numpy.random  # noqa: F401
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            # imported before the fork, so the workers inherit it; else each
-            # worker of every call imports it again.  NumPy loads
-            # numpy.random lazily, and the data draw needs it.
-            import numpy.random  # noqa: F401
-
-            try:
-                with ProcessPoolExecutor(
-                    workers, multiprocessing.get_context("fork"),
-                    initializer=_worker_init, initargs=(mc,),
-                ) as pool:
-                    for result in pool.map(_worker_rep, range(mc.reps)):
-                        if result is None:
-                            pool.shutdown(cancel_futures=True)
-                            break
-                        results.append(result)
-            except BrokenProcessPool as exc:
-                rep = len(results)
-                raise WorkerDied(
-                    f"a worker process died; replication {rep} (seed "
-                    f"{mix_seed(mc.master_seed, rep)}) has no result"
-                ) from exc
+        results, lost = _fork_map(functools.partial(_run_one_rep, mc), mc.reps, workers)
+        if lost:
+            rep = len(results)
+            raise WorkerDied(
+                f"a worker process died; replication {rep} (seed "
+                f"{mix_seed(mc.master_seed, rep)}) has no result"
+            )
     # serial path, and the rest after a replication failed in a worker
     results += [guarded(rep) for rep in range(len(results), mc.reps)]
 

@@ -714,6 +714,35 @@ def test_dead_worker_exits_5(tmp_path, capsys, monkeypatch):
     assert err.startswith("worker error: a worker process died; replication 0 (seed 1)")
 
 
+def test_failed_fork_exits_5_leaving_no_worker(tmp_path, capsys, monkeypatch):
+    # the second fork fails with EAGAIN (too many processes): the first
+    # worker is killed and reaped, and the run is a worker error, not a data error
+    import errno
+
+    from dmlspss import simulate
+
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(simulate, "_available_cpus", lambda: 4)
+    cfg = _base_config(tmp_path, tmp_path / "unused.csv", SIM_EXTRA)
+    rc = main(["--config", str(cfg), "--threads", "2", "simulate"])
+    assert rc == EXIT_WORKER
+    assert len(forks) == 2
+    assert capsys.readouterr().err == (
+        "worker error: could not start a worker process: [Errno 11] "
+        f"{os.strerror(errno.EAGAIN)}\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # --- energy ----------------------------------------------------------------------
 
 def test_energy_command_matches_library(tmp_path, capsys):
@@ -1107,7 +1136,7 @@ def test_cli_import_leaves_scipy_stats_out():
 @pytest.mark.parametrize("module", ["dmlspss", "dmlspss.cli"])
 def test_import_loads_no_scipy(module):
     # SciPy's distance module is loaded where a distance is computed, never at
-    # start-up; nor is the process pool, which simulate imports for two workers
+    # start-up; no run imports a process-pool module
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (f"import sys, {module}; print(sorted(m for m in sys.modules if "
             "m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))")

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -226,12 +227,19 @@ def four_cpus(monkeypatch):
     monkeypatch.setattr(simulate, "_available_cpus", lambda: 4)
 
 
+def _assert_no_children():
+    """Every worker process this test's cells forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_run_monte_carlo_deterministic_and_thread_invariant(four_cpus):
     # Oracle closures cannot be pickled; they reach the workers by fork
     base = _row_values(run_monte_carlo(_oracle_mc(splitter="spss")))
     for threads in (1, 2, 4):
         again = run_monte_carlo(_oracle_mc(splitter="spss"), threads=threads)
         assert _row_values(again) == base
+        _assert_no_children()
 
 
 def test_run_monte_carlo_kernel_cell_is_thread_invariant(four_cpus):
@@ -251,13 +259,7 @@ def test_run_monte_carlo_more_workers_than_reps(four_cpus):
 
 
 def test_run_monte_carlo_without_fork_runs_serially(monkeypatch, four_cpus):
-    import multiprocessing
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("no worker pool without fork")
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.delattr(os, "fork")
     mc = _oracle_mc(reps=3, seed=5)
     assert _row_values(run_monte_carlo(mc, threads=2)) == _row_values(
         run_monte_carlo(mc, threads=1))
@@ -268,13 +270,11 @@ def _modules_after_forked_cell(splitter, learner_m):
     replications all run in the workers, and the size of its cache of
     SciPy's distance module: the parent draws no data and computes no
     distance itself, so what it holds for them was loaded before the fork."""
-    import multiprocessing
-    import os
     import subprocess
     import sys
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("no fork start method")
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
     code = (
         "import json, sys\n"
         "from dmlspss import simulate, support_points\n"
@@ -303,10 +303,12 @@ def test_run_monte_carlo_forks_holding_numpy_random_and_no_scipy(splitter, learn
     # what NumPy loads lazily for every replication is inherited instead;
     # SciPy's distance module is each worker's to load on its first distance,
     # so the parent holds no scipy module, nor the numpy.ma that scipy.spatial
-    # or a NumPy set routine would load
+    # or a NumPy set routine would load; the workers are forked with os.fork,
+    # so nor does it hold a process-pool module
     modules, cached = _modules_after_forked_cell(splitter, learner_m)
     assert cached == 0
-    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    assert [m for m in modules
+            if m.split(".")[0] in ("scipy", "multiprocessing", "concurrent")] == []
     assert "numpy.random" in modules and "numpy.ma" not in modules
 
 
@@ -343,29 +345,6 @@ def test_cross_fitted_estimate_rejects_an_unknown_algorithm():
         simulate.cross_fitted_estimate(d, cfg, seed=2)
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and runs the
-    replications in this process, so no worker is forked."""
-
-    sizes = []
-
-    def __init__(self, max_workers, mp_context, initializer, initargs):
-        self.sizes.append(max_workers)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable):
-        return map(fn, iterable)
-
-    def shutdown(self, cancel_futures=False):
-        pass
-
-
 @pytest.mark.parametrize("affinity, cpu_count, expected", [
     ({0, 1, 2}, 64, [3]),  # the affinity set caps the pool
     (None, 2, [2]),  # no affinity call: the machine's count
@@ -373,11 +352,14 @@ class _RecordingPool:
 ])
 def test_run_monte_carlo_caps_workers_at_available_cpus(
         monkeypatch, affinity, cpu_count, expected):
-    import concurrent.futures
-    import os
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(simulate, "_worker_mc", None)
+    sizes = []
+
+    def recording_fork_map(fn, count, workers):
+        # records the worker count and runs the tasks here, forking none
+        sizes.append(workers)
+        return [fn(task) for task in range(count)], False
+
+    monkeypatch.setattr(simulate, "_fork_map", recording_fork_map)
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
@@ -385,7 +367,7 @@ def test_run_monte_carlo_caps_workers_at_available_cpus(
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
     mc = _oracle_mc(reps=8, seed=6)
     row = run_monte_carlo(mc, threads=64)
-    assert _RecordingPool.sizes == expected
+    assert sizes == expected
     assert _row_values(row) == _row_values(run_monte_carlo(mc, threads=1))
 
 
@@ -536,7 +518,6 @@ def test_run_monte_carlo_failing_rep_keeps_exception_type_in_workers(four_cpus):
 
 def test_dead_worker_raises_worker_died(four_cpus):
     # a learner that kills its worker process; the parent never calls it
-    import os
     parent = os.getpid()
 
     def die(x):
@@ -550,6 +531,63 @@ def test_dead_worker_raises_worker_died(four_cpus):
                   master_seed=1)
     with pytest.raises(WorkerDied, match=f"replication 0 \\(seed {mix_seed(1, 0)}\\)"):
         run_monte_carlo(mc, threads=2)
+    _assert_no_children()
+
+
+def _rep3_cell(on_rep3):
+    """A 6-replication cell (seed 1) whose oracle nuisances are the truth,
+    except that on replication 3's data they call ``on_rep3`` first."""
+    cfg = ScenarioConfig(scenario="s1", p=4, n=50)
+    rep3_x = draw_dataset(cfg, mix_seed(mix_seed(1, 3), 1))[0].x
+
+    def oracle(truth):
+        def fn(x):
+            if (rep3_x == x[0]).all(axis=1).any():
+                on_rep3()
+            return truth.fn(x)
+        return Oracle(fn=fn)
+
+    truth_m, truth_ell = oracle_learner_specs(cfg)
+    return McConfig(scenario=cfg, learner_m=oracle(truth_m),
+                    learner_ell=oracle(truth_ell), reps=6, splitter="random",
+                    master_seed=1)
+
+
+def test_failing_rep_past_the_first_is_raised_by_the_parent(four_cpus):
+    # replication 3 runs in worker 1, after replication 1; replications 0-2
+    # fold from the workers, and 3 is run again here
+    def boom():
+        raise _TwoArgError(7, "boom")
+
+    with pytest.raises(_TwoArgError) as info:
+        run_monte_carlo(_rep3_cell(boom), threads=2)
+    assert str(info.value) == f"replication 3 (seed {mix_seed(1, 3)}): code 7: boom"
+    assert info.value.code == 7
+    _assert_no_children()
+
+
+def test_dead_worker_past_the_first_rep_names_that_rep(four_cpus):
+    parent = os.getpid()
+
+    def die():
+        if os.getpid() != parent:
+            os._exit(9)
+        raise AssertionError("the replication ran again in the parent")
+
+    with pytest.raises(WorkerDied, match=f"replication 3 \\(seed {mix_seed(1, 3)}\\)"):
+        run_monte_carlo(_rep3_cell(die), threads=2)
+    _assert_no_children()
+
+
+def test_interrupted_parent_reaps_its_workers(monkeypatch, four_cpus):
+    def interrupted(fd, size):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "read", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_monte_carlo(_oracle_mc(reps=4), threads=2)
+    _assert_no_children()
 
 
 def test_spec_label_composition():
