@@ -737,7 +737,7 @@ def test_failed_fork_exits_5_leaving_no_worker(tmp_path, capsys, monkeypatch):
     assert rc == EXIT_WORKER
     assert len(forks) == 2
     assert capsys.readouterr().err == (
-        "worker error: could not start a worker process: [Errno 11] "
+        f"worker error: could not start a worker process: [Errno {errno.EAGAIN}] "
         f"{os.strerror(errno.EAGAIN)}\n")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
